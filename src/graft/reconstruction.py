@@ -72,44 +72,61 @@ def soft_dynamic_factor(u: np.ndarray, adj: np.ndarray) -> float:
     return float((diff * diff).sum()) / (n * (n - 1))
 
 
+class _Evaluation:
+    """The objective at ``u`` with the residuals its gradient reuses.
+
+    ``u @ u.T`` and both n x n residuals are formed once here, so a descent
+    step that accepts a trial point takes the gradient there without forming
+    them again.
+    """
+
+    def __init__(self, u: np.ndarray, prob: ReconstructionProblem):
+        u = np.asarray(u, dtype=float)
+        n = prob.n
+        if u.shape[0] != n:
+            raise GraftError(f"u has {u.shape[0]} rows but the problem has {n} entities")
+        m = u @ u.T
+        self.u = u
+        self.prob = prob
+        self.resid_t = m - prob.target_adj.matrix
+        self.resid_s = m - prob.source_adj.matrix
+        self.pairs = n * (n - 1)
+        # r * r is bitwise equal to r ** 2 (numpy's square), so the objective
+        # matches a direct evaluation of the formula exactly
+        smooth = float((self.resid_t * self.resid_t).sum())
+        self.gap = float((self.resid_s * self.resid_s).sum()) / self.pairs
+        self.value = (
+            prob.mu * smooth
+            + (1.0 - prob.mu) * (self.gap - prob.observed_gap) ** 2
+            + prob.reg * float((u * u).sum())
+        )
+
+    @property
+    def objective(self) -> float:
+        if not np.isfinite(self.value):
+            raise GraftError("reconstruction objective is not finite")
+        return self.value
+
+    def gradient(self) -> np.ndarray:
+        prob, u = self.prob, self.u
+        grad = (
+            4.0 * prob.mu * (self.resid_t @ u)
+            + (1.0 - prob.mu) * 2.0 * (self.gap - prob.observed_gap) * (4.0 / self.pairs) * (self.resid_s @ u)
+            + 2.0 * prob.reg * u
+        )
+        if not np.isfinite(grad).all():
+            raise GraftError("reconstruction gradient is not finite")
+        return grad
+
+
 def reconstruction_objective(u: np.ndarray, prob: ReconstructionProblem) -> float:
     """mu * ||u u^T - A_T||_F^2 + (1 - mu) * (gap(u) - observed_gap)^2 + reg * ||u||_F^2."""
-    u = np.asarray(u, dtype=float)
-    n = prob.n
-    if u.shape[0] != n:
-        raise GraftError(f"u has {u.shape[0]} rows but the problem has {n} entities")
-    m = u @ u.T
-    smooth = float(((m - prob.target_adj.matrix) ** 2).sum())
-    gap = float(((m - prob.source_adj.matrix) ** 2).sum()) / (n * (n - 1))
-    value = (
-        prob.mu * smooth
-        + (1.0 - prob.mu) * (gap - prob.observed_gap) ** 2
-        + prob.reg * float((u * u).sum())
-    )
-    if not np.isfinite(value):
-        raise GraftError("reconstruction objective is not finite")
-    return value
+    return _Evaluation(u, prob).objective
 
 
 def reconstruction_gradient(u: np.ndarray, prob: ReconstructionProblem) -> np.ndarray:
     """Analytic gradient of ``reconstruction_objective`` with respect to ``u``."""
-    u = np.asarray(u, dtype=float)
-    n = prob.n
-    if u.shape[0] != n:
-        raise GraftError(f"u has {u.shape[0]} rows but the problem has {n} entities")
-    m = u @ u.T
-    resid_t = m - prob.target_adj.matrix
-    resid_s = m - prob.source_adj.matrix
-    pairs = n * (n - 1)
-    gap = float((resid_s * resid_s).sum()) / pairs
-    grad = (
-        4.0 * prob.mu * (resid_t @ u)
-        + (1.0 - prob.mu) * 2.0 * (gap - prob.observed_gap) * (4.0 / pairs) * (resid_s @ u)
-        + 2.0 * prob.reg * u
-    )
-    if not np.isfinite(grad).all():
-        raise GraftError("reconstruction gradient is not finite")
-    return grad
+    return _Evaluation(u, prob).gradient()
 
 
 @dataclass
@@ -140,7 +157,9 @@ def solve_reconstruction(
     eigenvalues, plus a small seeded perturbation to break symmetry. Each
     iteration resets the step to ``eta0`` and halves it until the objective
     does not increase; the run stops when the relative objective change drops
-    below ``construction_tol`` or the iteration cap is reached.
+    below ``construction_tol``, when the iteration cap is reached, or when
+    ``MAX_BACKTRACKS`` halvings find no descent. Each accepted point is
+    evaluated once: its gradient comes from the residuals of that evaluation.
     """
     config = config or TransferConfig()
     n = prob.n
@@ -150,31 +169,39 @@ def solve_reconstruction(
     u = vectors * np.sqrt(np.clip(values, 0.0, None))[None, :]
     rng = np.random.default_rng(seed)
     u = u + INIT_NOISE * rng.standard_normal(u.shape)
-    obj = _check_diverged(reconstruction_objective(u, prob))
+    current = _Evaluation(u, prob)
+    obj = _check_diverged(current.objective)
     trace = [obj]
+    backtracks = 0
+    stop = "iteration cap"
     for _ in range(config.construction_max_iters):
-        grad = reconstruction_gradient(u, prob)
+        grad = current.gradient()
         eta = config.eta0
-        candidate = None
-        cand_obj = None
         for _ in range(MAX_BACKTRACKS):
-            trial = u - eta * grad
             try:
-                trial_obj = reconstruction_objective(trial, prob)
+                trial = _Evaluation(current.u - eta * grad, prob)
+                if trial.objective <= obj:
+                    break
             except GraftError:
-                trial_obj = np.inf
-            if trial_obj <= obj:
-                candidate, cand_obj = trial, trial_obj
-                break
+                pass
             eta *= 0.5
-        if candidate is None:
+            backtracks += 1
+        else:
+            stop = f"no descent after {MAX_BACKTRACKS} halvings"
             break
-        prev, u, obj = obj, candidate, _check_diverged(cand_obj)
+        prev, current, obj = obj, trial, _check_diverged(trial.value)
         trace.append(obj)
         if abs(obj - prev) / max(abs(prev), 1e-30) < config.construction_tol:
+            stop = "tolerance"
             break
-    log.info("reconstruction finished after %d iteration(s), objective %.6g", len(trace) - 1, obj)
-    return ReconstructionSolution(u, trace, iterations=len(trace) - 1)
+    log.info(
+        "reconstruction stopped by %s after %d iteration(s), %d backtrack(s), objective %.6g",
+        stop,
+        len(trace) - 1,
+        backtracks,
+        obj,
+    )
+    return ReconstructionSolution(current.u, trace, iterations=len(trace) - 1)
 
 
 def finalize_edges(solution: ReconstructionSolution, merged: HeteroGraph, z: float) -> HeteroGraph:

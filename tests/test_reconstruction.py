@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,11 @@ from graft import (
     finalize_edges,
     solve_reconstruction,
 )
-from graft.numerics import finite_diff_grad
+from graft.numerics import finite_diff_grad, sym_eig_topk
 from graft.reconstruction import (
+    INIT_NOISE,
+    MAX_BACKTRACKS,
+    _check_diverged,
     reconstruction_gradient,
     reconstruction_objective,
     soft_dynamic_factor,
@@ -55,6 +60,44 @@ def naive_objective(u, prob):
     return prob.mu * smooth + (1.0 - prob.mu) * (gap - prob.observed_gap) ** 2 + reg
 
 
+def reference_solve(prob, seed, config):
+    """Descent loop that evaluates the objective and the gradient separately.
+
+    Returns the factors, the accepted-objective trace and the number of step
+    halvings, for comparison with ``solve_reconstruction``.
+    """
+    rank = min(prob.rank, prob.n)
+    blended = prob.mu * prob.target_adj.matrix + (1.0 - prob.mu) * prob.source_adj.matrix
+    values, vectors = sym_eig_topk(blended, rank)
+    u = vectors * np.sqrt(np.clip(values, 0.0, None))[None, :]
+    u = u + INIT_NOISE * np.random.default_rng(seed).standard_normal(u.shape)
+    obj = _check_diverged(reconstruction_objective(u, prob))
+    trace = [obj]
+    halvings = 0
+    for _ in range(config.construction_max_iters):
+        grad = reconstruction_gradient(u, prob)
+        eta = config.eta0
+        candidate = None
+        for _ in range(MAX_BACKTRACKS):
+            trial = u - eta * grad
+            try:
+                trial_obj = reconstruction_objective(trial, prob)
+            except GraftError:
+                trial_obj = np.inf
+            if trial_obj <= obj:
+                candidate = trial
+                break
+            eta *= 0.5
+            halvings += 1
+        if candidate is None:
+            break
+        prev, u, obj = obj, candidate, _check_diverged(trial_obj)
+        trace.append(obj)
+        if abs(obj - prev) / max(abs(prev), 1e-30) < config.construction_tol:
+            break
+    return u, trace, halvings
+
+
 class TestObjective:
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 1.0])
     def test_matches_naive_loops(self, mu):
@@ -63,6 +106,30 @@ class TestObjective:
         u = rng.standard_normal((prob.n, prob.rank))
         got = reconstruction_objective(u, prob)
         assert got == pytest.approx(naive_objective(u, prob), rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    def test_bitwise_equal_to_direct_formulas(self, mu):
+        # the objective and gradient written out term by term, in the same
+        # floating-point order; any reordering shows up in the last bits
+        prob = make_problem(mu=mu, n=60, rank=6)
+        u = np.random.default_rng(11).standard_normal((prob.n, prob.rank))
+        m = u @ u.T
+        pairs = prob.n * (prob.n - 1)
+        smooth = float(((m - prob.target_adj.matrix) ** 2).sum())
+        gap = float(((m - prob.source_adj.matrix) ** 2).sum()) / pairs
+        value = (
+            prob.mu * smooth
+            + (1.0 - prob.mu) * (gap - prob.observed_gap) ** 2
+            + prob.reg * float((u * u).sum())
+        )
+        grad = (
+            4.0 * prob.mu * ((m - prob.target_adj.matrix) @ u)
+            + (1.0 - prob.mu) * 2.0 * (gap - prob.observed_gap) * (4.0 / pairs)
+            * ((m - prob.source_adj.matrix) @ u)
+            + 2.0 * prob.reg * u
+        )
+        assert reconstruction_objective(u, prob) == value
+        assert np.array_equal(reconstruction_gradient(u, prob), grad)
 
     def test_mu_boundaries(self):
         prob0 = make_problem(mu=0.0, reg=0.0)
@@ -209,6 +276,52 @@ class TestSolve:
         prob = make_problem(n=6, rank=50)
         sol = solve_reconstruction(prob, seed=0, config=TransferConfig())
         assert sol.factors.shape == (6, 6)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TransferConfig(),
+            TransferConfig(eta0=1e4),
+            TransferConfig(eta0=1e150),
+            TransferConfig(construction_max_iters=3),
+        ],
+        ids=["default", "backtracking", "no-descent", "capped"],
+    )
+    def test_bitwise_equal_to_reference_loop(self, mu, config):
+        prob = make_problem(mu=mu, n=14, rank=5)
+        # the no-descent case overflows every trial objective on purpose
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_reconstruction(prob, seed=3, config=config)
+            factors, trace, halvings = reference_solve(prob, 3, config)
+        assert np.array_equal(sol.factors, factors)
+        assert sol.objective_trace == trace
+        assert sol.iterations == len(trace) - 1
+        if config.eta0 > 1.0:
+            assert halvings > 0
+        if config.eta0 == 1e150:
+            assert sol.iterations == 0 and halvings == MAX_BACKTRACKS
+        if config.construction_max_iters == 3:
+            assert sol.iterations == 3
+
+    def test_logs_iteration_cap_and_backtracks(self, caplog):
+        prob = make_problem(mu=0.5, n=14, rank=5)
+        config = TransferConfig(eta0=0.5, construction_max_iters=3)
+        _, _, halvings = reference_solve(prob, 0, config)
+        assert halvings > 0
+        with caplog.at_level(logging.INFO, logger="graft.reconstruction"):
+            solve_reconstruction(prob, seed=0, config=config)
+        assert (
+            f"stopped by iteration cap after 3 iteration(s), {halvings} backtrack(s)" in caplog.text
+        )
+
+    def test_logs_tolerance_stop(self, caplog):
+        prob = make_problem(mu=0.5, n=14, rank=5)
+        config = TransferConfig(construction_tol=1e-2)
+        with caplog.at_level(logging.INFO, logger="graft.reconstruction"):
+            sol = solve_reconstruction(prob, seed=0, config=config)
+        assert sol.iterations < config.construction_max_iters
+        assert f"stopped by tolerance after {sol.iterations} iteration(s)" in caplog.text
 
     def test_divergent_setup_rejected(self):
         prob = make_problem(reg=1e20)
