@@ -35,7 +35,7 @@ from .metapath import (
     path_distance_matrix,
     project,
 )
-from .numerics import finite_diff_grad, ols_nonneg, sym_eig_topk
+from .numerics import ols_nonneg, sym_eig_topk
 from .reconstruction import (
     ReconstructionProblem,
     ReconstructionSolution,
@@ -88,7 +88,6 @@ __all__ = [
     "dynamic_factor",
     "enumerate_metapaths",
     "finalize_edges",
-    "finite_diff_grad",
     "fit_selection_model",
     "fit_weights",
     "format_graph",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evalkit, synthbench
-from .config import TransferConfig, _parse_value, build_config, parse_config_file
+from .config import CONFIG_KEYS, TransferConfig, _parse_value, build_config, parse_config_file
 from .errors import GraftError
 from .hetgraph import read_graph, write_graph
 from .ingest import accumulate, read_events, snapshot_series
@@ -30,13 +30,6 @@ log = logging.getLogger(__name__)
 
 SWEEP_CSV_VERSION = "# sweep_csv v1"
 METHODS = ("transfer", "nt", "dt", "rw")
-
-_CONFIG_KEYS = (
-    "theta", "lam", "lam_selection", "lam_construction", "ridge", "d1", "d2",
-    "z_entity", "z_edge", "max_path_len", "mu", "distance_cap",
-    "selection_tol", "selection_max_iters", "construction_tol",
-    "construction_max_iters", "eta0", "seed",
-)
 
 # paper-protocol defaults for the variables a sweep axis does not vary
 _SWEEP_FIXED = {
@@ -59,7 +52,7 @@ def _config_value(key: str):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("pipeline configuration")
-    for key in _CONFIG_KEYS:
+    for key in CONFIG_KEYS:
         group.add_argument(
             f"--{key.replace('_', '-')}",
             dest=f"cfg_{key}",
@@ -77,7 +70,7 @@ def _build_config_from_args(args: argparse.Namespace) -> TransferConfig:
         file_overrides = parse_config_file(Path(config_path).read_text(encoding="utf-8"))
     flag_overrides = {
         key: getattr(args, f"cfg_{key}")
-        for key in _CONFIG_KEYS
+        for key in CONFIG_KEYS
         if hasattr(args, f"cfg_{key}")
     }
     return build_config(file_overrides, flag_overrides)

@@ -31,8 +31,6 @@ class TransferConfig:
     max_path_len: int = 3
     mu: float | None = None
     distance_cap: float | None = None
-    selection_tol: float = 1e-6
-    selection_max_iters: int = 50
     construction_tol: float = 1e-6
     construction_max_iters: int = 500
     eta0: float = 0.01
@@ -63,14 +61,14 @@ class TransferConfig:
             raise GraftError(f"mu must be in [0, 1] or None for automatic, got {self.mu!r}")
         if self.distance_cap is not None and not (math.isfinite(self.distance_cap) and self.distance_cap > 0):
             raise GraftError(f"distance_cap must be positive, got {self.distance_cap!r}")
-        for name in ("selection_tol", "construction_tol", "eta0"):
+        for name in ("construction_tol", "eta0"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise GraftError(f"{name} must be positive and finite, got {v!r}")
-        for name in ("selection_max_iters", "construction_max_iters"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise GraftError(f"{name} must be a positive integer, got {v!r}")
+        if not (isinstance(self.construction_max_iters, int) and self.construction_max_iters >= 1):
+            raise GraftError(
+                f"construction_max_iters must be a positive integer, got {self.construction_max_iters!r}"
+            )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise GraftError(f"seed must be an integer, got {self.seed!r}")
 
@@ -86,18 +84,19 @@ class TransferConfig:
         return dataclasses.asdict(self)
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(TransferConfig)}
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(TransferConfig))
+# annotations are strings under ``from __future__ import annotations``
+_INT_KEYS = frozenset(f.name for f in dataclasses.fields(TransferConfig) if f.type == "int")
 
 
 def _parse_value(name: str, raw: str):
     """Parse one key=value string from a config file into the field's type."""
     text = raw.strip()
-    if name not in _FIELD_TYPES:
+    if name not in CONFIG_KEYS:
         raise GraftError(f"unknown config key {name!r}")
     if text.lower() in ("none", "auto"):
         return None
-    if name in ("theta", "d1", "d2", "max_path_len", "selection_max_iters",
-                "construction_max_iters", "seed"):
+    if name in _INT_KEYS:
         try:
             return int(text)
         except ValueError:
@@ -135,7 +134,7 @@ def build_config(file_overrides: dict | None = None, flag_overrides: dict | None
         merged.update(file_overrides)
     if flag_overrides:
         merged.update(flag_overrides)
-    unknown = set(merged) - set(_FIELD_TYPES)
+    unknown = set(merged) - set(CONFIG_KEYS)
     if unknown:
         raise GraftError(f"unknown config keys: {sorted(unknown)}")
     return TransferConfig(**merged)

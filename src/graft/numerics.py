@@ -1,13 +1,11 @@
-"""Deterministic numerical kernels: symmetric eigensolves, clamped ridge
-regression, and finite-difference gradients.
+"""Deterministic numerical kernels: symmetric eigensolves and clamped ridge
+regression.
 
 All routines fix sign and ordering conventions so that identical inputs give
 bit-identical outputs on a given platform.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -78,20 +76,3 @@ def ols_nonneg(design: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> np
     w = np.linalg.solve(gram, design.T @ target)
     w[w < 0] = 0.0
     return w
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function, entry by entry."""
-    if not h > 0:
-        raise GraftError(f"step size h must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for idx in np.ndindex(x.shape):
-        step = np.zeros_like(x)
-        step[idx] = h
-        fp = float(f(x + step))
-        fm = float(f(x - step))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise GraftError(f"function value is not finite at perturbation of index {idx}")
-        grad[idx] = (fp - fm) / (2.0 * h)
-    return grad

@@ -65,13 +65,6 @@ class ReconstructionProblem:
         return self.target_adj.n
 
 
-def soft_dynamic_factor(u: np.ndarray, adj: np.ndarray) -> float:
-    """Differentiable counterpart of the dynamic factor: ||u u^T - adj||_F^2 / (n (n-1))."""
-    n = adj.shape[0]
-    diff = u @ u.T - adj
-    return float((diff * diff).sum()) / (n * (n - 1))
-
-
 class _Evaluation:
     """The objective at ``u`` with the residuals its gradient reuses.
 

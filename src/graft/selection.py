@@ -1,8 +1,8 @@
 """Source-entity embedding, distance-blend weight fitting, and transfer selection.
 
-The selection model embeds the source graph from a weighted blend of
-meta-path distance matrices, refits the blend weights to the embedding's
-pairwise squared distances, and alternates the two steps. Relevance between
+The selection model embeds the source graph with classical MDS of the
+uniform blend of its meta-path distance matrices, then fits nonnegative blend
+weights to the embedding's pairwise squared distances. Relevance between
 entities is the inner product of their embeddings; source-only entities are
 selected when their relevance z-score against some shared entity clears a
 threshold.
@@ -110,17 +110,6 @@ class SelectionState:
     objective_trace: list[float]
 
 
-def _rel_change(prev: float, cur: float) -> float:
-    return abs(cur - prev) / max(abs(prev), 1e-30)
-
-
-def _normalize(weights: np.ndarray) -> np.ndarray:
-    total = float(weights.sum())
-    if total <= 0.0:
-        return weights
-    return weights / total
-
-
 def metapath_distance_matrices(gs: HeteroGraph, config: TransferConfig) -> list[SimilarityMatrix]:
     """Enumerate meta-paths on ``gs`` and compute one distance matrix per path."""
     paths = enumerate_metapaths(gs, config.max_path_len)
@@ -136,41 +125,28 @@ def metapath_distance_matrices(gs: HeteroGraph, config: TransferConfig) -> list[
 
 
 def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -> SelectionState:
-    """Alternate embedding and weight fitting until the objective stabilizes.
+    """Embed the uniform meta-path blend with MDS, then fit blend weights to it.
 
-    Blend weights are normalized to sum to one before each embedding step
-    (the objective is scale-degenerate between weights and embedding), while
-    the reported weights keep the raw fitted scale. A sweep that would
-    increase the objective is discarded and treated as convergence, so the
-    trace is non-increasing by construction.
+    One sweep: the embedding is the MDS of the equally weighted blend, the
+    weights are the nonnegative regression of the meta-path distances onto
+    the embedding's squared distances, and the trace holds that sweep's
+    objective. Refitting the embedding from the fitted weights does not
+    descend (MDS minimizes strain on the double-centered blend, not this
+    objective), so no further sweep is run.
     """
     config = config or TransferConfig()
     if gs.n == 0:
         raise GraftError("source graph has no entities")
     mats = metapath_distance_matrices(gs, config)
     paths = [m.provenance for m in mats]
-    lam = config.selection_lam_effective
-    d_eff = min(config.d1, gs.n)
-    weights = np.full(len(mats), 1.0 / len(mats))
-    embedding_cur: np.ndarray | None = None
-    weights_cur: np.ndarray | None = None
-    trace: list[float] = []
-    for sweep in range(1, config.selection_max_iters + 1):
-        blended = blend(mats, _normalize(weights))
-        embedding = mds_embed(blended, d_eff)
-        new_weights = fit_weights(embedding, mats, config.ridge)
-        obj = selection_objective(embedding, mats, new_weights, config.theta, lam)
-        if trace and obj > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
-            log.debug("selection sweep %d would increase the objective; stopping", sweep)
-            break
-        embedding_cur, weights_cur = embedding, new_weights
-        trace.append(obj)
-        if len(trace) >= 2 and _rel_change(trace[-2], trace[-1]) < config.selection_tol:
-            break
-        weights = new_weights
-    assert embedding_cur is not None and weights_cur is not None
-    log.info("selection model converged in %d sweep(s) over %d meta-path(s)", len(trace), len(paths))
-    return SelectionState(paths, weights_cur, embedding_cur, trace)
+    # renormalized by its own sum, which for some path counts (6, 7, ...)
+    # differs from 1/P in the last bit; fitted outputs are pinned to this form
+    uniform = np.full(len(mats), 1.0 / len(mats))
+    embedding = mds_embed(blend(mats, uniform / uniform.sum()), min(config.d1, gs.n))
+    weights = fit_weights(embedding, mats, config.ridge)
+    obj = selection_objective(embedding, mats, weights, config.theta, config.selection_lam_effective)
+    log.info("selection model fitted over %d meta-path(s)", len(paths))
+    return SelectionState(paths, weights, embedding, [obj])
 
 
 def relevance_matrix(embedding: np.ndarray) -> np.ndarray:

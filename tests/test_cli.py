@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from graft import read_graph
-from graft.cli import main
+from graft import TransferConfig, read_graph
+from graft.cli import _make_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,30 @@ class TestTransferCommand:
                 ]
             )
         assert exc.value.code == 2
+
+    def test_removed_selection_flag_exits_two(self, bench_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "transfer",
+                    "--source", str(bench_dir / "source.graph"),
+                    "--target", str(bench_dir / "target_partial.graph"),
+                    "--out", str(tmp_path / "est.graph"),
+                    "--selection-tol", "1e-3",
+                ]
+            )
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["transfer", "--source", "s", "--target", "t", "--out", "o"],
+        ["baseline", "--method", "nt", "--target", "t", "--out", "o"],
+        ["sweep", "--axis", "mu", "--values", "0.5", "--methods", "nt", "--out", "o"],
+    ], ids=lambda c: c[0])
+    def test_every_config_field_has_a_flag(self, command):
+        parser = _make_parser()
+        for field in dataclasses.fields(TransferConfig):
+            args = parser.parse_args(command + [f"--{field.name.replace('_', '-')}", "3"])
+            assert getattr(args, f"cfg_{field.name}") == 3
 
 
 class TestBaselineCommand:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from graft import GraftError, TransferConfig
@@ -24,7 +26,7 @@ class TestTransferConfig:
             ({"mu": 1.5}, "mu"),
             ({"mu": -0.1}, "mu"),
             ({"distance_cap": 0.0}, "distance_cap"),
-            ({"selection_tol": 0.0}, "selection_tol"),
+            ({"construction_tol": 0.0}, "construction_tol"),
             ({"eta0": -0.01}, "eta0"),
             ({"construction_max_iters": 0}, "construction_max_iters"),
             ({"seed": True}, "seed"),
@@ -78,6 +80,16 @@ class TestParseConfigFile:
     def test_bad_lines_rejected(self, text, msg):
         with pytest.raises(GraftError, match=msg):
             parse_config_file(text)
+
+    def test_removed_selection_keys_rejected(self):
+        with pytest.raises(GraftError, match="unknown config key"):
+            parse_config_file("selection_max_iters = 5")
+
+    @pytest.mark.parametrize("field", dataclasses.fields(TransferConfig), ids=lambda f: f.name)
+    def test_value_parses_to_the_default_type(self, field):
+        value = parse_config_file(f"{field.name} = 3")[field.name]
+        assert value == 3
+        assert type(value) is (int if isinstance(field.default, int) else float)
 
     def test_error_names_line_number(self):
         with pytest.raises(GraftError, match="line 3"):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from graft import GraftError
-from graft.numerics import finite_diff_grad, ols_nonneg, sym_eig_topk
+from graft.numerics import ols_nonneg, sym_eig_topk
+from testkit import finite_diff_grad
 
 
 class TestSymEigTopk:

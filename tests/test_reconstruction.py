@@ -12,15 +12,15 @@ from graft import (
     finalize_edges,
     solve_reconstruction,
 )
-from graft.numerics import finite_diff_grad, sym_eig_topk
+from graft.numerics import sym_eig_topk
 from graft.reconstruction import (
     INIT_NOISE,
     MAX_BACKTRACKS,
     _check_diverged,
     reconstruction_gradient,
     reconstruction_objective,
-    soft_dynamic_factor,
 )
+from testkit import finite_diff_grad, soft_dynamic_factor
 
 
 def random_graph(seed, n=20, p=0.25, weighted=True):

@@ -15,7 +15,9 @@ from graft import (
 )
 from graft.selection import (
     SelectionState,
+    blend,
     fit_weights,
+    metapath_distance_matrices,
     relevance_matrix,
     selection_objective,
     squared_row_distances,
@@ -175,6 +177,25 @@ class TestFitSelectionModel:
         assert np.array_equal(s1.embedding, s2.embedding)
         assert np.array_equal(s1.weights, s2.weights)
         assert s1.objective_trace == s2.objective_trace
+
+    @pytest.mark.parametrize("max_path_len,n_paths", [(3, 24), (2, 6)])
+    def test_bitwise_equal_to_one_sweep_reference(self, max_path_len, n_paths):
+        g = typed_random_graph(7)
+        cfg = TransferConfig(max_path_len=max_path_len)
+        mats = metapath_distance_matrices(g, cfg)
+        assert len(mats) == n_paths
+        # the uniform weights are normalized by their own sum, which for
+        # P = 6 differs from 1/P in the last bit
+        uniform = np.full(len(mats), 1.0 / len(mats))
+        embedding = mds_embed(blend(mats, uniform / uniform.sum()), cfg.d1)
+        weights = fit_weights(embedding, mats, cfg.ridge)
+        obj = selection_objective(embedding, mats, weights, cfg.theta, cfg.selection_lam_effective)
+        state = fit_selection_model(g, cfg)
+        assert state.metapaths == [m.provenance for m in mats]
+        assert np.array_equal(state.embedding, embedding)
+        assert np.array_equal(state.weights, weights)
+        assert state.objective_trace == [obj]
+        assert len(state.objective_trace) == 1
 
     def test_embedding_dims_capped_by_n(self):
         g = HeteroGraph(
