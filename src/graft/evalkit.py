@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import TransferConfig
 from .errors import GraftError
-from .hetgraph import HeteroGraph
+from .hetgraph import HeteroGraph, check_shared_types
+from .numerics import _row_zscores
 from .selection import merge_transferred_entities
 from .transfer import auto_mu, construct_dependencies
 
@@ -85,19 +86,13 @@ def baseline_nt(gt_hat: HeteroGraph) -> HeteroGraph:
 
 def baseline_dt(gs: HeteroGraph, gt_hat: HeteroGraph) -> HeteroGraph:
     """Direct transfer: union of entities and edges, duplicate edge weight = max."""
-    types: dict[str, str] = {}
-    for g in (gs, gt_hat):
-        for eid, etype in g.entity_items():
-            if types.setdefault(eid, etype) != etype:
-                raise GraftError(
-                    f"entity {eid!r} has conflicting types {types[eid]!r} and {etype!r}"
-                )
+    check_shared_types(gs, gt_hat)
     weights: dict[tuple[str, str], float] = {}
     for g in (gs, gt_hat):
         for a, b, w in g.edges():
-            key = (a, b)
-            weights[key] = max(weights.get(key, w), w)
-    return HeteroGraph(sorted(types.items()), [(a, b, w) for (a, b), w in sorted(weights.items())])
+            weights[a, b] = max(weights.get((a, b), w), w)
+    types = dict(gs.entity_items()) | dict(gt_hat.entity_items())
+    return HeteroGraph(types.items(), ((a, b, w) for (a, b), w in weights.items()))
 
 
 def random_walk_scores(
@@ -149,12 +144,10 @@ def _rw_select(gs: HeteroGraph, gt_hat: HeteroGraph, config: TransferConfig, res
     source_only = [eid for eid in gs.entity_ids if eid not in target_ids]
     if not source_only:
         return []
-    vals = np.array([scores[eid] for eid in source_only])
-    std = vals.std()
-    if std == 0.0:
+    valid, z = _row_zscores(np.array([[scores[eid] for eid in source_only]]))
+    if not valid.any():
         return []
-    z = (vals - vals.mean()) / std
-    return [eid for eid, zi in zip(source_only, z) if zi >= config.z_entity]
+    return [eid for eid, zi in zip(source_only, z[0]) if zi >= config.z_entity]
 
 
 def baseline_random_walk(

@@ -4,6 +4,12 @@ Entities are identified by opaque string ids and carry a type label. Graphs
 are undirected, weighted, and forbid self-loops and duplicate edges. The
 entity order is always the lexicographic order of the ids, which fixes every
 matrix index convention in the package and makes serialization deterministic.
+
+Edges are stored column-wise: integer endpoint arrays with row < col, sorted
+by (row, col), and a float64 weight array. ``HeteroGraph.csr`` is the one
+place edges become a matrix (cached, graphs being immutable), and dense views
+select from it. The validating constructor and the builders inside the
+package end in the same array-level constructor.
 """
 
 from __future__ import annotations
@@ -11,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GraftError, GraphFormatError
 
@@ -64,7 +71,7 @@ class HeteroGraph:
         Self-loops and duplicate (unordered) edges are rejected.
     """
 
-    __slots__ = ("_ids", "_types", "_index", "_weights", "_edge_list")
+    __slots__ = ("_ids", "_types", "_index", "_rows", "_cols", "_weights", "_csr", "_edge_list")
 
     def __init__(self, entities: Iterable[tuple[str, str]] = (), edges: Iterable[tuple] = ()):
         pairs = []
@@ -75,21 +82,16 @@ class HeteroGraph:
         for k in range(1, len(pairs)):
             if pairs[k][0] == pairs[k - 1][0]:
                 raise GraftError(f"duplicate entity id {pairs[k][0]!r}")
-        self._ids = tuple(p[0] for p in pairs)
-        self._types = tuple(p[1] for p in pairs)
-        self._index = {eid: i for i, eid in enumerate(self._ids)}
+        ids = tuple(p[0] for p in pairs)
+        index = {eid: i for i, eid in enumerate(ids)}
 
         weights: dict[tuple[int, int], float] = {}
         for edge in edges:
-            if len(edge) == 2:
-                a, b = edge
-                w = 1.0
-            elif len(edge) == 3:
-                a, b, w = edge
-            else:
+            if len(edge) not in (2, 3):
                 raise GraftError(f"edge must be (id1, id2[, weight]), got {edge!r}")
+            a, b, w = edge if len(edge) == 3 else (*edge, 1.0)
             try:
-                i, j = self._index[a], self._index[b]
+                i, j = index[a], index[b]
             except KeyError as exc:
                 raise GraftError(f"edge endpoint {exc.args[0]!r} is not a declared entity") from None
             if i == j:
@@ -101,11 +103,39 @@ class HeteroGraph:
             if key in weights:
                 raise GraftError(f"duplicate edge between {a!r} and {b!r}")
             weights[key] = w
-        self._weights = weights
-        self._edge_list = tuple(
-            (self._ids[i], self._ids[j], w)
-            for (i, j), w in sorted(weights.items())
-        )
+        ends = np.array(list(weights), dtype=np.intp).reshape(-1, 2)
+        self._init(ids, tuple(p[1] for p in pairs), index, ends[:, 0], ends[:, 1], list(weights.values()))
+
+    def _init(self, ids, types, index, rows, cols, weights) -> HeteroGraph:
+        """The array-level constructor every graph ends in. It trusts that ``ids``
+        are sorted and unique and that each edge rows[k] < cols[k] occurs once
+        with a positive finite weight."""
+        order = np.lexsort((cols, rows))
+        self._ids, self._types, self._index = ids, types, index
+        self._rows = np.asarray(rows, dtype=np.intp)[order]
+        self._cols = np.asarray(cols, dtype=np.intp)[order]
+        self._weights = np.asarray(weights, dtype=float)[order]
+        for arr in (self._rows, self._cols, self._weights):
+            arr.flags.writeable = False
+        self._csr = {}
+        self._edge_list = None
+        return self
+
+    def _with_edges(self, rows, cols, weights) -> HeteroGraph:
+        """The same entities with other, already valid, edges."""
+        return HeteroGraph.__new__(HeteroGraph)._init(self._ids, self._types, self._index, rows, cols, weights)
+
+    def _reindexed(self, items: Sequence[tuple[str, str]]) -> HeteroGraph:
+        """This graph over the sorted (id, type) list ``items``: edges losing an
+        endpoint are dropped, and entities new to the graph arrive isolated."""
+        ids = tuple(eid for eid, _ in items)
+        index = {eid: i for i, eid in enumerate(ids)}
+        pos = np.array([index.get(eid, -1) for eid in self._ids], dtype=np.intp)
+        rows, cols = pos[self._rows], pos[self._cols]
+        keep = (rows >= 0) & (cols >= 0)
+        types = tuple(etype for _, etype in items)
+        graph = HeteroGraph.__new__(HeteroGraph)
+        return graph._init(ids, types, index, rows[keep], cols[keep], self._weights[keep])
 
     @property
     def n(self) -> int:
@@ -139,32 +169,52 @@ class HeteroGraph:
 
     def edges(self) -> tuple[tuple[str, str, float], ...]:
         """All edges as (id1, id2, weight) with id1 < id2, sorted."""
+        if self._edge_list is None:
+            name = self._ids.__getitem__
+            ends = map(name, self._rows.tolist()), map(name, self._cols.tolist())
+            self._edge_list = tuple(zip(*ends, self._weights.tolist()))
         return self._edge_list
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (rows, cols, weights) with rows < cols, sorted by (row, col)."""
+        return self._rows, self._cols, self._weights
 
     @property
     def edge_count(self) -> int:
         return len(self._weights)
 
     def edge_weight(self, a: str, b: str) -> float | None:
-        i, j = self.index_of(a), self.index_of(b)
-        key = (i, j) if i < j else (j, i)
-        return self._weights.get(key)
+        i, j = sorted((self.index_of(a), self.index_of(b)))
+        lo, hi = np.searchsorted(self._rows, [i, i + 1])
+        k = lo + int(np.searchsorted(self._cols[lo:hi], j))
+        return float(self._weights[k]) if k < hi and self._cols[k] == j else None
 
-    def adjacency(self, binary: bool = False) -> AdjacencyView:
-        m = np.zeros((self.n, self.n))
-        for (i, j), w in self._weights.items():
-            v = 1.0 if binary else w
-            m[i, j] = v
-            m[j, i] = v
-        return AdjacencyView(self._ids, m, binary)
+    def csr(self, binary: bool = True) -> sp.csr_matrix:
+        """Symmetric sparse adjacency over the entity index, cached: callers must not modify it."""
+        if binary not in self._csr:
+            data = np.ones(self.edge_count) if binary else self._weights
+            ends = np.concatenate([self._rows, self._cols]), np.concatenate([self._cols, self._rows])
+            self._csr[binary] = sp.csr_matrix((np.concatenate([data, data]), ends), shape=(self.n, self.n))
+        return self._csr[binary]
+
+    def adjacency(self, binary: bool = False, ids: Sequence[str] | None = None) -> AdjacencyView:
+        """Dense adjacency over the entity index, or selected from ``csr`` over
+        ``ids``: ids the graph lacks get zero rows, entities not in ``ids`` go."""
+        m = self.csr(binary)
+        if ids is None:
+            return AdjacencyView(self._ids, m.toarray(), binary)
+        ids = tuple(ids)
+        pos = np.array([self._index.get(eid, -1) for eid in ids], dtype=np.intp)
+        have = np.flatnonzero(pos >= 0)
+        out = np.zeros((len(ids), len(ids)))
+        out[np.ix_(have, have)] = m[pos[have]][:, pos[have]].toarray()
+        return AdjacencyView(ids, out, binary)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeteroGraph):
             return NotImplemented
-        return (
-            self._ids == other._ids
-            and self._types == other._types
-            and self._edge_list == other._edge_list
+        return (self._ids, self._types) == (other._ids, other._types) and all(
+            map(np.array_equal, self.edge_arrays(), other.edge_arrays())
         )
 
     __hash__ = None
@@ -173,15 +223,21 @@ class HeteroGraph:
         return f"HeteroGraph(n={self.n}, edges={self.edge_count})"
 
 
+def check_shared_types(a: HeteroGraph, b: HeteroGraph) -> None:
+    """Reject an id that the two graphs give different types."""
+    for eid in sorted(set(a.entity_ids) & set(b.entity_ids)):
+        ta, tb = a.type_of(eid), b.type_of(eid)
+        if ta != tb:
+            raise GraftError(f"entity {eid!r} has conflicting types {ta!r} and {tb!r}")
+
+
 def induced_subgraph(g: HeteroGraph, keep: Iterable[str]) -> HeteroGraph:
     """Subgraph over ``keep`` with every edge whose endpoints both survive."""
     keep_set = set(keep)
     for eid in keep_set:
         if not g.has_entity(eid):
             raise GraftError(f"unknown entity id {eid!r}")
-    entities = [(eid, etype) for eid, etype in g.entity_items() if eid in keep_set]
-    edges = [(a, b, w) for a, b, w in g.edges() if a in keep_set and b in keep_set]
-    return HeteroGraph(entities, edges)
+    return g._reindexed([(eid, etype) for eid, etype in g.entity_items() if eid in keep_set])
 
 
 def align_union_entities(
@@ -192,25 +248,9 @@ def align_union_entities(
     Entities absent from one graph contribute zero rows and columns to its
     view. An id present in both graphs with different types is an error.
     """
-    for eid in set(a.entity_ids) & set(b.entity_ids):
-        if a.type_of(eid) != b.type_of(eid):
-            raise GraftError(
-                f"entity {eid!r} has conflicting types {a.type_of(eid)!r} and {b.type_of(eid)!r}"
-            )
+    check_shared_types(a, b)
     ids = tuple(sorted(set(a.entity_ids) | set(b.entity_ids)))
-    index = {eid: i for i, eid in enumerate(ids)}
-    n = len(ids)
-
-    def fill(g: HeteroGraph) -> np.ndarray:
-        m = np.zeros((n, n))
-        for x, y, w in g.edges():
-            i, j = index[x], index[y]
-            v = 1.0 if binary else w
-            m[i, j] = v
-            m[j, i] = v
-        return m
-
-    return AdjacencyView(ids, fill(a), binary), AdjacencyView(ids, fill(b), binary)
+    return a.adjacency(binary, ids), b.adjacency(binary, ids)
 
 
 def dynamic_factor(a: AdjacencyView, b: AdjacencyView) -> float:

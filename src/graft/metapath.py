@@ -4,6 +4,8 @@ A meta-path is a sequence of entity types. Projecting a graph along a
 meta-path yields a homogeneous graph whose edge weights count the walks that
 realize the type sequence between two distinct endpoints. Distance matrices
 are hop counts on the projection, with unreachable pairs set to a cap.
+Both work on the cached sparse binary adjacency ``HeteroGraph.csr``: a
+projection's walk counts are a product of typed adjacency blocks.
 """
 
 from __future__ import annotations
@@ -82,11 +84,11 @@ def enumerate_metapaths(g: HeteroGraph, max_len: int = 3) -> list[MetaPath]:
     """
     if max_len < 2:
         raise GraftError(f"max_len must be at least 2, got {max_len}")
+    types = np.array(g.entity_types, dtype=str)
+    adj = g.csr().tocoo()  # holds both orientations of every edge
     succ: dict[str, set[str]] = {}
-    for a, b, _ in g.edges():
-        ta, tb = g.type_of(a), g.type_of(b)
+    for ta, tb in set(zip(types[adj.row].tolist(), types[adj.col].tolist())):
         succ.setdefault(ta, set()).add(tb)
-        succ.setdefault(tb, set()).add(ta)
     found: set[MetaPath] = set()
 
     def walk(seq: tuple[str, ...]) -> None:
@@ -102,17 +104,6 @@ def enumerate_metapaths(g: HeteroGraph, max_len: int = 3) -> list[MetaPath]:
     return sorted(found)
 
 
-def _sparse_binary_adjacency(g: HeteroGraph) -> sp.csr_matrix:
-    n = g.n
-    rows, cols = [], []
-    for a, b, _ in g.edges():
-        i, j = g.index_of(a), g.index_of(b)
-        rows += [i, j]
-        cols += [j, i]
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def project(g: HeteroGraph, p: MetaPath) -> HeteroGraph:
     """Homogeneous projection of ``g`` along ``p`` over the same entity set.
 
@@ -124,7 +115,7 @@ def project(g: HeteroGraph, p: MetaPath) -> HeteroGraph:
     if g.n == 0:
         return HeteroGraph()
     types = np.array(g.entity_types)
-    adj = _sparse_binary_adjacency(g)
+    adj = g.csr()
 
     def mask(t: str) -> sp.dia_matrix:
         return sp.diags((types == t).astype(float))
@@ -134,13 +125,8 @@ def project(g: HeteroGraph, p: MetaPath) -> HeteroGraph:
         m = m @ adj @ mask(t)
     w = m if p.is_palindrome() else m + m.T
     upper = sp.triu(w, k=1).tocoo()
-    ids = g.entity_ids
-    edges = [
-        (ids[i], ids[j], float(v))
-        for i, j, v in zip(upper.row, upper.col, upper.data)
-        if v > 0
-    ]
-    return HeteroGraph(g.entity_items(), edges)
+    keep = upper.data > 0
+    return g._with_edges(upper.row[keep], upper.col[keep], upper.data[keep])
 
 
 def path_distance_matrix(
@@ -157,7 +143,7 @@ def path_distance_matrix(
     n = gp.n
     if n == 0:
         return SimilarityMatrix(np.zeros((0, 0)), provenance)
-    dist = shortest_path(_sparse_binary_adjacency(gp), method="D", directed=False, unweighted=True)
+    dist = shortest_path(gp.csr(), method="D", directed=False, unweighted=True)
     np.fill_diagonal(dist, 0.0)
     finite = np.isfinite(dist)
     if cap is None:

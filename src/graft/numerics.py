@@ -1,5 +1,5 @@
-"""Deterministic numerical kernels: symmetric eigensolves and clamped ridge
-regression.
+"""Deterministic numerical kernels: symmetric eigensolves, clamped ridge
+regression, and per-row standardization.
 
 All routines fix sign and ordering conventions so that identical inputs give
 bit-identical outputs on a given platform.
@@ -76,3 +76,11 @@ def ols_nonneg(design: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> np
     w = np.linalg.solve(gram, design.T @ target)
     w[w < 0] = 0.0
     return w
+
+
+def _row_zscores(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with nonzero variance, and their z-scores (population std)."""
+    means = m.mean(axis=1, keepdims=True)
+    stds = m.std(axis=1, keepdims=True)
+    valid = stds[:, 0] > 0.0
+    return valid, (m[valid] - means[valid]) / stds[valid]

@@ -18,7 +18,7 @@ import numpy as np
 from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import AdjacencyView, HeteroGraph
-from .numerics import sym_eig_topk
+from .numerics import _row_zscores, sym_eig_topk
 
 log = logging.getLogger(__name__)
 
@@ -211,20 +211,15 @@ def finalize_edges(solution: ReconstructionSolution, merged: HeteroGraph, z: flo
     if u.shape[0] != n:
         raise GraftError(f"solution has {u.shape[0]} rows but the graph has {n} entities")
     scores = u @ u.T
-    means = scores.mean(axis=1, keepdims=True)
-    stds = scores.std(axis=1, keepdims=True)
+    valid, z_valid = _row_zscores(scores)
     z_rows = np.full_like(scores, -np.inf)
-    valid = stds[:, 0] > 0.0
-    if valid.any():
-        z_rows[valid] = (scores[valid] - means[valid]) / stds[valid]
-    decision = np.maximum(z_rows, z_rows.T) >= z
-    np.fill_diagonal(decision, False)
-
-    ids = merged.entity_ids
-    eps = float(np.finfo(float).eps)
-    edges = {(a, b): w for a, b, w in merged.edges()}
-    for i, j in zip(*np.nonzero(np.triu(decision, k=1))):
-        key = (ids[i], ids[j])
-        if key not in edges:
-            edges[key] = max(float(scores[i, j]), eps)
-    return HeteroGraph(merged.entity_items(), ((a, b, w) for (a, b), w in edges.items()))
+    z_rows[valid] = z_valid
+    decision = np.triu(np.maximum(z_rows, z_rows.T) >= z, k=1)
+    rows, cols, weights = merged.edge_arrays()
+    decision[rows, cols] = False
+    new_rows, new_cols = np.nonzero(decision)
+    return merged._with_edges(
+        np.concatenate([rows, new_rows]),
+        np.concatenate([cols, new_cols]),
+        np.concatenate([weights, np.maximum(scores[new_rows, new_cols], np.finfo(float).eps)]),
+    )

@@ -18,9 +18,9 @@ import numpy as np
 
 from .config import TransferConfig
 from .errors import GraftError
-from .hetgraph import HeteroGraph
+from .hetgraph import HeteroGraph, check_shared_types
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
-from .numerics import ols_nonneg, sym_eig_topk
+from .numerics import _row_zscores, ols_nonneg, sym_eig_topk
 
 log = logging.getLogger(__name__)
 
@@ -172,13 +172,9 @@ def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph
         raise GraftError("no overlap between domains: the source and target graphs share no entity")
     if not only:
         return {}
-    rows = r[shared_idx]
-    means = rows.mean(axis=1, keepdims=True)
-    stds = rows.std(axis=1, keepdims=True)
-    valid = stds[:, 0] > 0.0
+    valid, z = _row_zscores(r[shared_idx])
     if not valid.any():
         return {}
-    z = (rows[valid] - means[valid]) / stds[valid]
     only_idx = [i for i, _ in only]
     best = z[:, only_idx].max(axis=0)
     return {eid: float(s) for (_, eid), s in zip(only, best)}
@@ -204,10 +200,5 @@ def merge_transferred_entities(
     for eid in sorted(selected):
         if not gs.has_entity(eid):
             raise GraftError(f"selected entity {eid!r} is not in the source graph")
-    for eid in set(gs.entity_ids) & set(gt_hat.entity_ids):
-        if gs.type_of(eid) != gt_hat.type_of(eid):
-            raise GraftError(
-                f"entity {eid!r} has conflicting types {gs.type_of(eid)!r} and {gt_hat.type_of(eid)!r}"
-            )
-    entities = list(gt_hat.entity_items()) + [(eid, gs.type_of(eid)) for eid in sorted(selected)]
-    return HeteroGraph(entities, gt_hat.edges())
+    check_shared_types(gs, gt_hat)
+    return gt_hat._reindexed(sorted(gt_hat.entity_items() + tuple((e, gs.type_of(e)) for e in selected)))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraftError
-from .hetgraph import HeteroGraph, align_union_entities, dynamic_factor, induced_subgraph
+from .hetgraph import HeteroGraph, check_shared_types, dynamic_factor, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -103,38 +103,28 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
             f"requested dynamic factor {spec.dynamic_factor} needs {k} toggles "
             f"but only {n_pairs} entity pairs exist"
         )
-    pair_set = {(a, b) for a, b, _ in trimmed.edges()}
     t_rows, t_cols = np.triu_indices(m, k=1)
-    toggles = rng.choice(n_pairs, size=k, replace=False)
-    t_ids = trimmed.entity_ids
-    for idx in toggles:
-        pair = (t_ids[t_rows[idx]], t_ids[t_cols[idx]])
-        if pair in pair_set:
-            pair_set.remove(pair)
-        else:
-            pair_set.add(pair)
-    gt_truth = HeteroGraph(list(trimmed.entity_items()), sorted(pair_set))
+    pairs = trimmed.adjacency(binary=True).matrix[t_rows, t_cols] > 0
+    pairs[rng.choice(n_pairs, size=k, replace=False)] ^= True
+    gt_truth = trimmed._with_edges(t_rows[pairs], t_cols[pairs], np.ones(np.count_nonzero(pairs)))
 
     n_keep = max(1, int(round(spec.maturity * gt_truth.n)))
     kept = np.sort(rng.choice(gt_truth.n, size=n_keep, replace=False))
-    hat_entities = induced_subgraph(gt_truth, [gt_truth.entity_ids[i] for i in kept])
-    hat_edges = hat_entities.edges()
-    n_edges_keep = int(round(spec.maturity * len(hat_edges)))
-    if n_edges_keep < len(hat_edges):
-        chosen = np.sort(rng.choice(len(hat_edges), size=n_edges_keep, replace=False))
-        hat_edges = tuple(hat_edges[i] for i in chosen)
-    gt_hat = HeteroGraph(list(hat_entities.entity_items()), list(hat_edges))
+    gt_hat = induced_subgraph(gt_truth, [gt_truth.entity_ids[i] for i in kept])
+    n_edges_keep = int(round(spec.maturity * gt_hat.edge_count))
+    if n_edges_keep < gt_hat.edge_count:
+        chosen = np.sort(rng.choice(gt_hat.edge_count, size=n_edges_keep, replace=False))
+        gt_hat = gt_hat._with_edges(*(arr[chosen] for arr in gt_hat.edge_arrays()))
     return gs, gt_truth, gt_hat
 
 
 def measured_stats(gs: HeteroGraph, gt_truth: HeteroGraph, gt_hat: HeteroGraph) -> dict:
     """Measured counterparts of the requested spec knobs, for metadata files."""
-    truth_view, source_view = align_union_entities(
-        gt_truth, induced_subgraph(gs, list(gt_truth.entity_ids)), binary=True
-    )
+    check_shared_types(gt_truth, gs)
+    source_view = gs.adjacency(binary=True, ids=gt_truth.entity_ids)
     truth_on_hat = induced_subgraph(gt_truth, list(gt_hat.entity_ids))
     return {
-        "measured_dynamic_factor": dynamic_factor(source_view, truth_view),
+        "measured_dynamic_factor": dynamic_factor(source_view, gt_truth.adjacency(binary=True)),
         "measured_entity_maturity": gt_hat.n / gt_truth.n,
         "measured_edge_maturity": (
             gt_hat.edge_count / truth_on_hat.edge_count if truth_on_hat.edge_count else 1.0

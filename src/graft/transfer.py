@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import TransferConfig
 from .errors import GraftError
-from .hetgraph import HeteroGraph, align_union_entities, dynamic_factor, induced_subgraph
+from .hetgraph import HeteroGraph, check_shared_types, dynamic_factor
 from .reconstruction import (
     ReconstructionProblem,
     ReconstructionSolution,
@@ -113,22 +113,18 @@ def construct_dependencies(
     """Run the construction stage against a merged target graph.
 
     Both adjacency views live on the merged graph's entity index; the source
-    view is the source subgraph induced on the shared entities. The observed
-    gap is the dynamic factor measured on the original target entity set.
+    view is selected from the source adjacency, zero where the source lacks an
+    entity. The observed gap is the dynamic factor on the original target set.
     """
-    source_ids = set(source.entity_ids)
-    shared_merged = [eid for eid in merged.entity_ids if eid in source_ids]
-    target_view, source_view = align_union_entities(
-        merged, induced_subgraph(source, shared_merged), binary=True
+    check_shared_types(merged, source)
+    check_shared_types(target_partial, source)
+    observed_gap = dynamic_factor(
+        source.adjacency(binary=True, ids=target_partial.entity_ids),
+        target_partial.adjacency(binary=True),
     )
-    shared_hat = [eid for eid in target_partial.entity_ids if eid in source_ids]
-    hat_view, hat_source_view = align_union_entities(
-        target_partial, induced_subgraph(source, shared_hat), binary=True
-    )
-    observed_gap = dynamic_factor(hat_source_view, hat_view)
     prob = ReconstructionProblem(
-        target_adj=target_view,
-        source_adj=source_view,
+        target_adj=merged.adjacency(binary=True),
+        source_adj=source.adjacency(binary=True, ids=merged.entity_ids),
         observed_gap=observed_gap,
         mu=mu,
         reg=config.construction_lam_effective,
@@ -160,12 +156,7 @@ def run_transfer(
         shared = set(source.entity_ids) & set(target_partial.entity_ids)
         if not shared:
             raise GraftError("no overlap between domains: the source and target graphs share no entity")
-        for eid in sorted(shared):
-            if source.type_of(eid) != target_partial.type_of(eid):
-                raise GraftError(
-                    f"entity {eid!r} has conflicting types "
-                    f"{source.type_of(eid)!r} and {target_partial.type_of(eid)!r}"
-                )
+        check_shared_types(source, target_partial)
 
     with _stage("selection-model", timings):
         state = fit_selection_model(source, config)

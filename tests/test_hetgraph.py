@@ -8,8 +8,13 @@ from graft import (
     align_union_entities,
     dynamic_factor,
     format_graph,
+    MetaPath,
+    ReconstructionSolution,
+    finalize_edges,
     induced_subgraph,
+    merge_transferred_entities,
     parse_graph,
+    project,
 )
 
 
@@ -61,6 +66,38 @@ class TestHeteroGraph:
         g2 = HeteroGraph([("b", "t"), ("a", "t")], [("b", "a", 3.0)])
         assert g1 == g2
         assert g1 != HeteroGraph([("a", "t"), ("b", "t")], [("a", "b", 4.0)])
+
+
+class TestEdgeWeightsArePythonFloats:
+    """``edges()`` yields Python floats however the graph was built, so the text
+    form reads ``2.0`` and never a numpy repr."""
+
+    @staticmethod
+    def square():
+        # two t-u-t walks join a and c
+        return HeteroGraph(
+            [("a", "t"), ("b", "u"), ("c", "t"), ("d", "u")],
+            [("a", "b", np.float64(2.0)), ("b", "c"), ("a", "d", np.int64(1)), ("d", "c")],
+        )
+
+    def built_graphs(self):
+        g = self.square()
+        u = np.array([[1.0], [0.5], [1.0], [0.25]])
+        yield g
+        yield project(g, MetaPath(("t", "u", "t")))
+        yield finalize_edges(ReconstructionSolution(u, [0.0], 0), g, 0.0)
+        yield induced_subgraph(g, ["a", "b", "c"])
+        yield merge_transferred_entities(induced_subgraph(g, ["a", "b"]), g, ["c"])
+
+    def test_edges_yield_python_floats(self):
+        for g in self.built_graphs():
+            assert g.edge_count > 0
+            assert all(type(w) is float for _, _, w in g.edges()), g
+
+    def test_format_writes_plain_floats(self):
+        text = format_graph(project(self.square(), MetaPath(("t", "u", "t"))))
+        assert "e a c 2.0\n" in text
+        assert "np." not in "".join(format_graph(g) for g in self.built_graphs())
 
 
 class TestAdjacency:

@@ -9,11 +9,16 @@ from graft import (
     SynthSpec,
     TransferConfig,
     TransferReport,
+    align_union_entities,
     auto_mu,
+    dynamic_factor,
     generate,
+    induced_subgraph,
+    merge_transferred_entities,
     run_transfer,
     write_report,
 )
+from graft.transfer import construct_dependencies
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +121,50 @@ class TestRunTransfer:
         gt = HeteroGraph([("a", "wrong"), ("b", "u")], [])
         with pytest.raises(GraftError, match="conflicting types"):
             run_transfer(gs, gt)
+
+
+def views_instance():
+    """Source, partial target and merged graph: the target has entities the
+    source lacks, and three source-only entities are merged in."""
+    rng = np.random.default_rng(3)
+    source_ids = [f"s{i:02d}" for i in range(20)]
+    target_only = ["a0", "m5", "s05x", "z9"]
+    types = {eid: f"k{i % 3}" for i, eid in enumerate(source_ids + target_only)}
+
+    def graph(ids):
+        edges = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:] if rng.random() < 0.3]
+        return HeteroGraph([(eid, types[eid]) for eid in ids], edges)
+
+    source = graph(source_ids)
+    target = graph(source_ids[:12] + target_only)
+    return source, target, merge_transferred_entities(target, source, ["s13", "s15", "s18"])
+
+
+class TestConstructionViews:
+    def test_views_match_the_union_alignment(self):
+        source, target, merged = views_instance()
+        in_source = set(source.entity_ids)
+        ref_target, ref_source = align_union_entities(
+            merged, induced_subgraph(source, [e for e in merged.entity_ids if e in in_source])
+        )
+        hat, hat_source = align_union_entities(
+            target, induced_subgraph(source, [e for e in target.entity_ids if e in in_source])
+        )
+        _, _, prob = construct_dependencies(source, target, merged, 0.5, TransferConfig())
+        assert prob.target_adj.ids == prob.source_adj.ids == ref_target.ids == merged.entity_ids
+        assert np.array_equal(prob.target_adj.matrix, ref_target.matrix)
+        assert np.array_equal(prob.source_adj.matrix, ref_source.matrix)
+        assert prob.observed_gap == dynamic_factor(hat_source, hat)
+        assert ref_source.matrix.any() and prob.observed_gap > 0.0
+
+    def test_type_conflict_in_merged_rejected(self):
+        source, target, _ = views_instance()
+        merged = HeteroGraph(
+            [(eid, "other" if eid == "s03" else etype) for eid, etype in target.entity_items()],
+            target.edges(),
+        )
+        with pytest.raises(GraftError, match="conflicting types"):
+            construct_dependencies(source, target, merged, 0.5, TransferConfig())
 
 
 class TestReportSerialization:
