@@ -321,25 +321,30 @@ def parse_graph(text: str) -> HeteroGraph:
     if not header_seen:
         raise GraphFormatError(f"missing header {FORMAT_HEADER!r}")
 
-    pair_lines: dict[tuple[str, str], int] = {}
-    edges = []
+    # every record is checked above and below, so the graph is built at the
+    # array level without a second validation pass
+    entities.sort()
+    ids = tuple(eid for eid, _ in entities)
+    index = {eid: i for i, eid in enumerate(ids)}
+    pair_lines: dict[tuple[int, int], int] = {}
+    weights = []
     for lineno, a, b, w in raw_edges:
         for endpoint in (a, b):
-            if endpoint not in seen_ids:
+            if endpoint not in index:
                 raise GraphFormatError(f"edge endpoint {endpoint!r} is not a declared entity", lineno)
         if a == b:
             raise GraphFormatError(f"self-loop on entity {a!r} is not allowed", lineno)
-        key = (a, b) if a < b else (b, a)
+        i, j = index[a], index[b]
+        key = (i, j) if i < j else (j, i)
         if key in pair_lines:
             raise GraphFormatError(
                 f"duplicate edge between {a!r} and {b!r} (first on line {pair_lines[key]})", lineno
             )
         pair_lines[key] = lineno
-        edges.append((a, b, w))
-    try:
-        return HeteroGraph(entities, edges)
-    except GraftError as exc:
-        raise GraphFormatError(str(exc)) from exc
+        weights.append(w)
+    ends = np.array(list(pair_lines), dtype=np.intp).reshape(-1, 2)
+    types = tuple(etype for _, etype in entities)
+    return HeteroGraph.__new__(HeteroGraph)._init(ids, types, index, ends[:, 0], ends[:, 1], weights)
 
 
 def read_graph(path: str | Path) -> HeteroGraph:

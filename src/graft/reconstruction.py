@@ -6,6 +6,13 @@ The objective balances fitting the observed target adjacency against keeping
 the discrepancy to the source adjacency at its observed level, plus ridge
 regularization. It is minimized by full-batch gradient descent with
 backtracking line search from a spectral initialization.
+
+The objective and gradient are evaluated in factored form (Burer & Monteiro,
+Math. Prog. 2003): with ``G = u.T @ u``,
+``||u u^T - A||_F^2 = ||G||_F^2 - 2 sum(u * (A @ u)) + ||A||_F^2`` and
+``(u u^T - A) @ u = u @ G - A @ u``. Both adjacency views are held as CSR, so
+one evaluation costs O(nnz * rank + n * rank^2) and the descent loop never
+forms an n x n array.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import TransferConfig
 from .errors import GraftError
@@ -59,6 +67,10 @@ class ReconstructionProblem:
             raise GraftError(f"reg must be nonnegative, got {self.reg}")
         if not (isinstance(self.rank, int) and self.rank >= 1):
             raise GraftError(f"rank must be a positive integer, got {self.rank!r}")
+        # the sparse forms and squared Frobenius norms every evaluation reads
+        for name, view in (("_target", self.target_adj), ("_source", self.source_adj)):
+            a = sp.csr_matrix(view.matrix)
+            object.__setattr__(self, name, (a, float((a.data * a.data).sum())))
 
     @property
     def n(self) -> int:
@@ -66,11 +78,11 @@ class ReconstructionProblem:
 
 
 class _Evaluation:
-    """The objective at ``u`` with the residuals its gradient reuses.
+    """The objective at ``u`` with the products its gradient reuses.
 
-    ``u @ u.T`` and both n x n residuals are formed once here, so a descent
-    step that accepts a trial point takes the gradient there without forming
-    them again.
+    ``G = u.T @ u`` and both ``A @ u`` are formed once here, so a descent step
+    that accepts a trial point takes the gradient there without forming them
+    again.
     """
 
     def __init__(self, u: np.ndarray, prob: ReconstructionProblem):
@@ -78,16 +90,16 @@ class _Evaluation:
         n = prob.n
         if u.shape[0] != n:
             raise GraftError(f"u has {u.shape[0]} rows but the problem has {n} entities")
-        m = u @ u.T
+        (a_t, sq_t), (a_s, sq_s) = prob._target, prob._source
         self.u = u
         self.prob = prob
-        self.resid_t = m - prob.target_adj.matrix
-        self.resid_s = m - prob.source_adj.matrix
+        self.gram = u.T @ u
+        self.au_t = a_t @ u
+        self.au_s = a_s @ u
         self.pairs = n * (n - 1)
-        # r * r is bitwise equal to r ** 2 (numpy's square), so the objective
-        # matches a direct evaluation of the formula exactly
-        smooth = float((self.resid_t * self.resid_t).sum())
-        self.gap = float((self.resid_s * self.resid_s).sum()) / self.pairs
+        gram_sq = float((self.gram * self.gram).sum())
+        smooth = gram_sq - 2.0 * float((u * self.au_t).sum()) + sq_t
+        self.gap = (gram_sq - 2.0 * float((u * self.au_s).sum()) + sq_s) / self.pairs
         self.value = (
             prob.mu * smooth
             + (1.0 - prob.mu) * (self.gap - prob.observed_gap) ** 2
@@ -102,9 +114,10 @@ class _Evaluation:
 
     def gradient(self) -> np.ndarray:
         prob, u = self.prob, self.u
+        ug = u @ self.gram
         grad = (
-            4.0 * prob.mu * (self.resid_t @ u)
-            + (1.0 - prob.mu) * 2.0 * (self.gap - prob.observed_gap) * (4.0 / self.pairs) * (self.resid_s @ u)
+            4.0 * prob.mu * (ug - self.au_t)
+            + (1.0 - prob.mu) * 2.0 * (self.gap - prob.observed_gap) * (4.0 / self.pairs) * (ug - self.au_s)
             + 2.0 * prob.reg * u
         )
         if not np.isfinite(grad).all():
@@ -124,11 +137,18 @@ def reconstruction_gradient(u: np.ndarray, prob: ReconstructionProblem) -> np.nd
 
 @dataclass
 class ReconstructionSolution:
-    """Optimized factors plus the accepted-objective trace (entry 0 is the start)."""
+    """Optimized factors plus the accepted-objective trace (entry 0 is the start).
+
+    ``stop_reason`` and ``backtracks`` say why ``solve_reconstruction`` stopped
+    and how many step halvings it made; they stay empty for hand-built
+    solutions.
+    """
 
     factors: np.ndarray
     objective_trace: list[float]
     iterations: int
+    stop_reason: str = ""
+    backtracks: int = 0
 
 
 def _check_diverged(value: float) -> float:
@@ -152,7 +172,7 @@ def solve_reconstruction(
     does not increase; the run stops when the relative objective change drops
     below ``construction_tol``, when the iteration cap is reached, or when
     ``MAX_BACKTRACKS`` halvings find no descent. Each accepted point is
-    evaluated once: its gradient comes from the residuals of that evaluation.
+    evaluated once: its gradient comes from the products of that evaluation.
     """
     config = config or TransferConfig()
     n = prob.n
@@ -187,14 +207,15 @@ def solve_reconstruction(
         if abs(obj - prev) / max(abs(prev), 1e-30) < config.construction_tol:
             stop = "tolerance"
             break
+    solution = ReconstructionSolution(current.u, trace, len(trace) - 1, stop, backtracks)
     log.info(
         "reconstruction stopped by %s after %d iteration(s), %d backtrack(s), objective %.6g",
-        stop,
-        len(trace) - 1,
-        backtracks,
+        solution.stop_reason,
+        solution.iterations,
+        solution.backtracks,
         obj,
     )
-    return ReconstructionSolution(current.u, trace, iterations=len(trace) - 1)
+    return solution
 
 
 def finalize_edges(solution: ReconstructionSolution, merged: HeteroGraph, z: float) -> HeteroGraph:

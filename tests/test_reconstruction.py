@@ -1,9 +1,12 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graft import (
+    AdjacencyView,
     GraftError,
     HeteroGraph,
     ReconstructionProblem,
@@ -109,27 +112,46 @@ class TestObjective:
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
     def test_bitwise_equal_to_direct_formulas(self, mu):
-        # the objective and gradient written out term by term, in the same
-        # floating-point order; any reordering shows up in the last bits
+        # the factored objective and gradient written out term by term, in
+        # the same floating-point order; any reordering shows up in the last bits
         prob = make_problem(mu=mu, n=60, rank=6)
         u = np.random.default_rng(11).standard_normal((prob.n, prob.rank))
-        m = u @ u.T
+        a_t = sp.csr_matrix(prob.target_adj.matrix)
+        a_s = sp.csr_matrix(prob.source_adj.matrix)
+        gram = u.T @ u
+        au_t, au_s = a_t @ u, a_s @ u
         pairs = prob.n * (prob.n - 1)
-        smooth = float(((m - prob.target_adj.matrix) ** 2).sum())
-        gap = float(((m - prob.source_adj.matrix) ** 2).sum()) / pairs
+        gram_sq = float((gram * gram).sum())
+        smooth = gram_sq - 2.0 * float((u * au_t).sum()) + float((a_t.data * a_t.data).sum())
+        gap = (gram_sq - 2.0 * float((u * au_s).sum()) + float((a_s.data * a_s.data).sum())) / pairs
         value = (
             prob.mu * smooth
             + (1.0 - prob.mu) * (gap - prob.observed_gap) ** 2
             + prob.reg * float((u * u).sum())
         )
+        ug = u @ gram
         grad = (
+            4.0 * prob.mu * (ug - au_t)
+            + (1.0 - prob.mu) * 2.0 * (gap - prob.observed_gap) * (4.0 / pairs) * (ug - au_s)
+            + 2.0 * prob.reg * u
+        )
+        assert reconstruction_objective(u, prob) == value
+        assert np.array_equal(reconstruction_gradient(u, prob), grad)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    def test_gradient_matches_dense_formula(self, mu):
+        prob = make_problem(mu=mu, n=60, rank=6)
+        u = np.random.default_rng(11).standard_normal((prob.n, prob.rank))
+        m = u @ u.T
+        pairs = prob.n * (prob.n - 1)
+        gap = float(((m - prob.source_adj.matrix) ** 2).sum()) / pairs
+        dense = (
             4.0 * prob.mu * ((m - prob.target_adj.matrix) @ u)
             + (1.0 - prob.mu) * 2.0 * (gap - prob.observed_gap) * (4.0 / pairs)
             * ((m - prob.source_adj.matrix) @ u)
             + 2.0 * prob.reg * u
         )
-        assert reconstruction_objective(u, prob) == value
-        assert np.array_equal(reconstruction_gradient(u, prob), grad)
+        np.testing.assert_allclose(reconstruction_gradient(u, prob), dense, rtol=1e-10, atol=0.0)
 
     def test_mu_boundaries(self):
         prob0 = make_problem(mu=0.0, reg=0.0)
@@ -166,6 +188,29 @@ class TestObjective:
         prob = make_problem()
         with pytest.raises(GraftError, match="rows"):
             reconstruction_objective(np.zeros((prob.n + 1, prob.rank)), prob)
+
+
+class TestEvaluationMemory:
+    def test_no_n_by_n_array_per_evaluation(self):
+        n, rank = 2000, 16
+        ids = tuple(f"e{i:04d}" for i in range(n))
+
+        def sparse_view(seed):
+            upper = np.triu(np.random.default_rng(seed).random((n, n)) < 0.002, k=1)
+            return AdjacencyView(ids, (upper | upper.T).astype(float), True)
+
+        prob = ReconstructionProblem(sparse_view(1), sparse_view(2), 0.01, 0.5, 0.01, rank)
+        u = np.random.default_rng(3).standard_normal((n, rank))
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                reconstruction_objective(u, prob)
+                reconstruction_gradient(u, prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense n x n float64 array (u @ u.T, a residual) takes n * n * 8 bytes
+        assert peak < n * n * 8 / 4
 
 
 class TestGradient:
@@ -322,6 +367,31 @@ class TestSolve:
             sol = solve_reconstruction(prob, seed=0, config=config)
         assert sol.iterations < config.construction_max_iters
         assert f"stopped by tolerance after {sol.iterations} iteration(s)" in caplog.text
+
+    @pytest.mark.parametrize(
+        "config,reason",
+        [
+            (TransferConfig(construction_tol=1e-2), "tolerance"),
+            (TransferConfig(eta0=0.5, construction_max_iters=3), "iteration cap"),
+            (TransferConfig(eta0=1e150), f"no descent after {MAX_BACKTRACKS} halvings"),
+        ],
+        ids=["tolerance", "cap", "no-descent"],
+    )
+    def test_solution_records_stop_reason_and_backtracks(self, config, reason):
+        prob = make_problem(mu=0.5, n=14, rank=5)
+        # the no-descent case overflows every trial objective on purpose
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_reconstruction(prob, seed=0, config=config)
+            _, trace, halvings = reference_solve(prob, 0, config)
+        assert sol.stop_reason == reason
+        assert sol.backtracks == halvings
+        assert sol.iterations == len(trace) - 1
+        if reason == "tolerance":
+            assert sol.iterations < config.construction_max_iters
+        elif reason == "iteration cap":
+            assert sol.iterations == 3 and halvings > 0
+        else:
+            assert sol.iterations == 0 and halvings == MAX_BACKTRACKS
 
     def test_divergent_setup_rejected(self):
         prob = make_problem(reg=1e20)

@@ -167,13 +167,14 @@ class TestFitSelectionModel:
         assert state.weights.shape == (1,)
         assert len(state.objective_trace) <= 2
 
-    def test_trace_non_increasing_and_deterministic(self):
+    def test_trace_is_the_fitted_objective_and_deterministic(self):
         g = typed_random_graph(7)
         cfg = TransferConfig()
         s1 = fit_selection_model(g, cfg)
         s2 = fit_selection_model(g, cfg)
-        trace = s1.objective_trace
-        assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(trace, trace[1:]))
+        mats = metapath_distance_matrices(g, cfg)
+        objective = selection_objective(s1.embedding, mats, s1.weights, cfg.theta, cfg.selection_lam_effective)
+        assert s1.objective_trace == [objective]
         assert np.array_equal(s1.embedding, s2.embedding)
         assert np.array_equal(s1.weights, s2.weights)
         assert s1.objective_trace == s2.objective_trace
