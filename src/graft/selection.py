@@ -75,7 +75,9 @@ def fit_weights(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], ridge: 
         if m.matrix.shape != (n, n):
             raise GraftError(f"matrix shape {m.matrix.shape} does not match embedding rows {n}")
     iu = np.triu_indices(n, k=1)
-    design = np.column_stack([m.matrix[iu] for m in mats])
+    design = np.empty((len(iu[0]), len(mats)))
+    for j, m in enumerate(mats):
+        design[:, j] = m.matrix[iu]
     target = squared_row_distances(embedding)[iu]
     return ols_nonneg(design, target, ridge)
 

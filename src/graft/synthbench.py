@@ -88,8 +88,9 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
 
     rows, cols = np.triu_indices(n, k=1)
     mask = rng.random(rows.shape[0]) < spec.edge_prob_effective
-    edges = [(ids[i], ids[j]) for i, j in zip(rows[mask], cols[mask])]
-    gs = HeteroGraph(entities, edges)
+    # below 100000 entities the zero-padded ids sort in index order, so the
+    # pair indices are already entity indices
+    gs = HeteroGraph(entities)._with_edges(rows[mask], cols[mask], np.ones(np.count_nonzero(mask)))
 
     survivors = np.sort(rng.choice(n, size=spec.n_target, replace=False))
     keep_ids = [ids[i] for i in survivors]

@@ -11,6 +11,7 @@ from graft import (
     path_distance_matrix,
     project,
 )
+from graft import metapath
 
 
 def tripartite():
@@ -221,6 +222,86 @@ class TestPathDistance:
 
     def test_empty_graph(self):
         assert path_distance_matrix(HeteroGraph()).n == 0
+
+
+def graph_from_pairs(n, pairs, isolated=0):
+    """Entities v0000.. joined by index pairs, plus isolated entities sorted in between."""
+    ids = [f"v{i:04d}" for i in range(n)]
+    lone = [f"v{i:04d}a" for i in range(isolated)]
+    edges = [(ids[a], ids[b], 1.0) for a, b in pairs]
+    return HeteroGraph([(e, "t") for e in ids + lone], edges)
+
+
+def path_pairs(start, length):
+    return [(start + i, start + i + 1) for i in range(length - 1)]
+
+
+class HandOffSpy:
+    """Records the sources the bitset BFS hands to Dijkstra."""
+
+    def __init__(self, monkeypatch):
+        self.sources = []
+        real = metapath.shortest_path
+
+        def spy(*args, indices=None, **kwargs):
+            self.sources.append(np.asarray(indices))
+            return real(*args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(metapath, "shortest_path", spy)
+
+
+class TestBitsetBfs:
+    """The multi-source bitset BFS against the per-source oracle, bit for bit."""
+
+    @pytest.mark.parametrize("cap", [None, 5.0, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+    def test_word_boundaries(self, n, cap):
+        # from n = 2 on every entity gets an edge, so all n bit columns are live
+        rng = np.random.default_rng(n)
+        pairs = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 2.0 / n}
+        lonely = set(range(n)) - {v for p in pairs for v in p}
+        pairs |= {tuple(sorted((v, (v + 1) % n))) for v in lonely if n > 1}
+        g = graph_from_pairs(n, sorted(pairs))
+        got = path_distance_matrix(g, cap=cap).matrix
+        assert np.array_equal(got, naive_hop_distances(g, cap))
+
+    @pytest.mark.parametrize("cap", [None, 5.0, 0.5])
+    def test_components_and_isolated_entities(self, cap):
+        ring = [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
+        clique = [(a, b) for a in range(12, 16) for b in range(a + 1, 16)]
+        g = graph_from_pairs(16, path_pairs(0, 5) + ring + clique, isolated=6)
+        got = path_distance_matrix(g, cap=cap).matrix
+        assert np.array_equal(got, naive_hop_distances(g, cap))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_all_isolated(self, n):
+        got = path_distance_matrix(graph_from_pairs(0, [], isolated=n)).matrix
+        assert np.array_equal(got, 1.0 - np.eye(n))
+
+    @pytest.mark.parametrize("cap", [None, 5.0, 0.5])
+    def test_long_path_hands_off_every_source(self, monkeypatch, cap):
+        spy = HandOffSpy(monkeypatch)
+        g = graph_from_pairs(100, path_pairs(0, 100), isolated=2)
+        got = path_distance_matrix(g, cap=cap).matrix
+        assert np.array_equal(got, naive_hop_distances(g, cap))
+        # every vertex of a 100-path has a vertex at least 50 hops away
+        assert [s.tolist() for s in spy.sources] == [list(range(100))]
+
+    @pytest.mark.parametrize("cap", [None, 5.0, 0.5])
+    def test_dense_core_with_tail_hands_off_some_sources(self, monkeypatch, cap):
+        spy = HandOffSpy(monkeypatch)
+        rng = np.random.default_rng(3)
+        core = [(a, b) for a in range(20) for b in range(a + 1, 20) if rng.random() < 0.4]
+        # the tail hangs from its middle, so only the entities near that
+        # point reach everything within the bitset hops
+        g = graph_from_pairs(80, core + [(0, 50)] + path_pairs(20, 60), isolated=3)
+        got = path_distance_matrix(g, cap=cap).matrix
+        assert np.array_equal(got, naive_hop_distances(g, cap))
+        live = np.flatnonzero(np.diff(g.csr().indptr))
+        eccentricity = naive_hop_distances(g, None)[np.ix_(live, live)].max(axis=1)
+        (sources,) = spy.sources
+        assert sources.tolist() == np.flatnonzero(eccentricity >= metapath._BITSET_HOPS).tolist()
+        assert 0 < len(sources) < 80
 
 
 class TestSimilarityMatrix:
