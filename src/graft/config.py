@@ -37,6 +37,9 @@ class TransferConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            if isinstance(v, bool):
+                raise GraftError(f"{name} must be a number, not a boolean, got {v!r}")
         if self.theta not in (1, 2):
             raise GraftError(f"theta must be 1 or 2, got {self.theta!r}")
         for name in ("lam", "ridge"):
@@ -69,7 +72,7 @@ class TransferConfig:
             raise GraftError(
                 f"construction_max_iters must be a positive integer, got {self.construction_max_iters!r}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not isinstance(self.seed, int):
             raise GraftError(f"seed must be an integer, got {self.seed!r}")
 
     @property

@@ -8,7 +8,7 @@ they have one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,16 +36,7 @@ class EvalResult:
     had_zero_division: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "entity_precision": self.entity_precision,
-            "entity_recall": self.entity_recall,
-            "entity_f1": self.entity_f1,
-            "edge_precision": self.edge_precision,
-            "edge_recall": self.edge_recall,
-            "edge_f1": self.edge_f1,
-            "combined_f1": self.combined_f1,
-            "had_zero_division": self.had_zero_division,
-        }
+        return asdict(self)
 
 
 def _prf(n_correct: int, n_estimated: int, n_truth: int) -> tuple[float, float, float, bool]:

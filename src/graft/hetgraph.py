@@ -8,13 +8,12 @@ matrix index convention in the package and makes serialization deterministic.
 Edges are stored column-wise: integer endpoint arrays with row < col, sorted
 by (row, col), and a float64 weight array. ``HeteroGraph.csr`` is the one
 place edges become a matrix (cached, graphs being immutable), and dense views
-select from it. The validating constructor and the builders inside the
-package end in the same array-level constructor.
+select from it. The validating constructor (``parse_graph`` goes through it
+too) and the package's own builders end in one array-level constructor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,12 +24,6 @@ import scipy.sparse as sp
 from .errors import GraftError, GraphFormatError
 
 FORMAT_HEADER = "graphfmt 1"
-
-
-def _check_token(tok: str, what: str) -> str:
-    if not isinstance(tok, str) or not tok or any(ch.isspace() for ch in tok):
-        raise GraftError(f"{what} must be a non-empty string without whitespace, got {tok!r}")
-    return tok
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +51,74 @@ class AdjacencyView:
         return len(self.ids)
 
 
+class _RecordError(GraftError):
+    """A bad record: its list ("entities" or "edges"), position, and the position a repeat repeats."""
+
+    def __init__(self, message: str, where: str, pos: int, first: int | None = None):
+        super().__init__(message)
+        self.where, self.pos, self.first = where, pos, first
+
+
+def _float(w) -> float | None:
+    try:
+        return float(w)
+    except (TypeError, ValueError):
+        return None
+
+
+def _columns(entities: Iterable[tuple[str, str]], edges: Iterable[tuple]):
+    """The arguments of ``HeteroGraph._init`` from (id, type) and (id1, id2[,
+    weight]) records. The first bad record, entities before edges, raises
+    ``_RecordError`` for its first failed check: tokens, duplicate id; arity,
+    declared endpoints, self-loop, positive finite weight, duplicate pair."""
+    seen: dict[str, tuple[int, str]] = {}
+    for k, (eid, etype) in enumerate(entities):
+        for tok, what in ((eid, "entity id"), (etype, "entity type")):
+            if not (isinstance(tok, str) and tok.split() == [tok]):  # split() cuts where isspace() holds
+                msg = f"{what} must be a non-empty string without whitespace, got {tok!r}"
+                raise _RecordError(msg, "entities", k)
+        first = seen.setdefault(eid, (k, etype))[0]
+        if first != k:
+            raise _RecordError(f"duplicate entity id {eid!r}", "entities", k, first)
+    ids = tuple(sorted(seen))
+    index = {eid: i for i, eid in enumerate(ids)}
+
+    # records after the first one of the wrong arity are never reached
+    edges = list(edges)
+    arity = np.fromiter(map(len, edges), np.intp, len(edges))
+    m = int(np.flatnonzero(np.append((arity < 2) | (arity > 3), True))[0])
+    head, get = edges[:m], index.get
+    rows = np.fromiter((get(e[0], -1) for e in head), np.intp, m)
+    cols = np.fromiter((get(e[1], -1) for e in head), np.intp, m)
+    raw = [e[2] if len(e) == 3 else 1.0 for e in head]
+    try:
+        weights = np.fromiter(raw, float, m)
+    except (TypeError, ValueError):
+        weights = np.array([_float(w) for w in raw], dtype=float)  # None, for not a number, becomes nan
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    key = lo * len(ids) + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(m, dtype=bool)
+    repeat[order[1:]] = np.diff(key[order]) == 0
+    bad_weight = ~((weights > 0) & (weights < np.inf))
+    fault = np.select([(rows < 0) | (cols < 0), rows == cols, bad_weight, repeat], [1, 2, 3, 4])
+    if fault.any():
+        p = int(np.argmax(fault > 0))
+        a, b, w = edges[p][0], edges[p][1], _float(raw[p])
+        problems = (
+            f"edge endpoint {(a if rows[p] < 0 else b)!r} is not a declared entity",
+            f"self-loop on entity {a!r} is not allowed",
+            f"edge ({a!r}, {b!r}) weight must be "
+            + (f"a number, got {raw[p]!r}" if w is None else f"positive and finite, got {w}"),
+            f"duplicate edge between {a!r} and {b!r}",
+        )
+        first = int(np.argmax(key == key[p])) if fault[p] == 4 else None
+        raise _RecordError(problems[fault[p] - 1], "edges", p, first)
+    if m < len(edges):
+        raise _RecordError(f"edge must be (id1, id2[, weight]), got {edges[m]!r}", "edges", m)
+    return ids, tuple(seen[eid][1] for eid in ids), index, lo[order], hi[order], weights[order]
+
+
 class HeteroGraph:
     """Immutable undirected weighted graph over typed entities.
 
@@ -74,46 +135,16 @@ class HeteroGraph:
     __slots__ = ("_ids", "_types", "_index", "_rows", "_cols", "_weights", "_csr", "_edge_list")
 
     def __init__(self, entities: Iterable[tuple[str, str]] = (), edges: Iterable[tuple] = ()):
-        pairs = []
-        for ent in entities:
-            eid, etype = ent
-            pairs.append((_check_token(eid, "entity id"), _check_token(etype, "entity type")))
-        pairs.sort(key=lambda p: p[0])
-        for k in range(1, len(pairs)):
-            if pairs[k][0] == pairs[k - 1][0]:
-                raise GraftError(f"duplicate entity id {pairs[k][0]!r}")
-        ids = tuple(p[0] for p in pairs)
-        index = {eid: i for i, eid in enumerate(ids)}
-
-        weights: dict[tuple[int, int], float] = {}
-        for edge in edges:
-            if len(edge) not in (2, 3):
-                raise GraftError(f"edge must be (id1, id2[, weight]), got {edge!r}")
-            a, b, w = edge if len(edge) == 3 else (*edge, 1.0)
-            try:
-                i, j = index[a], index[b]
-            except KeyError as exc:
-                raise GraftError(f"edge endpoint {exc.args[0]!r} is not a declared entity") from None
-            if i == j:
-                raise GraftError(f"self-loop on entity {a!r} is not allowed")
-            w = float(w)
-            if not math.isfinite(w) or w <= 0.0:
-                raise GraftError(f"edge ({a!r}, {b!r}) weight must be positive and finite, got {w}")
-            key = (i, j) if i < j else (j, i)
-            if key in weights:
-                raise GraftError(f"duplicate edge between {a!r} and {b!r}")
-            weights[key] = w
-        ends = np.array(list(weights), dtype=np.intp).reshape(-1, 2)
-        self._init(ids, tuple(p[1] for p in pairs), index, ends[:, 0], ends[:, 1], list(weights.values()))
+        self._init(*_columns(entities, edges))
 
     def _init(self, ids, types, index, rows, cols, weights) -> HeteroGraph:
         """The array-level constructor every graph ends in. It trusts that ``ids``
         are sorted and unique and that each edge rows[k] < cols[k] occurs once
         with a positive finite weight."""
-        order = np.lexsort((cols, rows))
         self._ids, self._types, self._index = ids, types, index
-        self._rows = np.asarray(rows, dtype=np.intp)[order]
-        self._cols = np.asarray(cols, dtype=np.intp)[order]
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        order = np.argsort(rows * len(ids) + cols, kind="stable")  # near linear on sorted input
+        self._rows, self._cols = rows[order], cols[order]
         self._weights = np.asarray(weights, dtype=float)[order]
         for arr in (self._rows, self._cols, self._weights):
             arr.flags.writeable = False
@@ -283,8 +314,8 @@ def parse_graph(text: str) -> HeteroGraph:
     """Parse the graph text format, reporting errors with 1-based line numbers."""
     header_seen = False
     entities: list[tuple[str, str]] = []
-    seen_ids: dict[str, int] = {}
-    raw_edges: list[tuple[int, str, str, float]] = []
+    edges: list[tuple[str, str, float]] = []
+    lines: dict[str, list[int]] = {"entities": [], "edges": []}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -298,53 +329,26 @@ def parse_graph(text: str) -> HeteroGraph:
         if tokens[0] == "v":
             if len(tokens) != 3:
                 raise GraphFormatError("v-line must be 'v <id> <type>'", lineno)
-            _, eid, etype = tokens
-            if eid in seen_ids:
-                raise GraphFormatError(
-                    f"duplicate entity id {eid!r} (first declared on line {seen_ids[eid]})", lineno
-                )
-            seen_ids[eid] = lineno
-            entities.append((eid, etype))
+            entities.append((tokens[1], tokens[2]))
+            lines["entities"].append(lineno)
         elif tokens[0] == "e":
             if len(tokens) != 4:
                 raise GraphFormatError("e-line must be 'e <id1> <id2> <weight>'", lineno)
-            _, a, b, wtok = tokens
-            try:
-                w = float(wtok)
-            except ValueError:
-                raise GraphFormatError(f"invalid edge weight {wtok!r}", lineno) from None
-            if not math.isfinite(w) or w <= 0.0:
-                raise GraphFormatError(f"edge weight must be positive and finite, got {wtok}", lineno)
-            raw_edges.append((lineno, a, b, w))
+            w = _float(tokens[3])
+            if w is None:
+                raise GraphFormatError(f"invalid edge weight {tokens[3]!r}", lineno)
+            edges.append((tokens[1], tokens[2], w))
+            lines["edges"].append(lineno)
         else:
             raise GraphFormatError(f"unknown record type {tokens[0]!r}", lineno)
     if not header_seen:
         raise GraphFormatError(f"missing header {FORMAT_HEADER!r}")
-
-    # every record is checked above and below, so the graph is built at the
-    # array level without a second validation pass
-    entities.sort()
-    ids = tuple(eid for eid, _ in entities)
-    index = {eid: i for i, eid in enumerate(ids)}
-    pair_lines: dict[tuple[int, int], int] = {}
-    weights = []
-    for lineno, a, b, w in raw_edges:
-        for endpoint in (a, b):
-            if endpoint not in index:
-                raise GraphFormatError(f"edge endpoint {endpoint!r} is not a declared entity", lineno)
-        if a == b:
-            raise GraphFormatError(f"self-loop on entity {a!r} is not allowed", lineno)
-        i, j = index[a], index[b]
-        key = (i, j) if i < j else (j, i)
-        if key in pair_lines:
-            raise GraphFormatError(
-                f"duplicate edge between {a!r} and {b!r} (first on line {pair_lines[key]})", lineno
-            )
-        pair_lines[key] = lineno
-        weights.append(w)
-    ends = np.array(list(pair_lines), dtype=np.intp).reshape(-1, 2)
-    types = tuple(etype for _, etype in entities)
-    return HeteroGraph.__new__(HeteroGraph)._init(ids, types, index, ends[:, 0], ends[:, 1], weights)
+    try:
+        return HeteroGraph(entities, edges)
+    except _RecordError as exc:
+        at, first = lines[exc.where], {"entities": "first declared", "edges": "first"}[exc.where]
+        suffix = "" if exc.first is None else f" ({first} on line {at[exc.first]})"
+        raise GraphFormatError(f"{exc}{suffix}", at[exc.pos]) from None
 
 
 def read_graph(path: str | Path) -> HeteroGraph:

@@ -46,9 +46,7 @@ def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
     if not np.isfinite(m).all():
         raise GraftError("distance matrix must be finite")
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * (centering @ m @ centering)
-    b = (b + b.T) / 2.0
-    values, vectors = sym_eig_topk(b, d1)
+    values, vectors = sym_eig_topk(-0.5 * (centering @ m @ centering), d1)  # which symmetrises it
     values = np.clip(values, 0.0, None)
     return vectors * np.sqrt(values)[None, :]
 
@@ -182,9 +180,11 @@ def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph
     return {eid: float(s) for (_, eid), s in zip(only, best)}
 
 
-def select_entities(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph, z: float) -> set[str]:
-    """Source-only entities whose best relevance z-score reaches ``z``."""
-    return {eid for eid, s in relevance_scores(state, gs, gt_hat).items() if s >= z}
+def select_entities(
+    state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph, z: float
+) -> dict[str, float]:
+    """Source-only entities whose best relevance z-score reaches ``z``, with that score."""
+    return {eid: s for eid, s in relevance_scores(state, gs, gt_hat).items() if s >= z}
 
 
 def merge_transferred_entities(

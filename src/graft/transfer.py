@@ -28,7 +28,7 @@ from .selection import (
     SelectionState,
     fit_selection_model,
     merge_transferred_entities,
-    relevance_scores,
+    select_entities,
 )
 
 log = logging.getLogger(__name__)
@@ -165,8 +165,8 @@ def run_transfer(
         report.selection_objective_trace = [float(v) for v in state.objective_trace]
 
     with _stage("entity-selection", timings):
-        scores = relevance_scores(state, source, target_partial)
-        selected = sorted(eid for eid, s in scores.items() if s >= config.z_entity)
+        scores = select_entities(state, source, target_partial, config.z_entity)
+        selected = sorted(scores)
         report.transferred_entities = selected
         report.transferred_scores = {eid: scores[eid] for eid in selected}
 

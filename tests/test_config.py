@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from graft import GraftError, TransferConfig
-from graft.config import build_config, parse_config_file
+from graft.config import CONFIG_KEYS, build_config, parse_config_file
 
 
 class TestTransferConfig:
@@ -35,6 +35,13 @@ class TestTransferConfig:
     def test_invalid_values_rejected(self, kwargs, msg):
         with pytest.raises(GraftError, match=msg):
             TransferConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", CONFIG_KEYS)
+    def test_booleans_rejected(self, name):
+        # bool is an int subclass, so without the check True passes as 1
+        for flag in (True, False):
+            with pytest.raises(GraftError, match=f"^{name} must be a number, not a boolean"):
+                TransferConfig(**{name: flag})
 
     def test_lam_overrides(self):
         c = TransferConfig(lam=0.5)

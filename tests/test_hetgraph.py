@@ -55,6 +55,10 @@ class TestHeteroGraph:
             ([("a", "t"), ("b", "t")], [("a", "b", float("nan"))], "positive"),
             ([("a b", "t")], [], "whitespace"),
             ([("", "t")], [], "empty"),
+            ([("a", "t"), ("b", "t")], [("a", "b", "x")], r"\('a', 'b'\) weight must be a number, got 'x'"),
+            ([("a", "t"), ("b", "t")], [("a", "b", None)], r"\('a', 'b'\) weight must be a number, got None"),
+            ([("a", "t"), ("b", "t")], [("a", "b", 1.0, 2.0)], "edge must be"),
+            ([("a", "t"), ("b", "t")], [("a", "zz"), ("a",)], "'zz' is not a declared entity"),
         ],
     )
     def test_invalid_inputs_rejected(self, entities, edges, msg):
@@ -66,6 +70,114 @@ class TestHeteroGraph:
         g2 = HeteroGraph([("b", "t"), ("a", "t")], [("b", "a", 3.0)])
         assert g1 == g2
         assert g1 != HeteroGraph([("a", "t"), ("b", "t")], [("a", "b", 4.0)])
+
+
+def graph_text(entities, edges) -> str:
+    """Records in list order as a graph file: entity k on line 2 + k, edge k after all entities."""
+    lines = ["graphfmt 1"] + [f"v {eid} {etype}" for eid, etype in entities]
+    return "\n".join(lines + [f"e {a} {b} {w!r}" for a, b, w in edges]) + "\n"
+
+
+def both_doors_reject(entities, edges) -> tuple[str, GraphFormatError]:
+    """The constructor's message and the parser's error for the same bad records."""
+    with pytest.raises(GraftError) as built:
+        HeteroGraph(entities, edges)
+    with pytest.raises(GraphFormatError) as parsed:
+        parse_graph(graph_text(entities, edges))
+    return str(built.value), parsed.value
+
+
+AB = [("a", "t"), ("b", "t")]
+WEIGHT_AB = "edge ('a', 'b') weight must be positive and finite, got"
+
+
+class TestSharedValidator:
+    """``HeteroGraph(...)`` and ``parse_graph`` check records with one validator:
+    the same message from both, and from the file the line of the first bad record."""
+
+    @pytest.mark.parametrize(
+        "entities,edges,msg,line,suffix",
+        [
+            (AB + [("a", "u")], [], "duplicate entity id 'a'", 4, " (first declared on line 2)"),
+            (AB, [("a", "b", 1.0), ("c", "a", 1.0)], "edge endpoint 'c' is not a declared entity", 5, ""),
+            (AB, [("a", "c", 1.0)], "edge endpoint 'c' is not a declared entity", 4, ""),
+            (AB, [("b", "b", 1.0)], "self-loop on entity 'b' is not allowed", 4, ""),
+            (AB, [("a", "b", 0.0)], f"{WEIGHT_AB} 0.0", 4, ""),
+            (AB, [("b", "a", -2.5)], "edge ('b', 'a') weight must be positive and finite, got -2.5", 4, ""),
+            (AB, [("a", "b", float("inf"))], f"{WEIGHT_AB} inf", 4, ""),
+            (AB, [("a", "b", float("nan"))], f"{WEIGHT_AB} nan", 4, ""),
+            (AB + [("c", "t")], [("a", "b", 1.0), ("b", "c", 1.0), ("b", "a", 2.0)],
+             "duplicate edge between 'b' and 'a'", 7, " (first on line 5)"),
+            # the first bad record wins, whatever its check
+            (AB, [("a", "b", -1.0), ("a", "a", 1.0)], f"{WEIGHT_AB} -1.0", 4, ""),
+            (AB, [("a", "a", 1.0), ("a", "b", -1.0)], "self-loop on entity 'a' is not allowed", 4, ""),
+            # entities are checked before edges
+            (AB + [("b", "u")], [("a", "zz", 1.0)],
+             "duplicate entity id 'b'", 4, " (first declared on line 3)"),
+        ],
+    )
+    def test_same_message_from_both_doors(self, entities, edges, msg, line, suffix):
+        built, parsed = both_doors_reject(entities, edges)
+        assert built == msg
+        assert str(parsed) == f"line {line}: {msg}{suffix}"
+        assert parsed.line == line
+
+    def test_earlier_endpoint_error_wins_over_later_bad_weight(self):
+        text = "graphfmt 1\nv a t\ne a zz 1.0\ne a b -1.0\nv b t\n"
+        with pytest.raises(GraphFormatError, match="'zz' is not a declared entity") as exc:
+            parse_graph(text)
+        assert exc.value.line == 3
+
+    @staticmethod
+    def random_records(rng, n=2000, m=20_000):
+        """Shuffled entities and randomly oriented, unique edges."""
+        ids = [f"e{i}" for i in rng.permutation(n)]
+        entities = [(eid, f"t{rng.integers(3)}") for eid in ids]
+        iu = np.triu_indices(n, 1)
+        picks = rng.choice(len(iu[0]), size=m, replace=False)
+        flip = rng.random(m) < 0.5
+        weights = rng.integers(1, 8, size=m) * 0.25
+        edges = []
+        for i, j, f, w in zip(iu[0][picks], iu[1][picks], flip, weights):
+            a, b = ids[i], ids[j]
+            edges.append((b, a, float(w)) if f else (a, b, float(w)))
+        return entities, edges
+
+    def test_clean_graph_round_trips(self):
+        entities, edges = self.random_records(np.random.default_rng(7))
+        g = HeteroGraph(entities, edges)
+        assert (g.n, g.edge_count) == (2000, 20_000)
+        assert parse_graph(graph_text(entities, edges)) == g
+        assert parse_graph(format_graph(g)) == g
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_fault_mutations(self, seed):
+        rng = np.random.default_rng(seed)
+        entities, edges = self.random_records(rng)
+        n_ents = len(entities)
+        j = int(rng.integers(n_ents - 1))
+        k = int(rng.integers(j + 1, n_ents))
+        dup_id = entities[j][0]
+        ents = entities[:k] + [(dup_id, "t0")] + entities[k + 1 :]
+        built, parsed = both_doors_reject(ents, edges)
+        assert built == f"duplicate entity id {dup_id!r}"
+        assert str(parsed) == f"line {k + 2}: {built} (first declared on line {j + 2})"
+
+        p = int(rng.integers(1, len(edges)))
+        q = int(rng.integers(p))
+        (a, b, w), (c, d, _) = edges[p], edges[q]
+        faults = [
+            ((a, "missing", w), "edge endpoint 'missing' is not a declared entity"),
+            ((b, b, w), f"self-loop on entity {b!r} is not allowed"),
+            ((a, b, -w), f"edge ({a!r}, {b!r}) weight must be positive and finite, got {-w}"),
+            ((d, c, w), f"duplicate edge between {d!r} and {c!r}"),
+        ]
+        for record, msg in faults:
+            bad = edges[:p] + [record] + edges[p + 1 :]
+            built, parsed = both_doors_reject(entities, bad)
+            assert built == msg
+            suffix = f" (first on line {n_ents + 2 + q})" if msg.startswith("duplicate") else ""
+            assert str(parsed) == f"line {n_ents + 2 + p}: {msg}{suffix}"
 
 
 class TestEdgeWeightsArePythonFloats:

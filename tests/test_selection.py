@@ -241,9 +241,11 @@ class TestRelevanceScores:
         assert scores["d"] == pytest.approx(np.sqrt(2.0))
 
     def test_select_entities_thresholds(self):
-        assert select_entities(self.state, self.gs, self.gt_hat, 1.2) == {"d"}
-        assert select_entities(self.state, self.gs, self.gt_hat, 0.9) == {"c", "d"}
-        assert select_entities(self.state, self.gs, self.gt_hat, 5.0) == set()
+        assert select_entities(self.state, self.gs, self.gt_hat, 1.2).keys() == {"d"}
+        assert select_entities(self.state, self.gs, self.gt_hat, 0.9).keys() == {"c", "d"}
+        assert select_entities(self.state, self.gs, self.gt_hat, 5.0) == {}
+        scores = relevance_scores(self.state, self.gs, self.gt_hat)
+        assert select_entities(self.state, self.gs, self.gt_hat, 0.9) == {e: scores[e] for e in "cd"}
 
     def test_relevance_matrix_is_gram(self):
         emb = np.array([[1.0, 2.0], [0.0, 1.0]])
