@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +33,15 @@ log = logging.getLogger(__name__)
 SWEEP_CSV_VERSION = "# sweep_csv v1"
 METHODS = ("transfer", "nt", "dt", "rw")
 
-# paper-protocol defaults for the variables a sweep axis does not vary
-_SWEEP_FIXED = {
-    "size": {"n_target": 900, "dynamic_factor": 0.1, "maturity": 0.5},
-    "dynfactor": {"n_source": 1200, "n_target": 600, "maturity": 0.5},
-    "maturity": {"n_source": 1200, "n_target": 600, "dynamic_factor": 0.2},
-    "mu": {"n_source": 1200, "n_target": 600, "dynamic_factor": 0.2, "maturity": 0.5},
+# each sweep axis: the SynthSpec field or config key it varies, and the
+# paper-protocol values of the generator knobs it holds fixed
+_SWEEP_AXES = {
+    "size": ("n_source", {"n_target": 900, "dynamic_factor": 0.1, "maturity": 0.5}),
+    "dynfactor": ("dynamic_factor", {"n_source": 1200, "n_target": 600, "maturity": 0.5}),
+    "maturity": ("maturity", {"n_source": 1200, "n_target": 600, "dynamic_factor": 0.2}),
+    "mu": ("mu", {"n_source": 1200, "n_target": 600, "dynamic_factor": 0.2, "maturity": 0.5}),
 }
+_SPEC_FIELDS = dataclasses.fields(synthbench.SynthSpec)
 
 
 def _config_value(key: str):
@@ -77,15 +81,7 @@ def _build_config_from_args(args: argparse.Namespace) -> TransferConfig:
 
 
 def _cmd_synth(args) -> int:
-    spec = synthbench.SynthSpec(
-        n_source=args.n_source,
-        n_target=args.n_target,
-        dynamic_factor=args.dynamic_factor,
-        maturity=args.maturity,
-        n_types=args.n_types,
-        edge_prob=args.edge_prob,
-        seed=args.seed,
-    )
+    spec = synthbench.SynthSpec(**{f.name: getattr(args, f.name) for f in _SPEC_FIELDS})
     gs, gt_truth, gt_hat = synthbench.generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -126,19 +122,24 @@ def _cmd_transfer(args) -> int:
     return 0
 
 
+def _estimate(method: str, source, target, config):
+    """The target estimate of one of ``METHODS``; nt reads neither source nor config."""
+    if method == "nt":
+        return evalkit.baseline_nt(target)
+    if method == "dt":
+        return evalkit.baseline_dt(source, target)
+    if method == "rw":
+        return evalkit.baseline_random_walk(source, target, config)
+    return run_transfer(source, target, config)[0]
+
+
 def _cmd_baseline(args) -> int:
     target = read_graph(args.target)
-    if args.method == "nt":
-        estimate = evalkit.baseline_nt(target)
-    else:
-        if not args.source:
-            raise GraftError(f"method {args.method!r} requires --source")
-        source = read_graph(args.source)
-        if args.method == "dt":
-            estimate = evalkit.baseline_dt(source, target)
-        else:
-            estimate = evalkit.baseline_random_walk(source, target, _build_config_from_args(args))
-    write_graph(estimate, args.out)
+    if args.method != "nt" and not args.source:
+        raise GraftError(f"method {args.method!r} requires --source")
+    source = None if args.method == "nt" else read_graph(args.source)
+    config = _build_config_from_args(args) if args.method == "rw" else None
+    write_graph(_estimate(args.method, source, target, config), args.out)
     return 0
 
 
@@ -154,29 +155,13 @@ def _cmd_eval(args) -> int:
 def _sweep_cell(cell: tuple) -> list:
     """One (axis, value, method, seed) run; returns a CSV row. Worker-safe."""
     axis, value, method, seed, config_dict = cell
+    varied, fixed = _SWEEP_AXES[axis]
+    knobs = {**fixed, varied: value, "seed": seed}
     try:
-        fixed = dict(_SWEEP_FIXED[axis])
-        if axis == "size":
-            fixed["n_source"] = int(value)
-        elif axis == "dynfactor":
-            fixed["dynamic_factor"] = float(value)
-        elif axis == "maturity":
-            fixed["maturity"] = float(value)
-        spec = synthbench.SynthSpec(seed=seed, **fixed)
+        spec = synthbench.SynthSpec(**{f.name: knobs[f.name] for f in _SPEC_FIELDS if f.name in knobs})
         gs, gt_truth, gt_hat = synthbench.generate(spec)
-        config_dict = dict(config_dict, seed=seed)
-        if axis == "mu":
-            config_dict["mu"] = float(value)
-        config = TransferConfig(**config_dict)
-        if method == "transfer":
-            estimate, _ = run_transfer(gs, gt_hat, config)
-        elif method == "nt":
-            estimate = evalkit.baseline_nt(gt_hat)
-        elif method == "dt":
-            estimate = evalkit.baseline_dt(gs, gt_hat)
-        else:
-            estimate = evalkit.baseline_random_walk(gs, gt_hat, config)
-        result = evalkit.score(estimate, gt_truth)
+        config = TransferConfig(**{**config_dict, **{k: v for k, v in knobs.items() if k in CONFIG_KEYS}})
+        result = evalkit.score(_estimate(method, gs, gt_hat, config), gt_truth)
     except GraftError as exc:
         return [axis, value, method, seed, "", "", "", f"error: {exc}"]
     return [
@@ -185,28 +170,26 @@ def _sweep_cell(cell: tuple) -> list:
     ]
 
 
+def _split(text: str, what: str, parse=str) -> list:
+    """The non-empty comma-separated items of ``text``, each through ``parse``."""
+    try:
+        items = [parse(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise GraftError(f"bad {what}: {exc}") from None
+    if not items:
+        raise GraftError(f"no {what} given")
+    return items
+
+
 def _cmd_sweep(args) -> int:
-    methods = [m for m in args.methods.split(",") if m]
-    if not methods:
-        raise GraftError("no methods given")
+    methods = _split(args.methods, "methods")
     for m in methods:
         if m not in METHODS:
             raise GraftError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    if not seeds:
-        raise GraftError("no seeds given")
-    raw_values = [v for v in args.values.split(",") if v]
-    if not raw_values:
-        raise GraftError("no axis values given")
-    values = [int(v) for v in raw_values] if args.axis == "size" else [float(v) for v in raw_values]
+    seeds = _split(args.seeds, "seeds", int)
+    values = _split(args.values, "axis values", int if args.axis == "size" else float)
     config_dict = _build_config_from_args(args).to_dict()
-    cells = [
-        (args.axis, value, method, seed, config_dict)
-        for value in values
-        for method in methods
-        for seed in seeds
-    ]
-    cells.sort(key=lambda c: (c[1], c[2], c[3]))
+    cells = [(args.axis, *key, config_dict) for key in sorted(product(values, methods, seeds))]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells))
@@ -235,13 +218,14 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark instance")
-    p.add_argument("--n-source", type=int, required=True)
-    p.add_argument("--n-target", type=int, required=True)
-    p.add_argument("--dynamic-factor", type=float, default=0.1)
-    p.add_argument("--maturity", type=float, default=0.5)
-    p.add_argument("--n-types", type=int, default=3)
-    p.add_argument("--edge-prob", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    for f in _SPEC_FIELDS:
+        required = f.default is dataclasses.MISSING
+        p.add_argument(
+            f"--{f.name.replace('_', '-')}",
+            type=int if f.type == "int" else float,
+            required=required,
+            default=None if required else f.default,
+        )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
@@ -278,7 +262,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="grid of synthetic runs, written as CSV")
-    p.add_argument("--axis", required=True, choices=sorted(_SWEEP_FIXED))
+    p.add_argument("--axis", required=True, choices=sorted(_SWEEP_AXES))
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--methods", required=True, help=f"comma-separated subset of: {', '.join(METHODS)}")
     p.add_argument("--seeds", default="0", help="comma-separated generator seeds")
@@ -304,10 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GraftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

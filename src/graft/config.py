@@ -6,7 +6,25 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GraftError
+
+
+def check_field_types(obj) -> None:
+    """Reject a dataclass field of the wrong type, naming it: ``int`` fields take
+    ints, the others ints or floats, ``... | None`` fields also None. Booleans,
+    Python's (an int subclass) or numpy's, are rejected in every field."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, (bool, np.bool_)):
+            raise GraftError(f"{f.name} must be a number, not a boolean, got {v!r}")
+        if v is None and f.type.endswith("| None"):
+            continue
+        want = int if f.type == "int" else (int, float)
+        if not isinstance(v, want):
+            kind = "an integer" if want is int else "a number"
+            raise GraftError(f"{f.name} must be {kind}, got {v!r}")
 
 
 @dataclass
@@ -37,43 +55,24 @@ class TransferConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, v in vars(self).items():
-            if isinstance(v, bool):
-                raise GraftError(f"{name} must be a number, not a boolean, got {v!r}")
+        check_field_types(self)
         if self.theta not in (1, 2):
             raise GraftError(f"theta must be 1 or 2, got {self.theta!r}")
-        for name in ("lam", "ridge"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise GraftError(f"{name} must be a nonnegative finite number, got {v!r}")
-        for name in ("lam_selection", "lam_construction"):
+        for name in ("lam", "lam_selection", "lam_construction", "ridge"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v >= 0):
                 raise GraftError(f"{name} must be nonnegative and finite, got {v!r}")
-        for name in ("d1", "d2"):
+        for name in ("z_entity", "z_edge", "distance_cap", "construction_tol", "eta0"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise GraftError(f"{name} must be a positive integer, got {v!r}")
-        for name in ("z_entity", "z_edge"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
+            if v is not None and not (math.isfinite(v) and v > 0):
                 raise GraftError(f"{name} must be positive and finite, got {v!r}")
-        if not (isinstance(self.max_path_len, int) and self.max_path_len >= 2):
+        for name in ("d1", "d2", "construction_max_iters"):
+            if getattr(self, name) < 1:
+                raise GraftError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
+        if self.max_path_len < 2:
             raise GraftError(f"max_path_len must be an integer >= 2, got {self.max_path_len!r}")
         if self.mu is not None and not (math.isfinite(self.mu) and 0.0 <= self.mu <= 1.0):
             raise GraftError(f"mu must be in [0, 1] or None for automatic, got {self.mu!r}")
-        if self.distance_cap is not None and not (math.isfinite(self.distance_cap) and self.distance_cap > 0):
-            raise GraftError(f"distance_cap must be positive, got {self.distance_cap!r}")
-        for name in ("construction_tol", "eta0"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise GraftError(f"{name} must be positive and finite, got {v!r}")
-        if not (isinstance(self.construction_max_iters, int) and self.construction_max_iters >= 1):
-            raise GraftError(
-                f"construction_max_iters must be a positive integer, got {self.construction_max_iters!r}"
-            )
-        if not isinstance(self.seed, int):
-            raise GraftError(f"seed must be an integer, got {self.seed!r}")
 
     @property
     def selection_lam_effective(self) -> float:
@@ -132,11 +131,7 @@ def build_config(file_overrides: dict | None = None, flag_overrides: dict | None
     (e.g. an explicit automatic mu), so callers should include only the flags
     the user actually provided.
     """
-    merged: dict = {}
-    if file_overrides:
-        merged.update(file_overrides)
-    if flag_overrides:
-        merged.update(flag_overrides)
+    merged = {**(file_overrides or {}), **(flag_overrides or {})}
     unknown = set(merged) - set(CONFIG_KEYS)
     if unknown:
         raise GraftError(f"unknown config keys: {sorted(unknown)}")

@@ -109,8 +109,7 @@ def random_walk_scores(
     adj = gs.adjacency(binary=True).matrix
     degrees = adj.sum(axis=0)
     dangling = degrees == 0
-    w = adj / np.where(dangling, 1.0, degrees)
-    w[:, dangling] = 0.0
+    w = adj / np.where(dangling, 1.0, degrees)  # dangling columns are zero already
     r = np.zeros(gs.n)
     for eid in restart_ids:
         r[gs.index_of(eid)] = 1.0

@@ -14,9 +14,9 @@ too) and the package's own builders end in one array-level constructor.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence, Sized
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,11 +59,25 @@ class _RecordError(GraftError):
         self.where, self.pos, self.first = where, pos, first
 
 
+def is_token(tok) -> bool:
+    """The rule for entity ids and types: a non-empty string without whitespace."""
+    return isinstance(tok, str) and tok.split() == [tok]  # split() cuts where isspace() holds
+
+
 def _float(w) -> float | None:
     try:
         return float(w)
     except (TypeError, ValueError):
         return None
+
+
+def _positions(index: dict[str, int], records: list, j: int) -> np.ndarray:
+    """The index of each record's item ``j``, -1 where that is no declared id (an unhashable one too)."""
+    get = index.get
+    try:
+        return np.fromiter((get(e[j], -1) for e in records), np.intp, len(records))
+    except TypeError:
+        return np.array([get(e[j], -1) if isinstance(e[j], str) else -1 for e in records], np.intp)
 
 
 def _columns(entities: Iterable[tuple[str, str]], edges: Iterable[tuple]):
@@ -72,9 +86,13 @@ def _columns(entities: Iterable[tuple[str, str]], edges: Iterable[tuple]):
     ``_RecordError`` for its first failed check: tokens, duplicate id; arity,
     declared endpoints, self-loop, positive finite weight, duplicate pair."""
     seen: dict[str, tuple[int, str]] = {}
-    for k, (eid, etype) in enumerate(entities):
+    for k, record in enumerate(entities):
+        try:
+            eid, etype = record
+        except (TypeError, ValueError):
+            raise _RecordError(f"entity must be (id, type), got {record!r}", "entities", k) from None
         for tok, what in ((eid, "entity id"), (etype, "entity type")):
-            if not (isinstance(tok, str) and tok.split() == [tok]):  # split() cuts where isspace() holds
+            if not is_token(tok):
                 msg = f"{what} must be a non-empty string without whitespace, got {tok!r}"
                 raise _RecordError(msg, "entities", k)
         first = seen.setdefault(eid, (k, etype))[0]
@@ -85,11 +103,13 @@ def _columns(entities: Iterable[tuple[str, str]], edges: Iterable[tuple]):
 
     # records after the first one of the wrong arity are never reached
     edges = list(edges)
-    arity = np.fromiter(map(len, edges), np.intp, len(edges))
+    try:
+        arity = np.fromiter(map(len, edges), np.intp, len(edges))
+    except TypeError:  # a record without a length has no arity
+        arity = np.array([len(e) if isinstance(e, Sized) else 0 for e in edges], np.intp)
     m = int(np.flatnonzero(np.append((arity < 2) | (arity > 3), True))[0])
-    head, get = edges[:m], index.get
-    rows = np.fromiter((get(e[0], -1) for e in head), np.intp, m)
-    cols = np.fromiter((get(e[1], -1) for e in head), np.intp, m)
+    head = edges[:m]
+    rows, cols = _positions(index, head, 0), _positions(index, head, 1)
     raw = [e[2] if len(e) == 3 else 1.0 for e in head]
     try:
         weights = np.fromiter(raw, float, m)
@@ -266,8 +286,7 @@ def induced_subgraph(g: HeteroGraph, keep: Iterable[str]) -> HeteroGraph:
     """Subgraph over ``keep`` with every edge whose endpoints both survive."""
     keep_set = set(keep)
     for eid in keep_set:
-        if not g.has_entity(eid):
-            raise GraftError(f"unknown entity id {eid!r}")
+        g.index_of(eid)  # raises for an unknown id
     return g._reindexed([(eid, etype) for eid, etype in g.entity_items() if eid in keep_set])
 
 

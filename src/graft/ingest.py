@@ -3,18 +3,25 @@
 Each event carries an epoch-millisecond timestamp and a mapping from entity
 type to entity id. Every event contributes +1 weight to each unordered pair
 of its entities (clique expansion), so edge weights count co-occurrences.
+
+``accumulate`` and ``snapshot_series`` read events through one loop,
+``_prefix_graphs``, which builds the graph of each requested prefix of the
+event list while folding the events in once. It is the one place a faster
+(say, array-level or incremental) snapshot build would go.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
 from .errors import GraftError
-from .hetgraph import HeteroGraph
+from .hetgraph import HeteroGraph, is_token
 
 log = logging.getLogger(__name__)
 
@@ -52,11 +59,9 @@ def parse_events(lines: Iterable[str]) -> list[Event]:
         attrs = obj["attrs"]
         if not isinstance(attrs, dict):
             raise GraftError(f"record {rec}: 'attrs' must be an object mapping type to id")
-        for k, v in attrs.items():
-            if not isinstance(k, str) or not isinstance(v, str) or not k or not v:
-                raise GraftError(f"record {rec}: attribute keys and values must be non-empty strings")
-            if any(ch.isspace() for ch in k) or any(ch.isspace() for ch in v):
-                raise GraftError(f"record {rec}: whitespace is not allowed in types or ids")
+        if not all(is_token(k) and is_token(v) for k, v in attrs.items()):
+            msg = "attribute keys and values must be non-empty strings without whitespace"
+            raise GraftError(f"record {rec}: {msg}")
         events.append(Event(ts, dict(attrs)))
     return events
 
@@ -66,39 +71,37 @@ def read_events(path: str | Path) -> list[Event]:
         return parse_events(fh)
 
 
-def _add_event(ev: Event, ents: dict[str, str], counts: dict[tuple[str, str], float]) -> int:
-    """Fold one event into entity/pair-count state; returns 1 if skipped."""
-    items = sorted(ev.attrs.items())
-    if len(items) < 2:
-        return 1
-    for etype, eid in items:
-        prev = ents.get(eid)
-        if prev is None:
-            ents[eid] = etype
-        elif prev != etype:
-            raise GraftError(f"entity {eid!r} appears with conflicting types {prev!r} and {etype!r}")
-    ids = sorted(eid for _, eid in items)
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            key = (ids[i], ids[j])
-            counts[key] = counts.get(key, 0.0) + 1.0
-    return 0
-
-
-def _build(ents: dict[str, str], counts: dict[tuple[str, str], float]) -> HeteroGraph:
-    return HeteroGraph(ents.items(), ((a, b, w) for (a, b), w in counts.items()))
+def _prefix_graphs(events: list[Event], cuts: Iterable[int]) -> list[HeteroGraph]:
+    """The graph of ``events[:c]`` for each cut ``c`` (nondecreasing), folding
+    every event in once. Events with fewer than two attributes are skipped,
+    with one warning for all of them."""
+    ents: dict[str, str] = {}
+    counts: dict[tuple[str, str], float] = {}
+    graphs: list[HeteroGraph] = []
+    skipped = done = 0
+    for cut in cuts:
+        for ev in events[done:cut]:
+            items = sorted(ev.attrs.items())
+            if len(items) < 2:
+                skipped += 1
+                continue
+            for etype, eid in items:
+                prev = ents.setdefault(eid, etype)
+                if prev != etype:
+                    raise GraftError(f"entity {eid!r} appears with conflicting types {prev!r} and {etype!r}")
+            for pair in combinations(sorted(eid for _, eid in items), 2):
+                counts[pair] = counts.get(pair, 0.0) + 1.0
+        done = cut
+        graphs.append(HeteroGraph(ents.items(), ((a, b, w) for (a, b), w in counts.items())))
+    if skipped:
+        log.warning("skipped %d event(s) with fewer than two attributes", skipped)
+    return graphs
 
 
 def accumulate(events: Iterable[Event]) -> HeteroGraph:
     """Aggregate all events into one graph; order of events does not matter."""
-    ents: dict[str, str] = {}
-    counts: dict[tuple[str, str], float] = {}
-    skipped = 0
-    for ev in events:
-        skipped += _add_event(ev, ents, counts)
-    if skipped:
-        log.warning("skipped %d event(s) with fewer than two attributes", skipped)
-    return _build(ents, counts)
+    events = list(events)
+    return _prefix_graphs(events, [len(events)])[0]
 
 
 def snapshot_series(events: Iterable[Event], window: int) -> list[HeteroGraph]:
@@ -112,19 +115,6 @@ def snapshot_series(events: Iterable[Event], window: int) -> list[HeteroGraph]:
     evs = sorted(events, key=lambda e: e.ts)
     if not evs:
         return [HeteroGraph()]
-    start = evs[0].ts
-    n_windows = (evs[-1].ts - start) // window + 1
-    ents: dict[str, str] = {}
-    counts: dict[tuple[str, str], float] = {}
-    skipped = 0
-    snaps: list[HeteroGraph] = []
-    idx = 0
-    for k in range(1, n_windows + 1):
-        boundary = start + k * window
-        while idx < len(evs) and evs[idx].ts < boundary:
-            skipped += _add_event(evs[idx], ents, counts)
-            idx += 1
-        snaps.append(_build(ents, counts))
-    if skipped:
-        log.warning("skipped %d event(s) with fewer than two attributes", skipped)
-    return snaps
+    ts = [e.ts for e in evs]
+    n_windows = (ts[-1] - ts[0]) // window + 1
+    return _prefix_graphs(evs, (bisect_left(ts, ts[0] + k * window) for k in range(1, n_windows + 1)))

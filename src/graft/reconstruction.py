@@ -191,18 +191,15 @@ def solve_reconstruction(
         grad = current.gradient()
         eta = config.eta0
         for _ in range(MAX_BACKTRACKS):
-            try:
-                trial = _Evaluation(current.u - eta * grad, prob)
-                if trial.objective <= obj:
-                    break
-            except GraftError:
-                pass
+            trial = _Evaluation(current.u - eta * grad, prob)
+            if trial.value <= obj:  # False for a non-finite trial
+                break
             eta *= 0.5
             backtracks += 1
         else:
             stop = f"no descent after {MAX_BACKTRACKS} halvings"
             break
-        prev, current, obj = obj, trial, _check_diverged(trial.value)
+        prev, current, obj = obj, trial, trial.value
         trace.append(obj)
         if abs(obj - prev) / max(abs(prev), 1e-30) < config.construction_tol:
             stop = "tolerance"

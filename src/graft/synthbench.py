@@ -5,10 +5,12 @@ partial observation of that target.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_field_types
 from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types, dynamic_factor, induced_subgraph
 
@@ -34,22 +36,20 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_source, int) or isinstance(self.n_source, bool) or self.n_source < 2:
-            raise GraftError("n_source must be an integer >= 2")
-        if not isinstance(self.n_target, int) or isinstance(self.n_target, bool) or self.n_target < 2:
-            raise GraftError("n_target must be an integer >= 2")
+        check_field_types(self)
+        for name in ("n_source", "n_target"):
+            if getattr(self, name) < 2:
+                raise GraftError(f"{name} must be an integer >= 2")
         if self.n_target > self.n_source:
             raise GraftError("n_target must not exceed n_source")
         if not 0.0 <= self.dynamic_factor < 1.0:
             raise GraftError("dynamic_factor must be in [0, 1)")
         if not 0.0 < self.maturity <= 1.0:
             raise GraftError("maturity must be in (0, 1]")
-        if not isinstance(self.n_types, int) or isinstance(self.n_types, bool) or self.n_types < 1:
+        if self.n_types < 1:
             raise GraftError("n_types must be a positive integer")
         if self.edge_prob is not None and not 0.0 < self.edge_prob <= 1.0:
             raise GraftError("edge_prob must be in (0, 1]")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise GraftError("seed must be an integer")
 
     @property
     def edge_prob_effective(self) -> float:
@@ -59,15 +59,7 @@ class SynthSpec:
         return min(1.0, 8.0 / (self.n_source - 1))
 
     def to_dict(self) -> dict:
-        return {
-            "n_source": self.n_source,
-            "n_target": self.n_target,
-            "dynamic_factor": self.dynamic_factor,
-            "maturity": self.maturity,
-            "n_types": self.n_types,
-            "edge_prob": self.edge_prob_effective,
-            "seed": self.seed,
-        }
+        return dict(dataclasses.asdict(self), edge_prob=self.edge_prob_effective)
 
 
 def _entity_id(i: int) -> str:

@@ -56,18 +56,14 @@ class TransferReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "metapaths": self.metapaths,
-            "metapath_weights": self.metapath_weights,
-            "transferred_entities": self.transferred_entities,
-            "transferred_scores": self.transferred_scores,
-            "mu_used": self.mu_used,
-            "observed_gap": self.observed_gap,
-            "selection_objective_trace": [[i + 1, v] for i, v in enumerate(self.selection_objective_trace)],
-            "construction_objective_trace": [[i, v] for i, v in enumerate(self.construction_objective_trace)],
-            "config": self.config,
-        }
+        out = dataclasses.asdict(self)
+        del out["timings"]
+        out.update(
+            schema=REPORT_SCHEMA,
+            selection_objective_trace=[[i + 1, v] for i, v in enumerate(self.selection_objective_trace)],
+            construction_objective_trace=[[i, v] for i, v in enumerate(self.construction_objective_trace)],
+        )
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"

@@ -266,6 +266,15 @@ class TestBaselineCommand:
         assert rc == 1
         assert "requires --source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,rc", [("nt", 0), ("rw", 1)])
+    def test_only_rw_reads_the_config_file(self, bench_dir, tmp_path, method, rc):
+        broken = tmp_path / "broken.cfg"
+        broken.write_text("theta = 2\nbogus\n")
+        args = ["baseline", "--method", method, "--source", str(bench_dir / "source.graph"),
+                "--target", str(bench_dir / "target_partial.graph"), "--config", str(broken),
+                "--out", str(tmp_path / "est.graph")]
+        assert main(args) == rc
+
 
 class TestEvalCommand:
     def test_perfect_score_on_self(self, bench_dir, capsys):
@@ -335,6 +344,9 @@ class TestSweepCommand:
             (["--methods", "bogus"], "unknown method"),
             (["--methods", ""], "no methods"),
             (["--seeds", ""], "no seeds"),
+            (["--seeds", "0,x"], "bad seeds"),
+            (["--values", ""], "no axis values"),
+            (["--values", "0.1,high"], "bad axis values"),
         ],
     )
     def test_bad_grid_exits_one(self, tmp_path, capsys, extra, msg):

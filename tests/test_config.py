@@ -1,8 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from graft import GraftError, TransferConfig
+from graft import GraftError, SynthSpec, TransferConfig
 from graft.config import CONFIG_KEYS, build_config, parse_config_file
 
 
@@ -43,6 +44,10 @@ class TestTransferConfig:
             with pytest.raises(GraftError, match=f"^{name} must be a number, not a boolean"):
                 TransferConfig(**{name: flag})
 
+    def test_none_rejected_where_not_optional(self):
+        with pytest.raises(GraftError, match="^eta0 must be a number, got None"):
+            TransferConfig(eta0=None)
+
     def test_lam_overrides(self):
         c = TransferConfig(lam=0.5)
         assert c.selection_lam_effective == 0.5
@@ -54,6 +59,18 @@ class TestTransferConfig:
     def test_to_dict_round_trips(self):
         c = TransferConfig(mu=0.3, d2=8)
         assert TransferConfig(**c.to_dict()) == c
+
+
+@pytest.mark.parametrize("bad", ["1", np.True_], ids=["string", "numpy-bool"])
+@pytest.mark.parametrize(
+    "cls,name",
+    [(cls, f.name) for cls in (TransferConfig, SynthSpec) for f in dataclasses.fields(cls)],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_non_numbers_rejected_naming_the_field(cls, name, bad):
+    required = {"n_source": 10, "n_target": 5} if cls is SynthSpec else {}
+    with pytest.raises(GraftError, match=f"^{name} must be"):
+        cls(**{**required, name: bad})
 
 
 class TestParseConfigFile:

@@ -59,6 +59,10 @@ class TestHeteroGraph:
             ([("a", "t"), ("b", "t")], [("a", "b", None)], r"\('a', 'b'\) weight must be a number, got None"),
             ([("a", "t"), ("b", "t")], [("a", "b", 1.0, 2.0)], "edge must be"),
             ([("a", "t"), ("b", "t")], [("a", "zz"), ("a",)], "'zz' is not a declared entity"),
+            ([("a",)], [], r"entity must be \(id, type\), got \('a',\)"),
+            ([("a", "t"), "b"], [], r"entity must be \(id, type\), got 'b'"),
+            ([("a", "t"), ("b", "t")], [("a", ["x"])], r"edge endpoint \['x'\] is not a declared entity"),
+            ([("a", "t"), ("b", "t")], [("a", "b"), 5], "edge must be .*, got 5"),
         ],
     )
     def test_invalid_inputs_rejected(self, entities, edges, msg):

@@ -35,6 +35,25 @@ class TestParseEvents:
         with pytest.raises(GraftError, match=msg):
             parse_events([text])
 
+    @pytest.mark.parametrize(
+        "tok,valid",
+        [("", False), ("a b", False), ("\x1c", False), ("\u00a0", False), ("\u2028", False), (3, False),
+         ("a", True), ("proc:42", True), ("\u00e9t\u00e9", True), ("a\u200bb", True)],
+    )
+    def test_token_verdict_matches_graph_constructor(self, tok, valid):
+        def accepts(build) -> bool:
+            try:
+                build()
+            except GraftError:
+                return False
+            return True
+
+        assert accepts(lambda: HeteroGraph([(tok, "t")])) is valid
+        assert accepts(lambda: HeteroGraph([("x", tok)])) is valid
+        assert accepts(lambda: parse_events([line(1, {"t": tok})])) is valid
+        if isinstance(tok, str):
+            assert accepts(lambda: parse_events([line(1, {tok: "x"})])) is valid
+
     def test_error_reports_record_index(self):
         good = line(1, {"a": "x", "b": "y"})
         with pytest.raises(GraftError, match="record 3"):
@@ -112,6 +131,20 @@ class TestSnapshotSeries:
         snaps = snapshot_series(evs, 5)
         assert snaps[0].edge_count == 1
         assert snaps[1].edge_count == 2
+
+    def test_empty_window_repeats_previous_snapshot(self):
+        evs = [Event(0, {"a": "x", "b": "y"}), Event(250, {"a": "x", "b": "z"})]
+        snaps = snapshot_series(evs, 100)
+        assert len(snaps) == 3
+        assert snaps[1] == snaps[0] == accumulate(evs[:1])
+        assert snaps[2] == accumulate(evs)
+
+    def test_single_attribute_events_warn_once_with_total(self, caplog):
+        evs = [Event(0, {"a": "x"}), Event(1, {"a": "x", "b": "y"}), Event(150, {"b": "y"}), Event(320, {"a": "w"})]
+        with caplog.at_level(logging.WARNING, logger="graft.ingest"):
+            snaps = snapshot_series(evs, 100)
+        assert len(snaps) == 4
+        assert [r.getMessage() for r in caplog.records] == ["skipped 3 event(s) with fewer than two attributes"]
 
     def test_empty_stream_yields_one_empty_graph(self):
         snaps = snapshot_series([], 10)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -182,6 +183,10 @@ class TestReportSerialization:
         assert con[0][0] == 0
         assert [i for i, _ in con] == list(range(len(con)))
         assert data["config"]["z_entity"] == 1.96
+
+    def test_json_keys_are_the_dataclass_fields(self):
+        fields = {f.name for f in dataclasses.fields(TransferReport)}
+        assert set(TransferReport().to_json_dict()) == fields - {"timings"} | {"schema"}
 
     def test_json_is_stable_and_sorted(self):
         report = TransferReport(mu_used=0.5, config={"b": 1, "a": 2})
