@@ -31,17 +31,12 @@ def check_field_types(obj) -> None:
 class TransferConfig:
     """Knobs for the full transfer pipeline. Defaults are the recommended values.
 
-    ``lam`` is the shared regularization weight for both model-fitting stages;
-    ``lam_selection`` / ``lam_construction`` override it per stage when set.
+    ``lam`` is the regularization weight of both model-fitting stages.
     ``mu`` is the smoothness/consistency mix of the construction stage; None
     selects it automatically from the entity counts.
     """
 
-    theta: int = 2
     lam: float = 0.1
-    lam_selection: float | None = None
-    lam_construction: float | None = None
-    ridge: float = 1e-6
     d1: int = 16
     d2: int = 16
     z_entity: float = 1.96
@@ -56,12 +51,8 @@ class TransferConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.theta not in (1, 2):
-            raise GraftError(f"theta must be 1 or 2, got {self.theta!r}")
-        for name in ("lam", "lam_selection", "lam_construction", "ridge"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0):
-                raise GraftError(f"{name} must be nonnegative and finite, got {v!r}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise GraftError(f"lam must be nonnegative and finite, got {self.lam!r}")
         for name in ("z_entity", "z_edge", "distance_cap", "construction_tol", "eta0"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0):
@@ -73,14 +64,6 @@ class TransferConfig:
             raise GraftError(f"max_path_len must be an integer >= 2, got {self.max_path_len!r}")
         if self.mu is not None and not (math.isfinite(self.mu) and 0.0 <= self.mu <= 1.0):
             raise GraftError(f"mu must be in [0, 1] or None for automatic, got {self.mu!r}")
-
-    @property
-    def selection_lam_effective(self) -> float:
-        return self.lam if self.lam_selection is None else self.lam_selection
-
-    @property
-    def construction_lam_effective(self) -> float:
-        return self.lam if self.lam_construction is None else self.lam_construction
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

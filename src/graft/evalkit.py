@@ -17,7 +17,7 @@ from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types
 from .numerics import _row_zscores
 from .selection import merge_transferred_entities
-from .transfer import auto_mu, construct_dependencies
+from .transfer import construct_dependencies
 
 RESTART_PROB = 0.15
 WALK_TOL = 1e-9
@@ -150,6 +150,5 @@ def baseline_random_walk(
     config = config or TransferConfig()
     selected = _rw_select(gs, gt_hat, config, restart)
     merged = merge_transferred_entities(gt_hat, gs, selected)
-    mu = auto_mu(merged, gt_hat) if config.mu is None else config.mu
-    graph, _, _ = construct_dependencies(gs, gt_hat, merged, mu, config)
+    graph, _, _ = construct_dependencies(gs, gt_hat, merged, config.mu, config)
     return graph

@@ -14,6 +14,7 @@ too) and the package's own builders end in one array-level constructor.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence, Sized
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,8 +66,12 @@ def is_token(tok) -> bool:
 
 
 def _float(w) -> float | None:
+    """``w`` as a float, None if it is no number. An int beyond float range is
+    ±inf, as a graph file's digits for it parse."""
     try:
         return float(w)
+    except OverflowError:
+        return math.inf if w > 0 else -math.inf
     except (TypeError, ValueError):
         return None
 
@@ -113,7 +118,7 @@ def _columns(entities: Iterable[tuple[str, str]], edges: Iterable[tuple]):
     raw = [e[2] if len(e) == 3 else 1.0 for e in head]
     try:
         weights = np.fromiter(raw, float, m)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         weights = np.array([_float(w) for w in raw], dtype=float)  # None, for not a number, becomes nan
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
     key = lo * len(ids) + hi

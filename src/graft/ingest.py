@@ -74,17 +74,20 @@ def read_events(path: str | Path) -> list[Event]:
 def _prefix_graphs(events: list[Event], cuts: Iterable[int]) -> list[HeteroGraph]:
     """The graph of ``events[:c]`` for each cut ``c`` (nondecreasing), folding
     every event in once. Events with fewer than two attributes are skipped,
-    with one warning for all of them."""
+    with one warning for all of them. A cut that adds no pair shares the
+    previous cut's graph (graphs are immutable)."""
     ents: dict[str, str] = {}
     counts: dict[tuple[str, str], float] = {}
     graphs: list[HeteroGraph] = []
     skipped = done = 0
     for cut in cuts:
+        changed = not graphs
         for ev in events[done:cut]:
             items = sorted(ev.attrs.items())
             if len(items) < 2:
                 skipped += 1
                 continue
+            changed = True
             for etype, eid in items:
                 prev = ents.setdefault(eid, etype)
                 if prev != etype:
@@ -92,7 +95,10 @@ def _prefix_graphs(events: list[Event], cuts: Iterable[int]) -> list[HeteroGraph
             for pair in combinations(sorted(eid for _, eid in items), 2):
                 counts[pair] = counts.get(pair, 0.0) + 1.0
         done = cut
-        graphs.append(HeteroGraph(ents.items(), ((a, b, w) for (a, b), w in counts.items())))
+        if changed:
+            graphs.append(HeteroGraph(ents.items(), ((a, b, w) for (a, b), w in counts.items())))
+        else:
+            graphs.append(graphs[-1])
     if skipped:
         log.warning("skipped %d event(s) with fewer than two attributes", skipped)
     return graphs

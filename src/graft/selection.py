@@ -24,6 +24,9 @@ from .numerics import _row_zscores, ols_nonneg, sym_eig_topk
 
 log = logging.getLogger(__name__)
 
+# keeps the weight fit's normal equations solvable when meta-path columns are collinear
+RIDGE = 1e-6
+
 
 def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
     """Classical multidimensional scaling of a squared-dissimilarity matrix.
@@ -84,18 +87,14 @@ def selection_objective(
     embedding: np.ndarray,
     mats: Sequence[SimilarityMatrix],
     weights: np.ndarray,
-    theta: int,
     lam: float,
 ) -> float:
-    """Fit error between embedding distances and the weighted blend, plus regularization.
-
-    theta = 2 sums squared differences; theta = 1 sums absolute differences.
-    """
+    """Squared fit error between embedding distances and the weighted blend, plus regularization."""
     blended = np.zeros_like(mats[0].matrix)
     for wi, m in zip(weights, mats):
         blended += wi * m.matrix
     diff = squared_row_distances(embedding) - blended
-    fit = float((diff * diff).sum()) if theta == 2 else float(np.abs(diff).sum())
+    fit = float((diff * diff).sum())
     reg = lam * (float((embedding * embedding).sum()) + float((np.asarray(weights) ** 2).sum()))
     return fit + reg
 
@@ -143,8 +142,8 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     # differs from 1/P in the last bit; fitted outputs are pinned to this form
     uniform = np.full(len(mats), 1.0 / len(mats))
     embedding = mds_embed(blend(mats, uniform / uniform.sum()), min(config.d1, gs.n))
-    weights = fit_weights(embedding, mats, config.ridge)
-    obj = selection_objective(embedding, mats, weights, config.theta, config.selection_lam_effective)
+    weights = fit_weights(embedding, mats, RIDGE)
+    obj = selection_objective(embedding, mats, weights, config.lam)
     log.info("selection model fitted over %d meta-path(s)", len(paths))
     return SelectionState(paths, weights, embedding, [obj])
 

@@ -102,7 +102,7 @@ def construct_dependencies(
     source: HeteroGraph,
     target_partial: HeteroGraph,
     merged: HeteroGraph,
-    mu: float,
+    mu: float | None,
     config: TransferConfig,
     seed: int | None = None,
 ) -> tuple[HeteroGraph, ReconstructionSolution, ReconstructionProblem]:
@@ -111,6 +111,7 @@ def construct_dependencies(
     Both adjacency views live on the merged graph's entity index; the source
     view is selected from the source adjacency, zero where the source lacks an
     entity. The observed gap is the dynamic factor on the original target set.
+    A ``mu`` of None is ``auto_mu(merged, target_partial)``.
     """
     check_shared_types(merged, source)
     check_shared_types(target_partial, source)
@@ -122,8 +123,8 @@ def construct_dependencies(
         target_adj=merged.adjacency(binary=True),
         source_adj=source.adjacency(binary=True, ids=merged.entity_ids),
         observed_gap=observed_gap,
-        mu=mu,
-        reg=config.construction_lam_effective,
+        mu=auto_mu(merged, target_partial) if mu is None else mu,
+        reg=config.lam,
         rank=config.d2,
     )
     solution = solve_reconstruction(prob, config.seed if seed is None else seed, config)
@@ -169,12 +170,9 @@ def run_transfer(
     with _stage("merge", timings):
         merged = merge_transferred_entities(target_partial, source, selected)
 
-    with _stage("mix", timings):
-        mu = auto_mu(merged, target_partial) if config.mu is None else config.mu
-        report.mu_used = float(mu)
-
     with _stage("construction", timings):
-        graph, solution, prob = construct_dependencies(source, target_partial, merged, mu, config)
+        graph, solution, prob = construct_dependencies(source, target_partial, merged, config.mu, config)
+        report.mu_used = float(prob.mu)
         report.observed_gap = float(prob.observed_gap)
         report.construction_objective_trace = [float(v) for v in solution.objective_trace]
 

@@ -198,7 +198,8 @@ class TestTransferCommand:
             )
         assert exc.value.code == 2
 
-    def test_removed_selection_flag_exits_two(self, bench_dir, tmp_path):
+    @pytest.mark.parametrize("flag,value", [("--selection-tol", "1e-3"), ("--theta", "2")])
+    def test_removed_selection_flag_exits_two(self, bench_dir, tmp_path, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(
                 [
@@ -206,7 +207,7 @@ class TestTransferCommand:
                     "--source", str(bench_dir / "source.graph"),
                     "--target", str(bench_dir / "target_partial.graph"),
                     "--out", str(tmp_path / "est.graph"),
-                    "--selection-tol", "1e-3",
+                    flag, value,
                 ]
             )
         assert exc.value.code == 2
@@ -269,7 +270,7 @@ class TestBaselineCommand:
     @pytest.mark.parametrize("method,rc", [("nt", 0), ("rw", 1)])
     def test_only_rw_reads_the_config_file(self, bench_dir, tmp_path, method, rc):
         broken = tmp_path / "broken.cfg"
-        broken.write_text("theta = 2\nbogus\n")
+        broken.write_text("d1 = 8\nbogus\n")
         args = ["baseline", "--method", method, "--source", str(bench_dir / "source.graph"),
                 "--target", str(bench_dir / "target_partial.graph"), "--config", str(broken),
                 "--out", str(tmp_path / "est.graph")]

@@ -10,15 +10,13 @@ from graft.config import CONFIG_KEYS, build_config, parse_config_file
 class TestTransferConfig:
     def test_defaults_valid(self):
         c = TransferConfig()
-        assert c.theta == 2 and c.mu is None and c.z_entity == 1.96
+        assert c.lam == 0.1 and c.mu is None and c.z_entity == 1.96
 
     @pytest.mark.parametrize(
         "kwargs,msg",
         [
-            ({"theta": 3}, "theta"),
             ({"lam": -0.1}, "lam"),
-            ({"lam_selection": -1.0}, "lam_selection"),
-            ({"ridge": float("inf")}, "ridge"),
+            ({"lam": float("inf")}, "lam"),
             ({"d1": 0}, "d1"),
             ({"d2": 2.5}, "d2"),
             ({"z_entity": 0.0}, "z_entity"),
@@ -48,14 +46,6 @@ class TestTransferConfig:
         with pytest.raises(GraftError, match="^eta0 must be a number, got None"):
             TransferConfig(eta0=None)
 
-    def test_lam_overrides(self):
-        c = TransferConfig(lam=0.5)
-        assert c.selection_lam_effective == 0.5
-        assert c.construction_lam_effective == 0.5
-        c = TransferConfig(lam=0.5, lam_selection=0.0, lam_construction=2.0)
-        assert c.selection_lam_effective == 0.0
-        assert c.construction_lam_effective == 2.0
-
     def test_to_dict_round_trips(self):
         c = TransferConfig(mu=0.3, d2=8)
         assert TransferConfig(**c.to_dict()) == c
@@ -81,12 +71,12 @@ class TestParseConfigFile:
                 "",
                 "mu = 0.25",
                 "d2 = 32",
-                "theta=1",
+                "d1=8",
                 "distance_cap = none",
             ]
         )
         got = parse_config_file(text)
-        assert got == {"mu": 0.25, "d2": 32, "theta": 1, "distance_cap": None}
+        assert got == {"mu": 0.25, "d2": 32, "d1": 8, "distance_cap": None}
         assert isinstance(got["d2"], int)
 
     def test_auto_means_none(self):
@@ -105,9 +95,14 @@ class TestParseConfigFile:
         with pytest.raises(GraftError, match=msg):
             parse_config_file(text)
 
-    def test_removed_selection_keys_rejected(self):
+    @pytest.mark.parametrize(
+        "name", ["selection_tol", "selection_max_iters", "theta", "lam_selection", "lam_construction", "ridge"]
+    )
+    def test_removed_selection_keys_rejected(self, name):
         with pytest.raises(GraftError, match="unknown config key"):
-            parse_config_file("selection_max_iters = 5")
+            parse_config_file(f"{name} = 2")
+        with pytest.raises(GraftError, match="unknown config keys"):
+            build_config(None, {name: 2})
 
     @pytest.mark.parametrize("field", dataclasses.fields(TransferConfig), ids=lambda f: f.name)
     def test_value_parses_to_the_default_type(self, field):
@@ -134,5 +129,5 @@ class TestBuildConfig:
             build_config({"bogus": 1.0}, None)
 
     def test_invalid_merged_value_rejected(self):
-        with pytest.raises(GraftError, match="theta"):
-            build_config(None, {"theta": 5})
+        with pytest.raises(GraftError, match="d1"):
+            build_config(None, {"d1": 0})

@@ -139,6 +139,15 @@ class TestSnapshotSeries:
         assert snaps[1] == snaps[0] == accumulate(evs[:1])
         assert snaps[2] == accumulate(evs)
 
+    def test_unchanged_prefix_shares_one_graph(self):
+        # a window whose events add no pair (none, or one attribute) reuses the previous graph
+        evs = [Event(0, {"a": "x", "b": "y"}), Event(10_000, {"a": "w"}), Event(20_000, {"a": "x", "b": "z"})]
+        snaps = snapshot_series(evs, 1)
+        assert len(snaps) == 20_001
+        assert len({id(s) for s in snaps}) == 2
+        assert snaps[10_000] is snaps[0] == accumulate(evs[:1])
+        assert snaps[-1] == accumulate(evs)
+
     def test_single_attribute_events_warn_once_with_total(self, caplog):
         evs = [Event(0, {"a": "x"}), Event(1, {"a": "x", "b": "y"}), Event(150, {"b": "y"}), Event(320, {"a": "w"})]
         with caplog.at_level(logging.WARNING, logger="graft.ingest"):

@@ -14,6 +14,7 @@ from graft import (
     select_entities,
 )
 from graft.selection import (
+    RIDGE,
     SelectionState,
     blend,
     fit_weights,
@@ -142,17 +143,16 @@ class TestSelectionObjective:
         x = rng.standard_normal((6, 2))
         mats = [SimilarityMatrix(squared_row_distances(x))]
         w = np.array([1.0])
-        obj = selection_objective(x, mats, w, theta=2, lam=0.5)
+        obj = selection_objective(x, mats, w, lam=0.5)
         expect = 0.5 * (float((x * x).sum()) + 1.0)
         assert obj == pytest.approx(expect, rel=1e-12)
 
-    def test_theta_one_uses_absolute_error(self):
+    def test_fit_is_squared_residual_over_both_triangles(self):
         x = np.array([[0.0], [1.0]])  # squared distance 1
         mats = [SimilarityMatrix(np.array([[0.0, 3.0], [3.0, 0.0]]))]
-        w = np.array([1.0])
         # off-diagonal residual is -2 in both triangles
-        assert selection_objective(x, mats, w, theta=1, lam=0.0) == pytest.approx(4.0)
-        assert selection_objective(x, mats, w, theta=2, lam=0.0) == pytest.approx(8.0)
+        assert selection_objective(x, mats, np.array([1.0]), lam=0.0) == pytest.approx(8.0)
+
 
 
 class TestFitSelectionModel:
@@ -173,7 +173,7 @@ class TestFitSelectionModel:
         s1 = fit_selection_model(g, cfg)
         s2 = fit_selection_model(g, cfg)
         mats = metapath_distance_matrices(g, cfg)
-        objective = selection_objective(s1.embedding, mats, s1.weights, cfg.theta, cfg.selection_lam_effective)
+        objective = selection_objective(s1.embedding, mats, s1.weights, cfg.lam)
         assert s1.objective_trace == [objective]
         assert np.array_equal(s1.embedding, s2.embedding)
         assert np.array_equal(s1.weights, s2.weights)
@@ -189,8 +189,8 @@ class TestFitSelectionModel:
         # P = 6 differs from 1/P in the last bit
         uniform = np.full(len(mats), 1.0 / len(mats))
         embedding = mds_embed(blend(mats, uniform / uniform.sum()), cfg.d1)
-        weights = fit_weights(embedding, mats, cfg.ridge)
-        obj = selection_objective(embedding, mats, weights, cfg.theta, cfg.selection_lam_effective)
+        weights = fit_weights(embedding, mats, RIDGE)
+        obj = selection_objective(embedding, mats, weights, cfg.lam)
         state = fit_selection_model(g, cfg)
         assert state.metapaths == [m.provenance for m in mats]
         assert np.array_equal(state.embedding, embedding)

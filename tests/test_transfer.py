@@ -86,7 +86,6 @@ class TestRunTransfer:
             "selection-model",
             "entity-selection",
             "merge",
-            "mix",
             "construction",
         }
 
