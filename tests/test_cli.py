@@ -198,19 +198,19 @@ class TestTransferCommand:
             )
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag,value", [("--selection-tol", "1e-3"), ("--theta", "2")])
-    def test_removed_selection_flag_exits_two(self, bench_dir, tmp_path, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "transfer",
-                    "--source", str(bench_dir / "source.graph"),
-                    "--target", str(bench_dir / "target_partial.graph"),
-                    "--out", str(tmp_path / "est.graph"),
-                    flag, value,
-                ]
-            )
-        assert exc.value.code == 2
+    def test_removed_selection_flag_exits_two(self, bench_dir, tmp_path):
+        for flag, value in [("--selection-tol", "1e-3"), ("--theta", "2")]:
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [
+                        "transfer",
+                        "--source", str(bench_dir / "source.graph"),
+                        "--target", str(bench_dir / "target_partial.graph"),
+                        "--out", str(tmp_path / "est.graph"),
+                        flag, value,
+                    ]
+                )
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", [
         ["transfer", "--source", "s", "--target", "t", "--out", "o"],

@@ -3,8 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from graft import GraftError, SynthSpec, TransferConfig
+from graft import GraftError, SynthSpec, TransferConfig, generate
 from graft.config import CONFIG_KEYS, build_config, parse_config_file
+from graft.selection import fit_selection_model, metapath_distance_matrices, selection_objective
+from graft.transfer import construct_dependencies
+
+# keys TransferConfig used to have; every door now rejects them
+REMOVED_KEYS = ("theta", "lam_selection", "lam_construction", "ridge")
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(TransferConfig)}
+
+
+def rejects(name: str, msg: str):
+    """What setting ``name`` on a config raises: msg for a field, TypeError for a removed key."""
+    if name in REMOVED_KEYS:
+        return pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'")
+    return pytest.raises(GraftError, match=msg)
 
 
 class TestTransferConfig:
@@ -15,8 +28,10 @@ class TestTransferConfig:
     @pytest.mark.parametrize(
         "kwargs,msg",
         [
+            ({"theta": 3}, "theta"),
             ({"lam": -0.1}, "lam"),
-            ({"lam": float("inf")}, "lam"),
+            ({"lam_selection": -1.0}, "lam_selection"),
+            ({"ridge": float("inf")}, "ridge"),
             ({"d1": 0}, "d1"),
             ({"d2": 2.5}, "d2"),
             ({"z_entity": 0.0}, "z_entity"),
@@ -29,22 +44,34 @@ class TestTransferConfig:
             ({"eta0": -0.01}, "eta0"),
             ({"construction_max_iters": 0}, "construction_max_iters"),
             ({"seed": True}, "seed"),
+            ({"lam": float("inf")}, "lam"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs, msg):
+        # build_config names a removed key as unknown; it passes the rest to TransferConfig
         with pytest.raises(GraftError, match=msg):
-            TransferConfig(**kwargs)
+            build_config(None, kwargs)
 
-    @pytest.mark.parametrize("name", CONFIG_KEYS)
+    @pytest.mark.parametrize("name", CONFIG_KEYS + REMOVED_KEYS)
     def test_booleans_rejected(self, name):
         # bool is an int subclass, so without the check True passes as 1
         for flag in (True, False):
-            with pytest.raises(GraftError, match=f"^{name} must be a number, not a boolean"):
+            with rejects(name, f"^{name} must be a number, not a boolean"):
                 TransferConfig(**{name: flag})
 
     def test_none_rejected_where_not_optional(self):
         with pytest.raises(GraftError, match="^eta0 must be a number, got None"):
             TransferConfig(eta0=None)
+
+    def test_lam_overrides(self):
+        # lam is the one regularization weight: both model-fitting stages read it
+        gs, _, gt_hat = generate(SynthSpec(30, 15, dynamic_factor=0.1, maturity=0.5, seed=0))
+        cfg = TransferConfig(lam=0.5)
+        state = fit_selection_model(gs, cfg)
+        mats = metapath_distance_matrices(gs, cfg)
+        assert state.objective_trace == [selection_objective(state.embedding, mats, state.weights, 0.5)]
+        _, _, prob = construct_dependencies(gs, gt_hat, gt_hat, None, cfg)
+        assert prob.reg == 0.5
 
     def test_to_dict_round_trips(self):
         c = TransferConfig(mu=0.3, d2=8)
@@ -54,12 +81,13 @@ class TestTransferConfig:
 @pytest.mark.parametrize("bad", ["1", np.True_], ids=["string", "numpy-bool"])
 @pytest.mark.parametrize(
     "cls,name",
-    [(cls, f.name) for cls in (TransferConfig, SynthSpec) for f in dataclasses.fields(cls)],
+    [(cls, f.name) for cls in (TransferConfig, SynthSpec) for f in dataclasses.fields(cls)]
+    + [(TransferConfig, name) for name in REMOVED_KEYS],
     ids=lambda v: v if isinstance(v, str) else v.__name__,
 )
 def test_non_numbers_rejected_naming_the_field(cls, name, bad):
     required = {"n_source": 10, "n_target": 5} if cls is SynthSpec else {}
-    with pytest.raises(GraftError, match=f"^{name} must be"):
+    with rejects(name, f"^{name} must be"):
         cls(**{**required, name: bad})
 
 
@@ -95,20 +123,22 @@ class TestParseConfigFile:
         with pytest.raises(GraftError, match=msg):
             parse_config_file(text)
 
-    @pytest.mark.parametrize(
-        "name", ["selection_tol", "selection_max_iters", "theta", "lam_selection", "lam_construction", "ridge"]
-    )
-    def test_removed_selection_keys_rejected(self, name):
-        with pytest.raises(GraftError, match="unknown config key"):
-            parse_config_file(f"{name} = 2")
-        with pytest.raises(GraftError, match="unknown config keys"):
-            build_config(None, {name: 2})
+    def test_removed_selection_keys_rejected(self):
+        for name in ("selection_tol", "selection_max_iters") + REMOVED_KEYS:
+            with pytest.raises(GraftError, match="unknown config key"):
+                parse_config_file(f"{name} = 2")
+            with pytest.raises(GraftError, match="unknown config keys"):
+                build_config(None, {name: 2})
 
-    @pytest.mark.parametrize("field", dataclasses.fields(TransferConfig), ids=lambda f: f.name)
-    def test_value_parses_to_the_default_type(self, field):
-        value = parse_config_file(f"{field.name} = 3")[field.name]
+    @pytest.mark.parametrize("name", CONFIG_KEYS + REMOVED_KEYS)
+    def test_value_parses_to_the_default_type(self, name):
+        if name in REMOVED_KEYS:
+            with pytest.raises(GraftError, match=f"^unknown config key '{name}'$"):
+                parse_config_file(f"{name} = 3")
+            return
+        value = parse_config_file(f"{name} = 3")[name]
         assert value == 3
-        assert type(value) is (int if isinstance(field.default, int) else float)
+        assert type(value) is (int if isinstance(DEFAULTS[name], int) else float)
 
     def test_error_names_line_number(self):
         with pytest.raises(GraftError, match="line 3"):
