@@ -56,6 +56,7 @@ def _config_value(key: str):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("pipeline configuration")
+    group.add_argument("--config", default=None, help="key=value config file; explicit flags win")
     for key in CONFIG_KEYS:
         group.add_argument(
             f"--{key.replace('_', '-')}",
@@ -240,7 +241,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="also write the run report JSON here")
-    p.add_argument("--config", default=None, help="key=value config file; explicit flags win")
     p.add_argument("--dump-similarity", default=None, metavar="DIR",
                    help="write each meta-path distance matrix as CSV")
     _add_config_flags(p)
@@ -251,7 +251,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", default=None)
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_baseline)
 
@@ -268,7 +267,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated generator seeds")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--config", default=None)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_sweep)
     return parser

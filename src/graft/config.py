@@ -43,7 +43,6 @@ class TransferConfig:
     z_edge: float = 1.96
     max_path_len: int = 3
     mu: float | None = None
-    distance_cap: float | None = None
     construction_tol: float = 1e-6
     construction_max_iters: int = 500
     eta0: float = 0.01
@@ -53,9 +52,9 @@ class TransferConfig:
         check_field_types(self)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise GraftError(f"lam must be nonnegative and finite, got {self.lam!r}")
-        for name in ("z_entity", "z_edge", "distance_cap", "construction_tol", "eta0"):
+        for name in ("z_entity", "z_edge", "construction_tol", "eta0"):
             v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
+            if not (math.isfinite(v) and v > 0):
                 raise GraftError(f"{name} must be positive and finite, got {v!r}")
         for name in ("d1", "d2", "construction_max_iters"):
             if getattr(self, name) < 1:
@@ -64,6 +63,8 @@ class TransferConfig:
             raise GraftError(f"max_path_len must be an integer >= 2, got {self.max_path_len!r}")
         if self.mu is not None and not (math.isfinite(self.mu) and 0.0 <= self.mu <= 1.0):
             raise GraftError(f"mu must be in [0, 1] or None for automatic, got {self.mu!r}")
+        if self.seed < 0:
+            raise GraftError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

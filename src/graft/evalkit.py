@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import TransferConfig
 from .errors import GraftError
-from .hetgraph import HeteroGraph, check_shared_types
+from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .numerics import _row_zscores
 from .selection import merge_transferred_entities
 from .transfer import construct_dependencies
@@ -90,8 +90,6 @@ def random_walk_scores(
     gs: HeteroGraph,
     restart_ids: list[str],
     restart: float = RESTART_PROB,
-    tol: float = WALK_TOL,
-    max_iters: int = WALK_MAX_ITERS,
 ) -> dict[str, float]:
     """Random walk with restart over the binarized source graph.
 
@@ -115,40 +113,32 @@ def random_walk_scores(
         r[gs.index_of(eid)] = 1.0
     r /= r.sum()
     p = r.copy()
-    for _ in range(max_iters):
+    for _ in range(WALK_MAX_ITERS):
         spread = w @ p + p[dangling].sum() * r
         p_next = (1.0 - restart) * spread + restart * r
-        if np.abs(p_next - p).sum() < tol:
+        if np.abs(p_next - p).sum() < WALK_TOL:
             p = p_next
             break
         p = p_next
     return {eid: float(p[i]) for i, eid in enumerate(gs.entity_ids)}
 
 
-def _rw_select(gs: HeteroGraph, gt_hat: HeteroGraph, config: TransferConfig, restart: float) -> list[str]:
-    shared = sorted(set(gs.entity_ids) & set(gt_hat.entity_ids))
-    if not shared:
-        raise GraftError("no overlap between domains: the source and target graphs share no entity")
-    scores = random_walk_scores(gs, shared, restart=restart)
-    target_ids = set(gt_hat.entity_ids)
-    source_only = [eid for eid in gs.entity_ids if eid not in target_ids]
-    if not source_only:
+def _rw_select(gs: HeteroGraph, gt_hat: HeteroGraph, config: TransferConfig) -> list[str]:
+    shared, only = split_by_overlap(gs, gt_hat)
+    if not only:
         return []
-    valid, z = _row_zscores(np.array([[scores[eid] for eid in source_only]]))
-    if not valid.any():
-        return []
-    return [eid for eid, zi in zip(source_only, z[0]) if zi >= config.z_entity]
+    ids = gs.entity_ids
+    scores = random_walk_scores(gs, [ids[i] for i in shared])
+    z = _row_zscores(np.array([[scores[ids[i]] for i in only]]))[0]
+    return [ids[i] for i, zi in zip(only, z) if zi >= config.z_entity]
 
 
 def baseline_random_walk(
-    gs: HeteroGraph,
-    gt_hat: HeteroGraph,
-    config: TransferConfig | None = None,
-    restart: float = RESTART_PROB,
+    gs: HeteroGraph, gt_hat: HeteroGraph, config: TransferConfig | None = None
 ) -> HeteroGraph:
     """Random-walk entity selection followed by the usual construction stage."""
     config = config or TransferConfig()
-    selected = _rw_select(gs, gt_hat, config, restart)
+    selected = _rw_select(gs, gt_hat, config)
     merged = merge_transferred_entities(gt_hat, gs, selected)
     graph, _, _ = construct_dependencies(gs, gt_hat, merged, config.mu, config)
     return graph

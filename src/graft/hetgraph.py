@@ -287,6 +287,18 @@ def check_shared_types(a: HeteroGraph, b: HeteroGraph) -> None:
             raise GraftError(f"entity {eid!r} has conflicting types {ta!r} and {tb!r}")
 
 
+def split_by_overlap(source: HeteroGraph, target: HeteroGraph) -> tuple[list[int], list[int]]:
+    """Source indices of the entities ``target`` shares and of the source-only
+    ones, each in source order. Sharing no entity is an error."""
+    shared: list[int] = []
+    only: list[int] = []
+    for i, eid in enumerate(source.entity_ids):
+        (shared if target.has_entity(eid) else only).append(i)
+    if not shared:
+        raise GraftError("no overlap between domains: the source and target graphs share no entity")
+    return shared, only
+
+
 def induced_subgraph(g: HeteroGraph, keep: Iterable[str]) -> HeteroGraph:
     """Subgraph over ``keep`` with every edge whose endpoints both survive."""
     keep_set = set(keep)

@@ -53,9 +53,9 @@ def ols_nonneg(design: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> np
     """Ridge least squares with negative coefficients clamped to zero.
 
     Solves min_w ||design @ w - target||^2 + ridge * ||w||^2 and then sets
-    negative entries of w to zero. With a rank-deficient design and
-    ridge == 0 the normal equations are singular; that is an error
-    recommending a positive ridge.
+    negative entries of w to zero. With ridge == 0 a design with fewer rows
+    than columns, or rank deficient, makes the normal equations singular;
+    that is an error recommending a positive ridge.
     """
     design = np.asarray(design, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -64,7 +64,7 @@ def ols_nonneg(design: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> np
     n, k = design.shape
     if target.shape != (n,):
         raise GraftError(f"target shape {target.shape} does not match design rows {n}")
-    if n < k:
+    if ridge == 0.0 and n < k:
         raise GraftError(f"need at least as many rows ({n}) as columns ({k})")
     if not (np.isfinite(design).all() and np.isfinite(target).all()):
         raise GraftError("design and target must be finite")
@@ -78,9 +78,8 @@ def ols_nonneg(design: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> np
     return w
 
 
-def _row_zscores(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows with nonzero variance, and their z-scores (population std)."""
-    means = m.mean(axis=1, keepdims=True)
+def _row_zscores(m: np.ndarray) -> np.ndarray:
+    """Per-row z-scores (population std); a row with zero variance is all -inf,
+    so it clears no threshold and never wins a max."""
     stds = m.std(axis=1, keepdims=True)
-    valid = stds[:, 0] > 0.0
-    return valid, (m[valid] - means[valid]) / stds[valid]
+    return np.divide(m - m.mean(axis=1, keepdims=True), stds, out=np.full(m.shape, -np.inf), where=stds > 0.0)

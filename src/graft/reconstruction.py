@@ -229,9 +229,7 @@ def finalize_edges(solution: ReconstructionSolution, merged: HeteroGraph, z: flo
     if u.shape[0] != n:
         raise GraftError(f"solution has {u.shape[0]} rows but the graph has {n} entities")
     scores = u @ u.T
-    valid, z_valid = _row_zscores(scores)
-    z_rows = np.full_like(scores, -np.inf)
-    z_rows[valid] = z_valid
+    z_rows = _row_zscores(scores)
     decision = np.triu(np.maximum(z_rows, z_rows.T) >= z, k=1)
     rows, cols, weights = merged.edge_arrays()
     decision[rows, cols] = False

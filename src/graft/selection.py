@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import TransferConfig
 from .errors import GraftError
-from .hetgraph import HeteroGraph, check_shared_types
+from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
 from .numerics import _row_zscores, ols_nonneg, sym_eig_topk
 
@@ -90,10 +90,7 @@ def selection_objective(
     lam: float,
 ) -> float:
     """Squared fit error between embedding distances and the weighted blend, plus regularization."""
-    blended = np.zeros_like(mats[0].matrix)
-    for wi, m in zip(weights, mats):
-        blended += wi * m.matrix
-    diff = squared_row_distances(embedding) - blended
+    diff = squared_row_distances(embedding) - blend(mats, weights).matrix
     fit = float((diff * diff).sum())
     reg = lam * (float((embedding * embedding).sum()) + float((np.asarray(weights) ** 2).sum()))
     return fit + reg
@@ -117,10 +114,7 @@ def metapath_distance_matrices(gs: HeteroGraph, config: TransferConfig) -> list[
             "no meta-paths can be enumerated from the source graph; raise max_path_len "
             "or check that the graph has edges"
         )
-    return [
-        path_distance_matrix(project(gs, p), cap=config.distance_cap, provenance=p)
-        for p in paths
-    ]
+    return [path_distance_matrix(project(gs, p), provenance=p) for p in paths]
 
 
 def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -> SelectionState:
@@ -164,19 +158,13 @@ def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph
     r = relevance_matrix(state.embedding)
     if r.shape[0] != gs.n:
         raise GraftError(f"embedding rows {r.shape[0]} do not match source entities {gs.n}")
-    hat_ids = set(gt_hat.entity_ids)
-    shared_idx = [i for i, eid in enumerate(gs.entity_ids) if eid in hat_ids]
-    only = [(i, eid) for i, eid in enumerate(gs.entity_ids) if eid not in hat_ids]
-    if not shared_idx:
-        raise GraftError("no overlap between domains: the source and target graphs share no entity")
+    shared, only = split_by_overlap(gs, gt_hat)
     if not only:
         return {}
-    valid, z = _row_zscores(r[shared_idx])
-    if not valid.any():
+    best = _row_zscores(r[shared])[:, only].max(axis=0)
+    if best[0] == -np.inf:  # every shared row has zero variance
         return {}
-    only_idx = [i for i, _ in only]
-    best = z[:, only_idx].max(axis=0)
-    return {eid: float(s) for (_, eid), s in zip(only, best)}
+    return {gs.entity_ids[i]: float(s) for i, s in zip(only, best)}
 
 
 def select_entities(

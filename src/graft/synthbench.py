@@ -50,6 +50,8 @@ class SynthSpec:
             raise GraftError("n_types must be a positive integer")
         if self.edge_prob is not None and not 0.0 < self.edge_prob <= 1.0:
             raise GraftError("edge_prob must be in (0, 1]")
+        if self.seed < 0:
+            raise GraftError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property
     def edge_prob_effective(self) -> float:

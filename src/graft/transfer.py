@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import TransferConfig
 from .errors import GraftError
-from .hetgraph import HeteroGraph, check_shared_types, dynamic_factor
+from .hetgraph import HeteroGraph, check_shared_types, dynamic_factor, split_by_overlap
 from .reconstruction import (
     ReconstructionProblem,
     ReconstructionSolution,
@@ -150,9 +150,7 @@ def run_transfer(
             raise GraftError("source graph has no entities")
         if target_partial.n < 2:
             raise GraftError("target graph needs at least 2 entities")
-        shared = set(source.entity_ids) & set(target_partial.entity_ids)
-        if not shared:
-            raise GraftError("no overlap between domains: the source and target graphs share no entity")
+        split_by_overlap(source, target_partial)
         check_shared_types(source, target_partial)
 
     with _stage("selection-model", timings):

@@ -57,6 +57,11 @@ class TestSynth:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        rc = main(["synth", "--n-source", "10", "--n-target", "5", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
+
 
 class TestIngest:
     def events_file(self, tmp_path):
@@ -199,7 +204,7 @@ class TestTransferCommand:
         assert exc.value.code == 2
 
     def test_removed_selection_flag_exits_two(self, bench_dir, tmp_path):
-        for flag, value in [("--selection-tol", "1e-3"), ("--theta", "2")]:
+        for flag, value in [("--selection-tol", "1e-3"), ("--theta", "2"), ("--distance-cap", "3")]:
             with pytest.raises(SystemExit) as exc:
                 main(
                     [

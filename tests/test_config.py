@@ -9,7 +9,7 @@ from graft.selection import fit_selection_model, metapath_distance_matrices, sel
 from graft.transfer import construct_dependencies
 
 # keys TransferConfig used to have; every door now rejects them
-REMOVED_KEYS = ("theta", "lam_selection", "lam_construction", "ridge")
+REMOVED_KEYS = ("theta", "lam_selection", "lam_construction", "ridge", "distance_cap")
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(TransferConfig)}
 
 
@@ -45,6 +45,7 @@ class TestTransferConfig:
             ({"construction_max_iters": 0}, "construction_max_iters"),
             ({"seed": True}, "seed"),
             ({"lam": float("inf")}, "lam"),
+            ({"seed": -1}, "^seed must be a nonnegative integer"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs, msg):
@@ -100,11 +101,11 @@ class TestParseConfigFile:
                 "mu = 0.25",
                 "d2 = 32",
                 "d1=8",
-                "distance_cap = none",
+                "z_edge = none",
             ]
         )
         got = parse_config_file(text)
-        assert got == {"mu": 0.25, "d2": 32, "d1": 8, "distance_cap": None}
+        assert got == {"mu": 0.25, "d2": 32, "d1": 8, "z_edge": None}
         assert isinstance(got["d2"], int)
 
     def test_auto_means_none(self):

@@ -16,6 +16,7 @@ from graft import (
     parse_graph,
     project,
 )
+from graft.hetgraph import split_by_overlap
 
 
 def toy_graph():
@@ -268,6 +269,13 @@ class TestSubgraphAndAlignment:
         b = HeteroGraph([("a", "t2")], [])
         with pytest.raises(GraftError, match="conflicting"):
             align_union_entities(a, b)
+
+    def test_split_by_overlap_in_source_order(self):
+        source = HeteroGraph([("d", "t"), ("a", "t"), ("c", "t"), ("b", "t"), ("e", "t")], [])
+        target = HeteroGraph([("z", "t"), ("e", "t"), ("b", "t")], [])
+        assert split_by_overlap(source, target) == ([1, 4], [0, 2, 3])
+        with pytest.raises(GraftError, match="^no overlap between domains"):
+            split_by_overlap(source, HeteroGraph([("z", "t")], []))
 
 
 class TestDynamicFactor:

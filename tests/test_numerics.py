@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graft import GraftError
-from graft.numerics import ols_nonneg, sym_eig_topk
+from graft.numerics import _row_zscores, ols_nonneg, sym_eig_topk
 from testkit import finite_diff_grad
 
 
@@ -83,6 +83,14 @@ class TestOlsNonneg:
         w = ols_nonneg(design, np.array([1.0, 2.0, 3.0]), ridge=1e-6)
         assert np.all(np.isfinite(w)) and np.all(w >= 0)
 
+    def test_fewer_rows_than_columns_solvable_with_ridge(self):
+        # the normal equations (DᵀD + I) w = Dᵀt are solved by w = Dᵀ (DDᵀ + I)⁻¹ t
+        design = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        target = np.array([3.0, 3.0])
+        w = ols_nonneg(design, target, ridge=1.0)
+        assert np.allclose(w, design.T @ np.linalg.solve(design @ design.T + np.eye(2), target))
+        assert np.allclose(w, [0.75, 0.75, 1.5])
+
     @pytest.mark.parametrize(
         "design,target,ridge,msg",
         [
@@ -119,3 +127,13 @@ class TestFiniteDiffGrad:
     def test_non_finite_function_value(self):
         with pytest.raises(GraftError, match="not finite"):
             finite_diff_grad(lambda v: float("nan"), np.zeros(1), h=1e-4)
+
+
+class TestRowZscores:
+    def test_zero_variance_rows_are_minus_infinity(self):
+        m = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0], [0.0, 0.0, 4.0]])
+        z = _row_zscores(m)
+        s = np.sqrt(2.0 / 3.0)
+        assert np.array_equal(z[1], [-np.inf] * 3)
+        assert np.allclose(z[0], [-1.0 / s, 0.0, 1.0 / s])
+        assert np.allclose(z[2], [-np.sqrt(0.5), -np.sqrt(0.5), np.sqrt(2.0)])

@@ -19,6 +19,7 @@ class TestSynthSpec:
             ({"n_source": 10, "n_target": 5, "edge_prob": 0.0}, "edge_prob"),
             ({"n_source": 10, "n_target": 5, "seed": 0.5}, "seed"),
             ({"n_source": True, "n_target": 1}, "n_source"),
+            ({"n_source": 10, "n_target": 5, "seed": -1}, "^seed must be a nonnegative integer"),
         ],
     )
     def test_invalid_rejected(self, kwargs, msg):

@@ -122,6 +122,33 @@ class TestRunTransfer:
         with pytest.raises(GraftError, match="conflicting types"):
             run_transfer(gs, gt)
 
+    @pytest.mark.parametrize(
+        "source,target,n_paths",
+        [
+            # one entity pair against 2 meta-paths (t-t, t-t-t)
+            (
+                HeteroGraph([("a", "t"), ("b", "t")], [("a", "b")]),
+                HeteroGraph([("a", "t"), ("b", "t")], []),
+                2,
+            ),
+            # a triangle of three types plus a tail: 6 entity pairs against 12 meta-paths
+            (
+                HeteroGraph(
+                    [("a", "x"), ("b", "y"), ("c", "z"), ("d", "x")],
+                    [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")],
+                ),
+                HeteroGraph([("a", "x"), ("b", "y")], [("a", "b")]),
+                12,
+            ),
+        ],
+        ids=["two-entities", "triangle-plus-tail"],
+    )
+    def test_fewer_entity_pairs_than_metapaths(self, source, target, n_paths):
+        estimate, report = run_transfer(source, target)
+        assert len(report.metapaths) == len(report.metapath_weights) == n_paths
+        assert all(w >= 0 for w in report.metapath_weights)
+        assert set(target.entity_ids) <= set(estimate.entity_ids)
+
 
 def views_instance():
     """Source, partial target and merged graph: the target has entities the
