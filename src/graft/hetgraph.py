@@ -65,6 +65,14 @@ def is_token(tok) -> bool:
     return isinstance(tok, str) and tok.split() == [tok]  # split() cuts where isspace() holds
 
 
+def entity_problem(eid, etype) -> str | None:
+    """What is wrong with the tokens of an (id, type) record, None if nothing."""
+    for tok, what in ((eid, "entity id"), (etype, "entity type")):
+        if not is_token(tok):
+            return f"{what} must be a non-empty string without whitespace, got {tok!r}"
+    return None
+
+
 def _float(w) -> float | None:
     """``w`` as a float, None if it is no number. An int beyond float range is
     ±inf, as a graph file's digits for it parse."""
@@ -96,10 +104,9 @@ def _columns(entities: Iterable[tuple[str, str]], edges: Iterable[tuple]):
             eid, etype = record
         except (TypeError, ValueError):
             raise _RecordError(f"entity must be (id, type), got {record!r}", "entities", k) from None
-        for tok, what in ((eid, "entity id"), (etype, "entity type")):
-            if not is_token(tok):
-                msg = f"{what} must be a non-empty string without whitespace, got {tok!r}"
-                raise _RecordError(msg, "entities", k)
+        problem = entity_problem(eid, etype)
+        if problem:
+            raise _RecordError(problem, "entities", k)
         first = seen.setdefault(eid, (k, etype))[0]
         if first != k:
             raise _RecordError(f"duplicate entity id {eid!r}", "entities", k, first)

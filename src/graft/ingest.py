@@ -5,23 +5,28 @@ type to entity id. Every event contributes +1 weight to each unordered pair
 of its entities (clique expansion), so edge weights count co-occurrences.
 
 ``accumulate`` and ``snapshot_series`` read events through one loop,
-``_prefix_graphs``, which builds the graph of each requested prefix of the
-event list while folding the events in once. It is the one place a faster
-(say, array-level or incremental) snapshot build would go.
+``_prefix_graphs``. It folds the events in once, coding each entity as an
+integer at first sight (where its id and type are checked) and appending each
+pair as two codes. Each prefix graph that gained a pair is then one array
+build from those codes, through ``HeteroGraph._init``, so a series of
+snapshots costs one pass over the events plus one sort-and-count per window.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .errors import GraftError
-from .hetgraph import HeteroGraph, is_token
+from .hetgraph import HeteroGraph, entity_problem, is_token
 
 log = logging.getLogger(__name__)
 
@@ -72,36 +77,70 @@ def read_events(path: str | Path) -> list[Event]:
 
 
 def _prefix_graphs(events: list[Event], cuts: Iterable[int]) -> list[HeteroGraph]:
-    """The graph of ``events[:c]`` for each cut ``c`` (nondecreasing), folding
-    every event in once. Events with fewer than two attributes are skipped,
-    with one warning for all of them. A cut that adds no pair shares the
-    previous cut's graph (graphs are immutable)."""
-    ents: dict[str, str] = {}
-    counts: dict[tuple[str, str], float] = {}
+    """The graph of ``events[:c]`` for each cut ``c`` (nondecreasing).
+
+    One fold reads every event once. It gives each entity an integer code at
+    first sight, checking then its id and type tokens, and later sightings
+    against its type; each co-occurring pair is appended as two codes. A cut
+    that added a pair builds its graph from those arrays in one array-level
+    construction (``_pairs_graph``); one that added none shares the previous
+    cut's graph (graphs are immutable). Events with fewer than two attributes
+    are skipped, with one warning for all of them.
+    """
+    code: dict[str, int] = {}
+    ids: list[str] = []
+    types: list[str] = []
+    left, right = array("q"), array("q")
+    add_left, add_right = left.append, right.append
     graphs: list[HeteroGraph] = []
     skipped = done = 0
     for cut in cuts:
         changed = not graphs
         for ev in events[done:cut]:
-            items = sorted(ev.attrs.items())
-            if len(items) < 2:
+            if len(ev.attrs) < 2:
                 skipped += 1
                 continue
             changed = True
-            for etype, eid in items:
-                prev = ents.setdefault(eid, etype)
-                if prev != etype:
-                    raise GraftError(f"entity {eid!r} appears with conflicting types {prev!r} and {etype!r}")
-            for pair in combinations(sorted(eid for _, eid in items), 2):
-                counts[pair] = counts.get(pair, 0.0) + 1.0
+            codes = []
+            for etype, eid in ev.attrs.items():
+                try:
+                    c = code.get(eid)
+                except TypeError:  # unhashable, so no token either
+                    c = None
+                if c is None:
+                    problem = entity_problem(eid, etype)
+                    if problem:
+                        raise GraftError(problem)
+                    c = code[eid] = len(ids)
+                    ids.append(eid)
+                    types.append(etype)
+                elif types[c] != etype:
+                    raise GraftError(f"entity {eid!r} appears with conflicting types {types[c]!r} and {etype!r}")
+                codes.append(c)
+            for a, b in combinations(codes, 2):
+                add_left(a)
+                add_right(b)
         done = cut
-        if changed:
-            graphs.append(HeteroGraph(ents.items(), ((a, b, w) for (a, b), w in counts.items())))
-        else:
-            graphs.append(graphs[-1])
+        graphs.append(_pairs_graph(ids, types, left, right) if changed else graphs[-1])
     if skipped:
         log.warning("skipped %d event(s) with fewer than two attributes", skipped)
     return graphs
+
+
+def _pairs_graph(ids: list[str], types: list[str], left: array, right: array) -> HeteroGraph:
+    """The graph over coded entities (``ids[c]`` has type ``types[c]``) whose
+    edge weights count the coded pairs ``(left[k], right[k])``."""
+    n = len(ids)
+    order = sorted(range(n), key=ids.__getitem__)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    a, b = rank[np.frombuffer(left, np.int64)], rank[np.frombuffer(right, np.int64)]
+    keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
+    sorted_ids = tuple(map(ids.__getitem__, order))
+    sorted_types = tuple(map(types.__getitem__, order))
+    index = dict(zip(sorted_ids, range(n)))
+    graph = HeteroGraph.__new__(HeteroGraph)
+    return graph._init(sorted_ids, sorted_types, index, keys // n, keys % n, counts.astype(float))
 
 
 def accumulate(events: Iterable[Event]) -> HeteroGraph:

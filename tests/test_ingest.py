@@ -1,10 +1,13 @@
 import json
 import logging
+import re
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from graft import Event, GraftError, HeteroGraph, accumulate, parse_events, snapshot_series
+from graft import Event, GraftError, HeteroGraph, accumulate, format_graph, parse_events, snapshot_series
 
 
 def line(ts, attrs):
@@ -60,6 +63,57 @@ class TestParseEvents:
             parse_events([good, good, "{bad"])
 
 
+def mixed_stream(seed: int, window: int) -> list[Event]:
+    """Events with 1-4 attributes; ties on window boundaries and three empty windows."""
+    rng = np.random.default_rng(seed)
+    types = ("host", "proc", "user", "file")
+    offsets = [int(t) for t in rng.integers(0, 12 * window, size=150) if not 4 * window <= t < 7 * window]
+    offsets += [0, 12 * window - 1] + [k * window for k in (1, 2, 3, 7, 10)] * 3
+    events = []
+    for ts in offsets:
+        picked = rng.choice(len(types), size=int(rng.integers(1, 5)), replace=False)
+        events.append(Event(1000 + ts, {types[i]: f"{types[i][0]}{rng.integers(14)}" for i in picked}))
+    return events
+
+
+def counter_graph(events: list[Event]) -> HeteroGraph:
+    """The validating constructor over a plain Counter of each event's id pairs."""
+    entities: dict[str, str] = {}
+    pairs: Counter = Counter()
+    for ev in events:
+        if len(ev.attrs) > 1:
+            entities.update((eid, etype) for etype, eid in ev.attrs.items())
+            pairs.update(combinations(sorted(ev.attrs.values()), 2))
+    return HeteroGraph(entities.items(), ((a, b, float(c)) for (a, b), c in pairs.items()))
+
+
+def first_seen(events: list[Event]) -> list[str]:
+    return list(dict.fromkeys(eid for ev in events if len(ev.attrs) > 1 for eid in ev.attrs.values()))
+
+
+ENTRY_POINTS = {"accumulate": accumulate, "snapshot_series": lambda evs: snapshot_series(evs, 10)}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "events,message",
+    [
+        ([Event(0, {"a": 1, "b": "x"})], "entity id must be a non-empty string without whitespace, got 1"),
+        ([Event(0, {"a": ["x"], "b": "y"})], "entity id must be a non-empty string without whitespace, got ['x']"),
+        ([Event(0, {"a": "x y", "b": "z"})], "entity id must be a non-empty string without whitespace, got 'x y'"),
+        ([Event(0, {"a b": "x", "c": "y"})], "entity type must be a non-empty string without whitespace, got 'a b'"),
+        (
+            [Event(1, {"a": "x", "b": "y"}), Event(2, {"c": "x", "b": "y"})],
+            "entity 'x' appears with conflicting types 'a' and 'c'",
+        ),
+    ],
+    ids=["int-id", "unhashable-id", "whitespace-id", "whitespace-type", "conflicting-type"],
+)
+def test_bad_entities_rejected_by_both_entry_points(entry, events, message):
+    with pytest.raises(GraftError, match=f"^{re.escape(message)}$"):
+        ENTRY_POINTS[entry](events)
+
+
 class TestAccumulate:
     def test_counts_cooccurrences(self):
         evs = parse_events(
@@ -90,6 +144,12 @@ class TestAccumulate:
 
     def test_empty_stream(self):
         assert accumulate([]).n == 0
+
+    def test_event_order_does_not_matter(self):
+        events = mixed_stream(3, 10)
+        shuffled = [events[i] for i in np.random.default_rng(4).permutation(len(events))]
+        assert first_seen(shuffled) != first_seen(events)
+        assert accumulate(shuffled) == accumulate(events) == counter_graph(events)
 
 
 class TestSnapshotSeries:
@@ -124,6 +184,20 @@ class TestSnapshotSeries:
         for k, snap in enumerate(snaps, 1):
             prefix = [e for e in ordered if e.ts < start + k * window]
             assert snap == accumulate(prefix)
+
+    def test_snapshots_match_counter_oracle(self):
+        window = 10
+        events = mixed_stream(11, window)
+        arity = Counter(len(ev.attrs) for ev in events)
+        assert set(arity) == {1, 2, 3, 4}
+        assert first_seen(events) != sorted(first_seen(events))
+        start = min(ev.ts for ev in events)
+        snaps = snapshot_series(events, window)
+        assert len(snaps) == 12
+        for k, snap in enumerate(snaps, 1):
+            assert snap == counter_graph([ev for ev in events if ev.ts < start + k * window]), k
+        assert snaps[4] is snaps[5] is snaps[6] is snaps[3]
+        assert format_graph(snaps[-1]) == format_graph(counter_graph(events))
 
     def test_ties_belong_to_earlier_window(self):
         evs = [Event(0, {"a": "x", "b": "y"}), Event(5, {"a": "x", "b": "z"})]
