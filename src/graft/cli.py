@@ -55,6 +55,7 @@ def _config_value(key: str):
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(usage_error=parser.error)
     group = parser.add_argument_group("pipeline configuration")
     group.add_argument("--config", default=None, help="key=value config file; explicit flags win")
     for key in CONFIG_KEYS:
@@ -72,13 +73,17 @@ def _build_config_from_args(args: argparse.Namespace) -> TransferConfig:
     file_overrides = {}
     config_path = getattr(args, "config", None)
     if config_path:
+        # a file that cannot be read or parsed is bad input (exit 1)
         file_overrides = parse_config_file(Path(config_path).read_text(encoding="utf-8"))
     flag_overrides = {
         key: getattr(args, f"cfg_{key}")
         for key in CONFIG_KEYS
         if hasattr(args, f"cfg_{key}")
     }
-    return build_config(file_overrides, flag_overrides)
+    try:
+        return build_config(file_overrides, flag_overrides)
+    except GraftError as exc:  # a value out of range is a usage error, like a malformed flag
+        args.usage_error(str(exc))
 
 
 def _cmd_synth(args) -> int:
@@ -107,9 +112,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    config = _build_config_from_args(args)
     source = read_graph(args.source)
     target = read_graph(args.target)
-    config = _build_config_from_args(args)
     if args.dump_similarity:
         dump_dir = Path(args.dump_similarity)
         dump_dir.mkdir(parents=True, exist_ok=True)
@@ -135,11 +140,11 @@ def _estimate(method: str, source, target, config):
 
 
 def _cmd_baseline(args) -> int:
+    config = _build_config_from_args(args) if args.method == "rw" else None
     target = read_graph(args.target)
     if args.method != "nt" and not args.source:
         raise GraftError(f"method {args.method!r} requires --source")
     source = None if args.method == "nt" else read_graph(args.source)
-    config = _build_config_from_args(args) if args.method == "rw" else None
     write_graph(_estimate(args.method, source, target, config), args.out)
     return 0
 

@@ -3,7 +3,8 @@
 A meta-path is a sequence of entity types. Projecting a graph along a
 meta-path yields a homogeneous graph whose edge weights count the walks that
 realize the type sequence between two distinct endpoints. Distance matrices
-are hop counts on the projection, with unreachable pairs set to a cap.
+are hop counts on the projection, with unreachable pairs set to a cap, held
+as small unsigned integers (one byte per pair at the default cap).
 Both work on the cached sparse binary adjacency ``HeteroGraph.csr``: a
 projection's walk counts are a product of typed adjacency blocks, and its
 hop counts come from a multi-source BFS that keeps one bit per source, so a
@@ -140,7 +141,10 @@ def path_distance_matrix(
 
     Unreachable pairs (including isolated entities) get ``cap``; when cap is
     None it defaults to the longest finite shortest path plus one. Edge
-    weights are ignored: distance is the number of hops.
+    weights are ignored: distance is the number of hops. The matrix has the
+    narrowest unsigned integer dtype that holds the cap and every hop count
+    (``uint8`` while the longest hop is below 255), or float64 when ``cap``
+    is not a whole number.
 
     Isolated entities are set aside first. Over the k others a bit-parallel
     BFS runs all sources at once, one hop per O(nnz·k/64)-word OR-gather;
@@ -151,19 +155,29 @@ def path_distance_matrix(
     if cap is not None and not cap > 0:
         raise GraftError(f"distance cap must be positive, got {cap}")
     n = gp.n
-    if n == 0:
-        return SimilarityMatrix(np.zeros((0, 0)), provenance)
     adj = gp.csr()
     live = np.flatnonzero(np.diff(adj.indptr))
     hops = _hop_counts(adj[live][:, live])
     finite = np.isfinite(hops)
+    longest = float(hops[finite].max(initial=0.0))
     if cap is None:
-        cap = float(hops[finite].max(initial=0.0)) + 1.0
+        cap = longest + 1.0
     hops[~finite] = cap
-    dist = np.full((n, n), cap)
+    dist = np.full((n, n), cap, dtype=_hop_dtype(cap, longest))
     dist[np.ix_(live, live)] = hops
-    np.fill_diagonal(dist, 0.0)
+    np.fill_diagonal(dist, 0)
     return SimilarityMatrix(dist, provenance)
+
+
+def _hop_dtype(cap: float, longest: float) -> np.dtype:
+    """Narrowest unsigned integer dtype holding ``cap`` and hop counts up to
+    ``longest``; float64 when the cap is not a whole number or needs more than
+    64 bits."""
+    if float(cap).is_integer():
+        dtype = np.min_scalar_type(int(max(cap, longest)))
+        if dtype.kind == "u":
+            return dtype
+    return np.dtype(float)
 
 
 # A bitset hop touches every word of every frontier row it gathers,

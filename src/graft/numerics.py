@@ -53,27 +53,37 @@ def ols_nonneg(design: np.ndarray, target: np.ndarray, ridge: float = 0.0) -> np
     """Ridge least squares with negative coefficients clamped to zero.
 
     Solves min_w ||design @ w - target||^2 + ridge * ||w||^2 and then sets
-    negative entries of w to zero. With ridge == 0 a design with fewer rows
-    than columns, or rank deficient, makes the normal equations singular;
-    that is an error recommending a positive ridge.
+    negative entries of w to zero, through ``solve_normal_nonneg`` and its
+    rules for a zero ridge.
     """
     design = np.asarray(design, dtype=float)
     target = np.asarray(target, dtype=float)
     if design.ndim != 2:
         raise GraftError(f"design must be 2-d, got shape {design.shape}")
-    n, k = design.shape
-    if target.shape != (n,):
-        raise GraftError(f"target shape {target.shape} does not match design rows {n}")
-    if ridge == 0.0 and n < k:
-        raise GraftError(f"need at least as many rows ({n}) as columns ({k})")
+    if target.shape != design.shape[:1]:
+        raise GraftError(f"target shape {target.shape} does not match design rows {design.shape[0]}")
     if not (np.isfinite(design).all() and np.isfinite(target).all()):
         raise GraftError("design and target must be finite")
+    return solve_normal_nonneg(design.T @ design, design.T @ target, design.shape[0], ridge)
+
+
+def solve_normal_nonneg(gram: np.ndarray, moment: np.ndarray, rows: int, ridge: float) -> np.ndarray:
+    """Clamped ridge solution from the normal equations of a ``rows``-row design.
+
+    Solves (gram + ridge * I) w = moment, with gram = XᵀX and moment = Xᵀt,
+    and sets negative entries of w to zero. With ridge == 0 a design with
+    fewer rows than columns, or a rank-deficient gram (numerically, by
+    ``matrix_rank``'s default tolerance), makes the equations singular; that
+    is an error recommending a positive ridge.
+    """
+    k = gram.shape[0]
+    if ridge == 0.0 and rows < k:
+        raise GraftError(f"need at least as many rows ({rows}) as columns ({k})")
     if ridge < 0:
         raise GraftError(f"ridge must be nonnegative, got {ridge}")
-    if ridge == 0.0 and np.linalg.matrix_rank(design) < k:
+    if ridge == 0.0 and np.linalg.matrix_rank(gram, hermitian=True) < k:
         raise GraftError("design matrix is rank deficient; set ridge > 0 to regularize")
-    gram = design.T @ design + ridge * np.eye(k)
-    w = np.linalg.solve(gram, design.T @ target)
+    w = np.linalg.solve(gram + ridge * np.eye(k), moment)
     w[w < 0] = 0.0
     return w
 

@@ -2,7 +2,9 @@
 
 The selection model embeds the source graph with classical MDS of the
 uniform blend of its meta-path distance matrices, then fits nonnegative blend
-weights to the embedding's pairwise squared distances. Relevance between
+weights to the embedding's pairwise squared distances. The distance matrices
+are small-integer hop counts, and the weight fit sums its normal equations
+over blocks of matrix rows, so no n(n−1)/2 × P design is formed. Relevance between
 entities is the inner product of their embeddings; source-only entities are
 selected when their relevance z-score against some shared entity clears a
 threshold.
@@ -20,12 +22,15 @@ from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
-from .numerics import _row_zscores, ols_nonneg, sym_eig_topk
+from .numerics import _row_zscores, solve_normal_nonneg, sym_eig_topk
 
 log = logging.getLogger(__name__)
 
 # keeps the weight fit's normal equations solvable when meta-path columns are collinear
 RIDGE = 1e-6
+# matrix cells per path in one block of the weight fit, so the block's
+# float64 copy of the P hop matrices stays at P × 128 KiB
+_FIT_BLOCK_CELLS = 1 << 14
 
 
 def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
@@ -48,8 +53,12 @@ def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
         raise GraftError(f"d1 must be in [1, {n}], got {d1}")
     if not np.isfinite(m).all():
         raise GraftError("distance matrix must be finite")
-    centering = np.eye(n) - np.full((n, n), 1.0 / n)
-    values, vectors = sym_eig_topk(-0.5 * (centering @ m @ centering), d1)  # which symmetrises it
+    # J m J with J = I - 11ᵀ/n, from the row, column and grand means
+    b = m - m.mean(axis=1, keepdims=True)
+    b -= m.mean(axis=0, keepdims=True)
+    b += m.mean()
+    b *= -0.5
+    values, vectors = sym_eig_topk(b, d1)  # which symmetrises it
     values = np.clip(values, 0.0, None)
     return vectors * np.sqrt(values)[None, :]
 
@@ -65,9 +74,14 @@ def squared_row_distances(embedding: np.ndarray) -> np.ndarray:
 def fit_weights(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], ridge: float) -> np.ndarray:
     """Nonnegative blend weights regressing the matrices onto embedding distances.
 
-    The design columns are the vectorized strict upper triangles of the
-    distance matrices; the target is the upper triangle of the embedding's
-    pairwise squared distances. Negative coefficients are clamped to zero.
+    The design X has one column per matrix and one row per entity pair (the
+    strict upper triangle); the target t is the upper triangle of the
+    embedding's pairwise squared distances. Negative coefficients are
+    clamped to zero. XᵀX and Xᵀt are summed over blocks of whole rows of the
+    full symmetric matrices and halved, which equals the upper-triangle sum
+    because both triangles are equal and the diagonal is zero, so the
+    n(n−1)/2 × P design is never formed. On small-integer hop matrices every
+    partial sum of XᵀX is an integer below 2⁵³, so XᵀX is exact.
     """
     if len(mats) == 0:
         raise GraftError("fit_weights needs at least one matrix")
@@ -75,12 +89,18 @@ def fit_weights(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], ridge: 
     for m in mats:
         if m.matrix.shape != (n, n):
             raise GraftError(f"matrix shape {m.matrix.shape} does not match embedding rows {n}")
-    iu = np.triu_indices(n, k=1)
-    design = np.empty((len(iu[0]), len(mats)))
-    for j, m in enumerate(mats):
-        design[:, j] = m.matrix[iu]
-    target = squared_row_distances(embedding)[iu]
-    return ols_nonneg(design, target, ridge)
+    target = squared_row_distances(embedding)
+    rows = max(1, _FIT_BLOCK_CELLS // max(n, 1))
+    block = np.empty((len(mats), rows * n))
+    gram = np.zeros((len(mats), len(mats)))
+    moment = np.zeros(len(mats))
+    for start in range(0, n, rows):
+        x = block[:, : min(rows, n - start) * n]
+        for row, m in zip(x, mats):
+            row[:] = m.matrix[start : start + rows].ravel()
+        gram += x @ x.T
+        moment += x @ target[start : start + rows].ravel()
+    return solve_normal_nonneg(gram / 2.0, moment / 2.0, n * (n - 1) // 2, ridge)
 
 
 def selection_objective(

@@ -203,6 +203,28 @@ class TestTransferCommand:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("knob,msg", [
+        (["--seed", "-1"], "seed must be a nonnegative integer"),
+        (["--d1", "0"], "d1 must be a positive integer"),
+        (["--config", "{cfg}"], "d1 must be a positive integer"),
+    ], ids=["seed-flag", "d1-flag", "d1-config-file"])
+    def test_out_of_range_config_value_exits_two(self, bench_dir, tmp_path, capsys, knob, msg):
+        cfg = tmp_path / "graft.cfg"
+        cfg.write_text("d1 = 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "transfer",
+                    "--source", str(bench_dir / "source.graph"),
+                    "--target", str(bench_dir / "target_partial.graph"),
+                    "--out", str(tmp_path / "est.graph"),
+                    *[arg.format(cfg=cfg) for arg in knob],
+                ]
+            )
+        assert exc.value.code == 2
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "est.graph").exists()
+
     def test_removed_selection_flag_exits_two(self, bench_dir, tmp_path):
         for flag, value in [("--selection-tol", "1e-3"), ("--theta", "2"), ("--distance-cap", "3")]:
             with pytest.raises(SystemExit) as exc:

@@ -304,6 +304,42 @@ class TestBitsetBfs:
         assert 0 < len(sources) < 80
 
 
+class TestCompactHops:
+    """Hop matrices take the narrowest unsigned dtype that holds the cap and every hop."""
+
+    @pytest.mark.parametrize("graph,cap,dtype", [
+        ("random", None, np.uint8),
+        ("path300", 300.0, np.uint16),
+        # a cap below the longest hop still leaves room for that hop
+        ("path300", 5.0, np.uint16),
+        ("random", 9, np.uint8),
+        ("random", 0.5, np.float64),
+        ("path300", 0.5, np.float64),
+    ])
+    def test_dtype_and_values(self, graph, cap, dtype):
+        if graph == "random":
+            g = random_graph(np.random.default_rng(5), p=0.08)
+        else:
+            g = graph_from_pairs(300, path_pairs(0, 300), isolated=1)
+        got = path_distance_matrix(g, cap=cap).matrix
+        assert got.dtype == dtype
+        assert np.array_equal(got, naive_hop_distances(g, cap))
+
+    def test_huge_whole_cap_falls_back_to_float(self):
+        g = graph_from_pairs(3, path_pairs(0, 3), isolated=1)
+        got = path_distance_matrix(g, cap=1e30).matrix
+        assert got.dtype == np.float64
+        assert np.array_equal(got, naive_hop_distances(g, 1e30))
+
+    def test_blend_reads_the_same_values_as_float(self):
+        g = random_graph(np.random.default_rng(6), p=0.1)
+        mats = [path_distance_matrix(g), path_distance_matrix(g, cap=7.0)]
+        floats = [SimilarityMatrix(m.matrix.astype(float)) for m in mats]
+        w = [0.3, 0.7]
+        assert mats[0].matrix.dtype == np.uint8
+        assert np.array_equal(blend(mats, w).matrix, blend(floats, w).matrix)
+
+
 class TestSimilarityMatrix:
     @pytest.mark.parametrize(
         "m,msg",

@@ -1,18 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from graft import selection
 from graft import (
     GraftError,
     HeteroGraph,
     MetaPath,
     SimilarityMatrix,
+    SynthSpec,
     TransferConfig,
     fit_selection_model,
+    generate,
     merge_transferred_entities,
     mds_embed,
     relevance_scores,
     select_entities,
 )
+from graft.numerics import ols_nonneg
 from graft.selection import (
     RIDGE,
     SelectionState,
@@ -135,6 +141,56 @@ class TestFitWeights:
     def test_no_matrices(self):
         with pytest.raises(GraftError, match="at least one"):
             fit_weights(np.zeros((3, 2)), [], 0.0)
+
+
+def dense_fit_reference(embedding, mats, ridge):
+    """The weight fit through the full n(n−1)/2 × P float64 design."""
+    iu = np.triu_indices(embedding.shape[0], k=1)
+    design = np.column_stack([m.matrix[iu].astype(float) for m in mats])
+    return ols_nonneg(design, squared_row_distances(embedding)[iu], ridge)
+
+
+class TestFitWeightsOnHopMatrices:
+    @pytest.mark.parametrize("block_cells", [1, 60, selection._FIT_BLOCK_CELLS])
+    def test_matches_dense_design_reference(self, monkeypatch, block_cells):
+        # 1 cell gives one row per block, 60 gives 3-row blocks and a short last one
+        monkeypatch.setattr(selection, "_FIT_BLOCK_CELLS", block_cells)
+        g = typed_random_graph(7)
+        mats = metapath_distance_matrices(g, TransferConfig())
+        assert {m.matrix.dtype for m in mats} == {np.dtype(np.uint8)}
+        embedding = mds_embed(blend(mats, np.full(len(mats), 1.0 / len(mats))), 4)
+        got = fit_weights(embedding, mats, RIDGE)
+        want = dense_fit_reference(embedding, mats, RIDGE)
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+        assert (got > 0).any()
+
+    def test_identical_hop_matrices_need_ridge(self):
+        g = typed_random_graph(7)
+        mat = metapath_distance_matrices(g, TransferConfig())[0]
+        embedding = np.random.default_rng(0).standard_normal((g.n, 3))
+        with pytest.raises(GraftError, match="ridge"):
+            fit_weights(embedding, [mat, mat], ridge=0.0)
+        assert np.isfinite(fit_weights(embedding, [mat, mat], ridge=RIDGE)).all()
+
+    def test_fewer_pairs_than_matrices_need_ridge(self):
+        mats = [SimilarityMatrix(np.array([[0, k], [k, 0]], dtype=np.uint8)) for k in (1, 2)]
+        with pytest.raises(GraftError, match="at least as many rows"):
+            fit_weights(np.array([[0.0], [1.0]]), mats, ridge=0.0)
+
+
+class TestSelectionMemory:
+    def test_warm_fit_peaks_below_sixteen_dense_matrices(self):
+        # the parent design held 24 float64 hop matrices and the n(n−1)/2 × 24
+        # design: a traced peak of about 40 float64 n × n arrays
+        gs, _, _ = generate(SynthSpec(600, 300, dynamic_factor=0.2, maturity=0.5, seed=0))
+        fit_selection_model(gs)
+        tracemalloc.start()
+        try:
+            fit_selection_model(gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * gs.n * gs.n
 
 
 class TestSelectionObjective:
