@@ -91,13 +91,10 @@ def fit_weights(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], ridge: 
             raise GraftError(f"matrix shape {m.matrix.shape} does not match embedding rows {n}")
     target = squared_row_distances(embedding)
     rows = max(1, _FIT_BLOCK_CELLS // max(n, 1))
-    block = np.empty((len(mats), rows * n))
     gram = np.zeros((len(mats), len(mats)))
     moment = np.zeros(len(mats))
     for start in range(0, n, rows):
-        x = block[:, : min(rows, n - start) * n]
-        for row, m in zip(x, mats):
-            row[:] = m.matrix[start : start + rows].ravel()
+        x = np.array([m.matrix[start : start + rows].ravel() for m in mats], dtype=float)
         gram += x @ x.T
         moment += x @ target[start : start + rows].ravel()
     return solve_normal_nonneg(gram / 2.0, moment / 2.0, n * (n - 1) // 2, ridge)

@@ -180,8 +180,8 @@ class TestFitWeightsOnHopMatrices:
 
 class TestSelectionMemory:
     def test_warm_fit_peaks_below_sixteen_dense_matrices(self):
-        # the parent design held 24 float64 hop matrices and the n(n−1)/2 × 24
-        # design: a traced peak of about 40 float64 n × n arrays
+        # 24 float64 hop matrices plus the n(n−1)/2 × 24 float64 design
+        # peaked at about 40 float64 n × n arrays
         gs, _, _ = generate(SynthSpec(600, 300, dynamic_factor=0.2, maturity=0.5, seed=0))
         fit_selection_model(gs)
         tracemalloc.start()
