@@ -4,10 +4,10 @@ The selection model embeds the source graph with classical MDS of the
 uniform blend of its meta-path distance matrices, then fits nonnegative blend
 weights to the embedding's pairwise squared distances. The distance matrices
 are small-integer hop counts, and the weight fit sums its normal equations
-over blocks of matrix rows, so no n(n−1)/2 × P design is formed. Relevance between
-entities is the inner product of their embeddings; source-only entities are
-selected when their relevance z-score against some shared entity clears a
-threshold.
+over blocks of matrix rows, so no n(n−1)/2 × P design is formed. Relevance
+between entities is the inner product of their embeddings; source-only
+entities are selected when their relevance z-score against some shared entity
+clears a threshold.
 """
 
 from __future__ import annotations
