@@ -9,8 +9,11 @@ Both work on the cached sparse binary adjacency ``HeteroGraph.csr``: a
 projection's walk counts are a product of typed adjacency blocks, and its
 hop counts come from a multi-source BFS that keeps one bit per source, so a
 single sparse OR-gather advances every source by one hop. That costs
-O(nnz·k/64) words per hop over the k non-isolated entities; the few sources
-still running after 32 hops finish with per-source Dijkstra.
+O(nnz·k/64) words per hop over the k non-isolated entities, and one ``uint8``
+add of hop × the new bits records the hop, so no float matrix is made; the
+few sources still running after 32 hops finish with per-source Dijkstra.
+Blending adds the weighted matrices over blocks of rows through one reused
+float64 buffer.
 """
 
 from __future__ import annotations
@@ -147,24 +150,28 @@ def path_distance_matrix(
     is not a whole number.
 
     Isolated entities are set aside first. Over the k others a bit-parallel
-    BFS runs all sources at once, one hop per O(nnz·k/64)-word OR-gather;
-    sources whose BFS has not ended after ``_BITSET_HOPS`` (32) hops finish
-    with Dijkstra, O(nnz + k log k) each. Hop counts are exact, so the result
-    equals a per-source BFS bit for bit.
+    BFS runs all sources at once, one hop per O(nnz·k/64)-word OR-gather,
+    counting hops into a ``uint8`` k × k matrix; pairs its bits never reach
+    take the cap. Sources whose BFS has not ended after ``_BITSET_HOPS`` (32)
+    hops finish with Dijkstra, O(nnz + k log k) each, whose rows go into the
+    chosen dtype. Hop counts are exact, so the result equals a per-source BFS
+    bit for bit.
     """
     if cap is not None and not cap > 0:
         raise GraftError(f"distance cap must be positive, got {cap}")
     n = gp.n
     adj = gp.csr()
     live = np.flatnonzero(np.diff(adj.indptr))
-    hops = _hop_counts(adj[live][:, live])
-    finite = np.isfinite(hops)
-    longest = float(hops[finite].max(initial=0.0))
+    hops, reach, todo, far = _hop_counts(adj[live][:, live])
+    reached = np.isfinite(far)
+    longest = float(max(hops.max(initial=0), far[reached].max(initial=0.0)))
     if cap is None:
         cap = longest + 1.0
-    hops[~finite] = cap
-    dist = np.full((n, n), cap, dtype=_hop_dtype(cap, longest))
-    dist[np.ix_(live, live)] = hops
+    dtype = _hop_dtype(cap, longest)
+    block = np.where(_unpack(reach, len(live)).view(bool), hops, dtype.type(cap))
+    block[todo] = np.where(reached, far, cap)
+    dist = np.full((n, n), cap, dtype=dtype)
+    dist[np.ix_(live, live)] = block
     np.fill_diagonal(dist, 0)
     return SimilarityMatrix(dist, provenance)
 
@@ -187,45 +194,57 @@ def _hop_dtype(cap: float, longest: float) -> np.dtype:
 _BITSET_HOPS = 32
 
 
-def _hop_counts(adj: sp.csr_matrix) -> np.ndarray:
-    """All-pairs hop counts (inf when unreachable) on a graph with no isolated vertex.
+def _hop_counts(adj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All-pairs hop counts on a graph with no isolated vertex.
 
     Multi-source BFS with one bit per source (Then et al., VLDB 2015): row v
     of ``frontier`` holds the sources whose frontier contains v, so one
-    OR-gather over the neighbour lists advances every source by one hop.
+    OR-gather over the neighbour lists advances every source by one hop, and
+    one ``uint8`` add of ``hop`` × the new bits records it.
+
+    Returns the k × k ``uint8`` hop counts of the pairs the bitsets reached
+    (0 elsewhere), the packed bits of those pairs, the sources still running
+    after ``_BITSET_HOPS`` hops, and their Dijkstra rows (float64, inf where
+    unreachable).
     """
     k = adj.shape[0]
-    hops = np.full((k, k), np.inf)
-    if k == 0:
-        return hops
+    hops = np.zeros((k, k), dtype=np.uint8)
     src = np.arange(k)
     frontier = np.zeros((k, -(-k // 64)), dtype="<u8")
     frontier[src, src >> 6] = np.left_shift(np.uint64(1), (src & 63).astype(np.uint64))
     reach = frontier.copy()
-    hops[src, src] = 0.0
     # every row has a neighbour, so reduceat sees no empty segment
     starts = adj.indptr[:-1]
     for hop in range(1, _BITSET_HOPS + 1):
         frontier = np.bitwise_or.reduceat(frontier[adj.indices], starts, axis=0)
         frontier &= ~reach
         if not frontier.any():
-            return hops
+            return hops, reach, src[:0], np.empty((0, k))
         reach |= frontier
-        hops[_unpack(frontier, k)] = hop
+        new = _unpack(frontier, k)
+        new *= np.uint8(hop)
+        hops += new
     todo = np.flatnonzero(_unpack(np.bitwise_or.reduce(frontier, axis=0, keepdims=True), k)[0])
     # a pair still open is more than _BITSET_HOPS apart, so both of its
     # entities are in todo and their rows close it
-    hops[todo] = shortest_path(adj, method="D", directed=False, unweighted=True, indices=todo)
-    return hops
+    return hops, reach, todo, shortest_path(adj, method="D", directed=False, unweighted=True, indices=todo)
 
 
 def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
-    """Boolean view of packed little-endian bit rows, cut to k columns."""
-    return np.unpackbits(bits.view(np.uint8), axis=1, count=k, bitorder="little").view(bool)
+    """0/1 ``uint8`` array of packed little-endian bit rows, cut to k columns."""
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=k, bitorder="little")
+
+
+# matrix cells in one block of the blend, so its float64 buffer and the
+# block of the sum it adds into (256 KiB each) stay in cache
+_BLEND_BLOCK_CELLS = 1 << 15
 
 
 def blend(mats: Sequence[SimilarityMatrix], weights: Iterable[float]) -> SimilarityMatrix:
-    """Weighted sum of similarity matrices; weights must be nonnegative."""
+    """Weighted sum of similarity matrices; weights must be nonnegative.
+
+    Each cell sums w₀·M₀ + w₁·M₁ + … in matrix order, in float64.
+    """
     w = np.asarray(list(weights), dtype=float)
     if len(mats) == 0:
         raise GraftError("blend needs at least one matrix")
@@ -238,6 +257,13 @@ def blend(mats: Sequence[SimilarityMatrix], weights: Iterable[float]) -> Similar
         if m.matrix.shape != shape:
             raise GraftError(f"matrix shape mismatch: {m.matrix.shape} vs {shape}")
     out = np.zeros(shape)
-    for wi, m in zip(w, mats):
-        out += wi * m.matrix
+    rows = max(1, _BLEND_BLOCK_CELLS // max(shape[1], 1))
+    buf = np.empty((min(rows, shape[0]), shape[1]))
+    # the order of the sum per cell does not depend on the block size
+    for start in range(0, shape[0], rows):
+        acc = out[start : start + rows]
+        term = buf[: len(acc)]
+        for wi, m in zip(w, mats):
+            np.multiply(m.matrix[start : start + rows], wi, out=term)
+            acc += term
     return SimilarityMatrix(out, None)

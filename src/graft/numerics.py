@@ -1,13 +1,20 @@
 """Deterministic numerical kernels: symmetric eigensolves, clamped ridge
 regression, and per-row standardization.
 
-All routines fix sign and ordering conventions so that identical inputs give
-bit-identical outputs on a given platform.
+Two solves share one set of checks and one order and sign rule:
+``sym_eig_topk`` solves for all eigenpairs with ``numpy.linalg.eigh`` (the
+construction's spectral start), and ``sym_eig_topk_subset`` asks LAPACK's
+MRRR routine through ``scipy.linalg.eigh`` for the top k only (MDS). numpy and
+scipy each ship their own OpenBLAS thread pool, and on a 2-core host the two
+pools contend, so the construction start, which runs once per μ, stays on
+numpy's. All routines fix sign and ordering conventions so that identical
+inputs give bit-identical outputs on a given platform.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import GraftError
 
@@ -27,7 +34,35 @@ def sym_eig_topk(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     values : (k,) eigenvalues, descending (algebraic order, not magnitude).
     vectors : (n, k) orthonormal eigenvectors; each column is flipped so its
         largest-magnitude entry is positive, which makes the result unique.
+
+    Solves for all n eigenpairs (``numpy.linalg.eigh``) and keeps the top k.
     """
+    values, vectors = np.linalg.eigh(_symmetrized(m, k))
+    return _top_oriented(values, vectors, k)
+
+
+def sym_eig_topk_subset(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sym_eig_topk`` that computes only the top k eigenpairs.
+
+    Same checks, order and sign rule; the solve is ``scipy.linalg.eigh``
+    restricted to eigenvalue indices n−k..n−1, which scipy hands to LAPACK's
+    MRRR routine ``dsyevr`` (Dhillon, Parlett & Vömel, ACM TOMS 2006); it
+    skips the other n−k eigenvectors and their workspace.
+    Results agree with ``sym_eig_topk`` to rounding, not bit for bit.
+    """
+    s = _symmetrized(m, k)
+    n = s.shape[0]
+    # s is exactly symmetric, so its transpose is the Fortran-ordered array
+    # LAPACK can overwrite without a copy
+    values, vectors = scipy.linalg.eigh(
+        s.T, subset_by_index=[n - k, n - 1], overwrite_a=True, check_finite=False
+    )
+    return _top_oriented(values, vectors, k)
+
+
+def _symmetrized(m: np.ndarray, k: int) -> np.ndarray:
+    """(m + mᵀ)/2 after checking that m is finite, square, symmetric within
+    ``SYMMETRY_RTOL`` of its largest entry, and has at least k rows (k >= 1)."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraftError(f"matrix must be square, got shape {m.shape}")
@@ -36,10 +71,19 @@ def sym_eig_topk(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise GraftError(f"k must be in [1, {n}], got {k}")
     if not np.isfinite(m).all():
         raise GraftError("matrix must be finite")
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
+    scale = max(m.max(), -m.min())  # the largest |entry|, with no n × n temporary
+    asym = m - m.T
+    if scale > 0 and np.abs(asym, out=asym).max() > SYMMETRY_RTOL * scale:
         raise GraftError("matrix is not symmetric within tolerance")
-    values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+    del asym
+    s = m + m.T
+    s /= 2.0
+    return s
+
+
+def _top_oriented(values: np.ndarray, vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top k of ascending eigenpairs, descending, each vector flipped so
+    its largest-magnitude entry is positive."""
     values = values[::-1][:k].copy()
     vectors = vectors[:, ::-1][:, :k].copy()
     for col in range(k):

@@ -4,7 +4,8 @@ The selection model embeds the source graph with classical MDS of the
 uniform blend of its meta-path distance matrices, then fits nonnegative blend
 weights to the embedding's pairwise squared distances. The distance matrices
 are small-integer hop counts, and the weight fit sums its normal equations
-over blocks of matrix rows, so no n(n−1)/2 × P design is formed. Relevance
+over blocks of matrix rows, so no n(n−1)/2 × P design is formed. MDS solves
+for its top d1 eigenpairs only (``sym_eig_topk_subset``). Relevance
 between entities is the inner product of their embeddings; source-only
 entities are selected when their relevance z-score against some shared entity
 clears a threshold.
@@ -22,7 +23,7 @@ from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
-from .numerics import _row_zscores, solve_normal_nonneg, sym_eig_topk
+from .numerics import _row_zscores, solve_normal_nonneg, sym_eig_topk_subset
 
 log = logging.getLogger(__name__)
 
@@ -36,9 +37,10 @@ _FIT_BLOCK_CELLS = 1 << 14
 def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
     """Classical multidimensional scaling of a squared-dissimilarity matrix.
 
-    Double-centers the matrix, takes the top ``d1`` eigenpairs, clips negative
-    eigenvalues to zero (non-Euclidean input loses those directions), and
-    scales eigenvectors by the square roots of the eigenvalues.
+    Double-centers the matrix, solves for its top ``d1`` eigenpairs only,
+    clips negative eigenvalues to zero (non-Euclidean input loses those
+    directions), and scales eigenvectors by the square roots of the
+    eigenvalues.
 
     Returns an (n, d1) embedding whose pairwise squared distances approximate
     the input.
@@ -58,7 +60,7 @@ def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
     b -= m.mean(axis=0, keepdims=True)
     b += m.mean()
     b *= -0.5
-    values, vectors = sym_eig_topk(b, d1)  # which symmetrises it
+    values, vectors = sym_eig_topk_subset(b, d1)  # which symmetrises it
     values = np.clip(values, 0.0, None)
     return vectors * np.sqrt(values)[None, :]
 

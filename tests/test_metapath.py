@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,51 @@ class TestCompactHops:
         assert np.array_equal(blend(mats, w).matrix, blend(floats, w).matrix)
 
 
+class TestIntegerHopCounts:
+    """Hop counts go straight into the integer matrix, with no float64 k × k matrix on the way."""
+
+    @pytest.mark.parametrize("cap", [None, 5.0, 0.5, 300.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_isolated_entities_match_oracle(self, seed, cap):
+        rng = np.random.default_rng(seed)
+        pairs = {(a, b) for a, b in rng.integers(0, 150, (120, 2)).tolist() if a < b}
+        g = graph_from_pairs(150, sorted(pairs), isolated=40)
+        assert (np.diff(g.csr().indptr) == 0).sum() >= 40
+        got = path_distance_matrix(g, cap=cap).matrix
+        assert np.array_equal(got, naive_hop_distances(g, cap))
+
+    def test_hand_off_rows_need_uint16(self, monkeypatch):
+        # a 300-path hands off every one of its entities, and its rows hold
+        # hops past 255; the clique beside it ends inside the bitset hops
+        spy = HandOffSpy(monkeypatch)
+        clique = [(a, b) for a in range(300, 310) for b in range(a + 1, 310)]
+        g = graph_from_pairs(310, path_pairs(0, 300) + clique, isolated=2)
+        got = path_distance_matrix(g).matrix
+        assert got.dtype == np.uint16
+        assert got.max() == 300
+        assert np.array_equal(got, naive_hop_distances(g, None))
+        live = np.flatnonzero(np.diff(g.csr().indptr))
+        (sources,) = spy.sources
+        assert live[sources].tolist() == [g.entity_ids.index(f"v{i:04d}") for i in range(300)]
+
+    def test_sparse_graph_allocates_no_float_matrix(self):
+        rng = np.random.default_rng(0)
+        pairs = {(min(a, b), max(a, b)) for a, b in rng.integers(0, 1000, (2000, 2)).tolist() if a != b}
+        g = graph_from_pairs(1000, sorted(pairs))
+        k = int(np.count_nonzero(np.diff(g.csr().indptr)))
+        assert k > 950
+        path_distance_matrix(g)
+        tracemalloc.start()
+        try:
+            got = path_distance_matrix(g).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == np.uint8
+        # a float64 k × k hop matrix alone would take 8·k² bytes
+        assert peak < 8 * k * k
+
+
 class TestSimilarityMatrix:
     @pytest.mark.parametrize(
         "m,msg",
@@ -373,6 +420,22 @@ class TestBlend:
         w = rng.random(4)
         expect = sum(wi * m.matrix for wi, m in zip(w, mats))
         assert np.allclose(blend(mats, w).matrix, expect)
+
+    @pytest.mark.parametrize("block_cells", [1, 40, metapath._BLEND_BLOCK_CELLS])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_bitwise_equal_to_sequential_sum(self, monkeypatch, dtype, block_cells):
+        # 13 columns: 40 cells make 3-row blocks and a short last one
+        monkeypatch.setattr(metapath, "_BLEND_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(8)
+        mats = []
+        for _ in range(5):
+            m = np.triu(rng.integers(1, 12, (13, 13)) if dtype == np.uint8 else rng.random((13, 13)), k=1)
+            mats.append(SimilarityMatrix((m + m.T).astype(dtype)))
+        w = rng.random(5) * np.array([1.0, 1e-3, 7.0, 0.0, 0.1])
+        expect = np.zeros((13, 13))
+        for wi, m in zip(w, mats):
+            expect += wi * m.matrix
+        assert np.array_equal(blend(mats, w).matrix, expect)
 
     @pytest.mark.parametrize(
         "mats,w,msg",

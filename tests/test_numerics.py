@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from graft import GraftError
-from graft.numerics import _row_zscores, ols_nonneg, sym_eig_topk
+from graft.numerics import _row_zscores, ols_nonneg, sym_eig_topk, sym_eig_topk_subset
 from testkit import finite_diff_grad
+
+
+INVALID_EIG_INPUTS = [
+    (np.zeros((2, 3)), 1, "square"),
+    (np.zeros((3, 3)), 0, "k must be"),
+    (np.zeros((3, 3)), 4, "k must be"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), 1, "symmetric"),
+    (np.array([[np.nan, 0.0], [0.0, 0.0]]), 1, "finite"),
+]
 
 
 class TestSymEigTopk:
@@ -42,19 +51,70 @@ class TestSymEigTopk:
         v2 = sym_eig_topk(m.copy(), 3)
         assert np.array_equal(v1[0], v2[0]) and np.array_equal(v1[1], v2[1])
 
-    @pytest.mark.parametrize(
-        "m,k,msg",
-        [
-            (np.zeros((2, 3)), 1, "square"),
-            (np.zeros((3, 3)), 0, "k must be"),
-            (np.zeros((3, 3)), 4, "k must be"),
-            (np.array([[0.0, 1.0], [0.0, 0.0]]), 1, "symmetric"),
-            (np.array([[np.nan, 0.0], [0.0, 0.0]]), 1, "finite"),
-        ],
-    )
+    @pytest.mark.parametrize("m,k,msg", INVALID_EIG_INPUTS)
     def test_invalid_rejected(self, m, k, msg):
         with pytest.raises(GraftError, match=msg):
             sym_eig_topk(m, k)
+
+
+def full_eigh_top(m, k):
+    """Top k eigenpairs from a full ``np.linalg.eigh``, descending, largest-magnitude entry positive."""
+    values, vectors = np.linalg.eigh(m)
+    values, vectors = values[::-1][:k], vectors[:, ::-1][:, :k]
+    signs = np.sign(vectors[np.abs(vectors).argmax(axis=0), np.arange(k)])
+    return values, vectors * signs
+
+
+def random_symmetric(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a + a.T
+
+
+class TestSymEigTopkSubset:
+    @pytest.mark.parametrize("n,k", [(40, 1), (40, 16), (40, 40), (1, 1), (200, 16)])
+    def test_matches_full_eigh(self, n, k):
+        m = random_symmetric(n, n + k)
+        vals, vecs = sym_eig_topk_subset(m, k)
+        want_vals, want_vecs = full_eigh_top(m, k)
+        scale = np.abs(m).max()
+        assert vals.shape == (k,) and vecs.shape == (n, k)
+        assert np.abs(vals - want_vals).max() <= 1e-12 * scale
+        assert np.allclose(vecs, want_vecs, rtol=0.0, atol=1e-10)
+        for col in vecs.T:
+            assert col[np.argmax(np.abs(col))] > 0
+
+    def test_repeated_eigenvalue_at_the_cut(self):
+        # eigenvalues 9, 7, 5, 5, 2, ...: the top 4 end on a pair, so only
+        # their span is fixed, not the two vectors
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        spectrum = np.concatenate([[9.0, 7.0, 5.0, 5.0], np.linspace(2.0, -3.0, 26)])
+        m = (q * spectrum) @ q.T
+        m = (m + m.T) / 2.0
+        vals, vecs = sym_eig_topk_subset(m, 4)
+        _, want = full_eigh_top(m, 4)
+        assert np.abs(vals - spectrum[:4]).max() <= 1e-12 * np.abs(m).max()
+        assert np.allclose(vecs @ vecs.T, want @ want.T, atol=1e-10)
+        pair = vecs[:, 2:]
+        assert np.allclose(pair @ pair.T, q[:, 2:4] @ q[:, 2:4].T, atol=1e-10)
+        assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-12)
+
+    def test_deterministic(self):
+        m = random_symmetric(120, 9)
+        v1 = sym_eig_topk_subset(m, 16)
+        v2 = sym_eig_topk_subset(m.copy(), 16)
+        assert np.array_equal(v1[0], v2[0]) and np.array_equal(v1[1], v2[1])
+
+    @pytest.mark.parametrize("m,k,msg", INVALID_EIG_INPUTS)
+    def test_invalid_rejected(self, m, k, msg):
+        with pytest.raises(GraftError, match=msg):
+            sym_eig_topk_subset(m, k)
+
+    def test_input_left_unchanged(self):
+        m = random_symmetric(20, 1)
+        before = m.copy()
+        sym_eig_topk_subset(m, 3)
+        assert np.array_equal(m, before)
 
 
 class TestOlsNonneg:
