@@ -12,14 +12,14 @@ single sparse OR-gather advances every source by one hop. That costs
 O(nnz·k/64) words per hop over the k non-isolated entities, and one ``uint8``
 add of hop × the new bits records the hop, so no float matrix is made; the
 few sources still running after 32 hops finish with per-source Dijkstra.
-Blending adds the weighted matrices over blocks of rows through one reused
-float64 buffer.
+Blending adds the weighted matrices one at a time (a generator will do) into
+the float64 sum, over blocks of rows through one reused buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,7 +73,9 @@ class SimilarityMatrix:
         if m.size:
             if not np.isfinite(m).all():
                 raise GraftError("similarity matrix must be finite")
-            if not np.array_equal(m, m.T):
+            t = 256  # side of the tiles compared with their transposed mirrors, so both stay in cache
+            tiles = [(i, j) for i in range(0, m.shape[0], t) for j in range(i, m.shape[0], t)]
+            if not all(np.array_equal(m[i : i + t, j : j + t], m[j : j + t, i : i + t].T) for i, j in tiles):
                 raise GraftError("similarity matrix must be symmetric")
             if np.diagonal(m).any():
                 raise GraftError("similarity matrix must have a zero diagonal")
@@ -235,35 +237,36 @@ def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
     return np.unpackbits(bits.view(np.uint8), axis=1, count=k, bitorder="little")
 
 
-# matrix cells in one block of the blend, so its float64 buffer and the
-# block of the sum it adds into (256 KiB each) stay in cache
+# matrix cells in one block of the blend, so its float64 buffer (256 KiB) stays in cache
 _BLEND_BLOCK_CELLS = 1 << 15
 
 
-def blend(mats: Sequence[SimilarityMatrix], weights: Iterable[float]) -> SimilarityMatrix:
+def blend(mats: Iterable[SimilarityMatrix], weights: Iterable[float]) -> SimilarityMatrix:
     """Weighted sum of similarity matrices; weights must be nonnegative.
 
-    Each cell sums w₀·M₀ + w₁·M₁ + … in matrix order, in float64.
+    ``mats`` may be a generator; each matrix is added into the float64 sum as
+    it arrives. Each cell sums w₀·M₀ + w₁·M₁ + … in matrix order.
     """
     w = np.asarray(list(weights), dtype=float)
-    if len(mats) == 0:
-        raise GraftError("blend needs at least one matrix")
-    if len(mats) != w.size:
-        raise GraftError(f"got {len(mats)} matrices but {w.size} weights")
     if not np.isfinite(w).all() or (w < 0).any():
         raise GraftError("blend weights must be finite and nonnegative")
-    shape = mats[0].matrix.shape
-    for m in mats[1:]:
-        if m.matrix.shape != shape:
-            raise GraftError(f"matrix shape mismatch: {m.matrix.shape} vs {shape}")
-    out = np.zeros(shape)
-    rows = max(1, _BLEND_BLOCK_CELLS // max(shape[1], 1))
-    buf = np.empty((min(rows, shape[0]), shape[1]))
-    # the order of the sum per cell does not depend on the block size
-    for start in range(0, shape[0], rows):
-        acc = out[start : start + rows]
-        term = buf[: len(acc)]
-        for wi, m in zip(w, mats):
-            np.multiply(m.matrix[start : start + rows], wi, out=term)
+    out = None
+    for k, m in enumerate(mats):
+        if k == w.size:
+            raise GraftError(f"got more than {w.size} matrices for {w.size} weights")
+        if out is None:
+            out = np.zeros(m.matrix.shape)
+            rows = max(1, _BLEND_BLOCK_CELLS // max(out.shape[1], 1))
+            buf = np.empty((min(rows, out.shape[0]), out.shape[1]))
+        elif m.matrix.shape != out.shape:
+            raise GraftError(f"matrix shape mismatch: {m.matrix.shape} vs {out.shape}")
+        for start in range(0, out.shape[0], rows):
+            acc = out[start : start + rows]
+            term = buf[: len(acc)]
+            np.multiply(m.matrix[start : start + rows], w[k], out=term)
             acc += term
+    if out is None:
+        raise GraftError("blend needs at least one matrix")
+    if k + 1 != w.size:
+        raise GraftError(f"got {k + 1} matrices but {w.size} weights")
     return SimilarityMatrix(out, None)

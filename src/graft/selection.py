@@ -1,11 +1,11 @@
 """Source-entity embedding, distance-blend weight fitting, and transfer selection.
 
 The selection model embeds the source graph with classical MDS of the
-uniform blend of its meta-path distance matrices, then fits nonnegative blend
-weights to the embedding's pairwise squared distances. The distance matrices
-are small-integer hop counts, and the weight fit sums its normal equations
-over blocks of matrix rows, so no n(n−1)/2 × P design is formed. MDS solves
-for its top d1 eigenpairs only (``sym_eig_topk_subset``). Relevance
+uniform blend of its meta-path distance matrices in one streamed pass: each
+small-integer hop matrix is added into the float64 blend as it is computed,
+then dropped. MDS solves for its top d1 eigenpairs only (``sym_eig_topk_subset``).
+The objective and ``fit_weights`` (which the pipeline does not call) work over
+row blocks, so neither forms an n × n temporary or n(n−1)/2 × P design. Relevance
 between entities is the inner product of their embeddings; source-only
 entities are selected when their relevance z-score against some shared entity
 clears a threshold.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,8 +29,8 @@ log = logging.getLogger(__name__)
 
 # keeps the weight fit's normal equations solvable when meta-path columns are collinear
 RIDGE = 1e-6
-# matrix cells per path in one block of the weight fit, so the block's
-# float64 copy of the P hop matrices stays at P × 128 KiB
+# matrix cells in one row block of the weight fit (per path, so its float64
+# copy of the P hop matrices stays at P × 128 KiB) and of the objective
 _FIT_BLOCK_CELLS = 1 << 14
 
 
@@ -65,12 +65,12 @@ def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
     return vectors * np.sqrt(values)[None, :]
 
 
-def squared_row_distances(embedding: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between embedding rows."""
-    g = embedding @ embedding.T
-    sq = np.diagonal(g)[:, None] + np.diagonal(g)[None, :] - 2.0 * g
-    np.fill_diagonal(sq, 0.0)
-    return np.clip(sq, 0.0, None)
+def squared_row_distances(embedding: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Squared Euclidean distances from embedding rows ``start:stop`` (all by default) to every row."""
+    norms = np.einsum("ij,ij->i", embedding, embedding)
+    sq = norms[start:stop, None] + norms[None, :] - 2.0 * (embedding[start:stop] @ embedding.T)
+    sq[np.arange(len(sq)), np.arange(start, start + len(sq))] = 0.0
+    return np.clip(sq, 0.0, None, out=sq)
 
 
 def fit_weights(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], ridge: float) -> np.ndarray:
@@ -91,14 +91,13 @@ def fit_weights(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], ridge: 
     for m in mats:
         if m.matrix.shape != (n, n):
             raise GraftError(f"matrix shape {m.matrix.shape} does not match embedding rows {n}")
-    target = squared_row_distances(embedding)
     rows = max(1, _FIT_BLOCK_CELLS // max(n, 1))
     gram = np.zeros((len(mats), len(mats)))
     moment = np.zeros(len(mats))
     for start in range(0, n, rows):
         x = np.array([m.matrix[start : start + rows].ravel() for m in mats], dtype=float)
         gram += x @ x.T
-        moment += x @ target[start : start + rows].ravel()
+        moment += x @ squared_row_distances(embedding, start, start + rows).ravel()
     return solve_normal_nonneg(gram / 2.0, moment / 2.0, n * (n - 1) // 2, ridge)
 
 
@@ -109,8 +108,17 @@ def selection_objective(
     lam: float,
 ) -> float:
     """Squared fit error between embedding distances and the weighted blend, plus regularization."""
-    diff = squared_row_distances(embedding) - blend(mats, weights).matrix
-    fit = float((diff * diff).sum())
+    return _blend_objective(embedding, blend(mats, weights).matrix, weights, lam)
+
+
+def _blend_objective(embedding: np.ndarray, blended: np.ndarray, weights: np.ndarray, lam: float) -> float:
+    """``selection_objective`` against a formed blend, over row blocks, with no n × n temporary."""
+    n = embedding.shape[0]
+    rows = max(1, _FIT_BLOCK_CELLS // max(n, 1))
+    fit = 0.0
+    for start in range(0, n, rows):
+        diff = squared_row_distances(embedding, start, start + rows) - blended[start : start + rows]
+        fit += float((diff * diff).sum())
     reg = lam * (float((embedding * embedding).sum()) + float((np.asarray(weights) ** 2).sum()))
     return fit + reg
 
@@ -125,38 +133,42 @@ class SelectionState:
     objective_trace: list[float]
 
 
-def metapath_distance_matrices(gs: HeteroGraph, config: TransferConfig) -> list[SimilarityMatrix]:
-    """Enumerate meta-paths on ``gs`` and compute one distance matrix per path."""
+def _path_distances(
+    gs: HeteroGraph, config: TransferConfig
+) -> tuple[list[MetaPath], Iterator[SimilarityMatrix]]:
+    """Meta-paths of ``gs`` and a generator computing their distance matrices one at a time."""
     paths = enumerate_metapaths(gs, config.max_path_len)
     if not paths:
         raise GraftError(
             "no meta-paths can be enumerated from the source graph; raise max_path_len "
             "or check that the graph has edges"
         )
-    return [path_distance_matrix(project(gs, p), provenance=p) for p in paths]
+    return paths, (path_distance_matrix(project(gs, p), provenance=p) for p in paths)
+
+
+def metapath_distance_matrices(gs: HeteroGraph, config: TransferConfig) -> list[SimilarityMatrix]:
+    """Enumerate meta-paths on ``gs`` and compute one distance matrix per path."""
+    return list(_path_distances(gs, config)[1])
 
 
 def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -> SelectionState:
-    """Embed the uniform meta-path blend with MDS, then fit blend weights to it.
+    """Embed the uniform meta-path blend with MDS, in one streamed pass.
 
-    One sweep: the embedding is the MDS of the equally weighted blend, the
-    weights are the nonnegative regression of the meta-path distances onto
-    the embedding's squared distances, and the trace holds that sweep's
-    objective. Refitting the embedding from the fitted weights does not
-    descend (MDS minimizes strain on the double-centered blend, not this
-    objective), so no further sweep is run.
+    Each hop matrix is added into the blend as it is computed, then dropped.
+    The state's weights are the uniform ones blended, and its trace holds
+    ``selection_objective`` at them; no weights are fitted.
     """
     config = config or TransferConfig()
     if gs.n == 0:
         raise GraftError("source graph has no entities")
-    mats = metapath_distance_matrices(gs, config)
-    paths = [m.provenance for m in mats]
+    paths, mats = _path_distances(gs, config)
     # renormalized by its own sum, which for some path counts (6, 7, ...)
     # differs from 1/P in the last bit; fitted outputs are pinned to this form
-    uniform = np.full(len(mats), 1.0 / len(mats))
-    embedding = mds_embed(blend(mats, uniform / uniform.sum()), min(config.d1, gs.n))
-    weights = fit_weights(embedding, mats, RIDGE)
-    obj = selection_objective(embedding, mats, weights, config.lam)
+    uniform = np.full(len(paths), 1.0 / len(paths))
+    weights = uniform / uniform.sum()
+    blended = blend(mats, weights)
+    embedding = mds_embed(blended, min(config.d1, gs.n))
+    obj = _blend_objective(embedding, blended.matrix, weights, config.lam)
     log.info("selection model fitted over %d meta-path(s)", len(paths))
     return SelectionState(paths, weights, embedding, [obj])
 

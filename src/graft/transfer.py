@@ -137,8 +137,8 @@ def run_transfer(
 ) -> tuple[HeteroGraph, TransferReport]:
     """Full transfer pipeline from a source graph to a partial target graph.
 
-    Returns the estimated target graph and a report with the fitted meta-path
-    weights, the transferred entities and their scores, the mix weight
+    Returns the estimated target graph and a report with the meta-path
+    weights blended, the transferred entities and their scores, the mix weight
     actually used, and both objective traces.
     """
     config = config or TransferConfig()

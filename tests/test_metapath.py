@@ -403,6 +403,33 @@ class TestSimilarityMatrix:
             SimilarityMatrix(m)
 
 
+class TestTiledSymmetryCheck:
+    """Symmetry is compared tile by tile; 800 rows make three 256-wide tiles and a short 32-wide last one."""
+
+    @staticmethod
+    def symmetric(dtype):
+        m = np.triu(np.random.default_rng(11).integers(1, 9, (800, 800)), k=1)
+        return (m + m.T).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_symmetric_accepted(self, dtype):
+        assert SimilarityMatrix(self.symmetric(dtype)).n == 800
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("cell", [
+        (3, 600),  # far off-diagonal, in a full tile two tiles from the diagonal
+        (300, 5),  # below the diagonal, in the tile beside the first
+        (5, 790),  # off-diagonal, in the short last column of tiles
+        (780, 795),  # inside the short last diagonal tile
+        (795, 780),  # its mirror
+    ])
+    def test_asymmetric_cell_rejected(self, dtype, cell):
+        m = self.symmetric(dtype)
+        m[cell] += 1
+        with pytest.raises(GraftError, match="symmetric"):
+            SimilarityMatrix(m)
+
+
 class TestBlend:
     def test_weighted_sum(self):
         a = SimilarityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -453,3 +480,53 @@ class TestBlend:
     def test_invalid_rejected(self, mats, w, msg):
         with pytest.raises(GraftError, match=msg):
             blend(mats, w)
+
+
+class TestStreamedBlend:
+    """``blend`` takes a generator and consumes it one matrix at a time."""
+
+    @staticmethod
+    def mats(n=7, count=5, seed=9):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            m = np.triu(rng.integers(1, 12, (n, n)), k=1)
+            out.append(SimilarityMatrix((m + m.T).astype(np.uint8)))
+        return out
+
+    @pytest.mark.parametrize("block_cells", [1, 40, metapath._BLEND_BLOCK_CELLS])
+    def test_generator_bitwise_equal_to_list(self, monkeypatch, block_cells):
+        monkeypatch.setattr(metapath, "_BLEND_BLOCK_CELLS", block_cells)
+        mats = self.mats()
+        w = np.random.default_rng(1).random(len(mats))
+        assert np.array_equal(blend((m for m in mats), w).matrix, blend(mats, w).matrix)
+
+    def test_too_few_matrices(self):
+        with pytest.raises(GraftError, match="got 4 matrices but 5 weights"):
+            blend((m for m in self.mats(count=4)), np.ones(5))
+
+    def test_too_many_matrices_stop_the_stream(self):
+        pulled = []
+
+        def stream():
+            for m in self.mats(count=6):
+                pulled.append(m)
+                yield m
+
+        with pytest.raises(GraftError, match="more than 5 matrices"):
+            blend(stream(), np.ones(5))
+        assert len(pulled) == 6
+
+    def test_wrong_shape_mid_stream_stops_it(self):
+        mats = self.mats(count=5)
+        mats[2] = self.mats(n=8, count=1)[0]
+        pulled = []
+
+        def stream():
+            for m in mats:
+                pulled.append(m)
+                yield m
+
+        with pytest.raises(GraftError, match="mismatch"):
+            blend(stream(), np.ones(5))
+        assert len(pulled) == 3

@@ -11,6 +11,7 @@ from graft import (
     SimilarityMatrix,
     SynthSpec,
     TransferConfig,
+    enumerate_metapaths,
     fit_selection_model,
     generate,
     merge_transferred_entities,
@@ -193,7 +194,48 @@ class TestSelectionMemory:
         assert peak < 16 * 8 * gs.n * gs.n
 
 
+class TestStreamedSelectionMemory:
+    def test_fit_peaks_below_three_and_a_half_dense_matrices(self):
+        # the blend, MDS's centred copy and its symmetrised copy; keeping all
+        # 24 hop matrices for a weight fit peaked near 6 float64 n × n arrays
+        gs, _, _ = generate(SynthSpec(1000, 500, dynamic_factor=0.2, maturity=0.5, seed=0))
+        assert len(enumerate_metapaths(gs, TransferConfig().max_path_len)) == 24
+        fit_selection_model(gs)
+        tracemalloc.start()
+        try:
+            fit_selection_model(gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * gs.n * gs.n
+
+
+def dense_objective_reference(embedding, mats, weights, lam):
+    """The selection objective through n × n arrays, as it was computed before row blocks."""
+    g = embedding @ embedding.T
+    sq = np.diagonal(g)[:, None] + np.diagonal(g)[None, :] - 2.0 * g
+    np.fill_diagonal(sq, 0.0)
+    expect = np.zeros(sq.shape)
+    for wi, m in zip(weights, mats):
+        expect += wi * m.matrix
+    diff = np.clip(sq, 0.0, None) - expect
+    return float((diff * diff).sum()) + lam * (float((embedding * embedding).sum()) + float((weights**2).sum()))
+
+
 class TestSelectionObjective:
+    # 300 rows: one row per block, 7-row blocks and 54-row blocks, each with a short last block
+    @pytest.mark.parametrize("block_cells", [1, 7 * 300, selection._FIT_BLOCK_CELLS])
+    def test_blocked_matches_dense_reference(self, monkeypatch, block_cells):
+        monkeypatch.setattr(selection, "_FIT_BLOCK_CELLS", block_cells)
+        g = typed_random_graph(3, n=300, p=0.02)
+        cfg = TransferConfig()
+        state = fit_selection_model(g, cfg)
+        mats = metapath_distance_matrices(g, cfg)
+        want = dense_objective_reference(state.embedding, mats, state.weights, cfg.lam)
+        got = selection_objective(state.embedding, mats, state.weights, cfg.lam)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert state.objective_trace == [got]
+
     def test_perfect_fit_is_regularizer_only(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((6, 2))
@@ -223,12 +265,13 @@ class TestFitSelectionModel:
         assert state.weights.shape == (1,)
         assert len(state.objective_trace) <= 2
 
-    def test_trace_is_the_fitted_objective_and_deterministic(self):
+    def test_trace_is_the_objective_at_the_blended_weights_and_deterministic(self):
         g = typed_random_graph(7)
         cfg = TransferConfig()
         s1 = fit_selection_model(g, cfg)
         s2 = fit_selection_model(g, cfg)
         mats = metapath_distance_matrices(g, cfg)
+        assert np.allclose(s1.weights, 1.0 / len(mats), rtol=1e-15, atol=0.0)
         objective = selection_objective(s1.embedding, mats, s1.weights, cfg.lam)
         assert s1.objective_trace == [objective]
         assert np.array_equal(s1.embedding, s2.embedding)
@@ -244,8 +287,8 @@ class TestFitSelectionModel:
         # the uniform weights are normalized by their own sum, which for
         # P = 6 differs from 1/P in the last bit
         uniform = np.full(len(mats), 1.0 / len(mats))
-        embedding = mds_embed(blend(mats, uniform / uniform.sum()), cfg.d1)
-        weights = fit_weights(embedding, mats, RIDGE)
+        weights = uniform / uniform.sum()
+        embedding = mds_embed(blend(mats, weights), cfg.d1)
         obj = selection_objective(embedding, mats, weights, cfg.lam)
         state = fit_selection_model(g, cfg)
         assert state.metapaths == [m.provenance for m in mats]
