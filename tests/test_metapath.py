@@ -505,28 +505,22 @@ class TestStreamedBlend:
         with pytest.raises(GraftError, match="got 4 matrices but 5 weights"):
             blend((m for m in self.mats(count=4)), np.ones(5))
 
+    @staticmethod
+    def counted(mats, pulled):
+        for m in mats:
+            pulled.append(m)
+            yield m
+
     def test_too_many_matrices_stop_the_stream(self):
         pulled = []
-
-        def stream():
-            for m in self.mats(count=6):
-                pulled.append(m)
-                yield m
-
         with pytest.raises(GraftError, match="more than 5 matrices"):
-            blend(stream(), np.ones(5))
+            blend(self.counted(self.mats(count=6), pulled), np.ones(5))
         assert len(pulled) == 6
 
     def test_wrong_shape_mid_stream_stops_it(self):
         mats = self.mats(count=5)
         mats[2] = self.mats(n=8, count=1)[0]
         pulled = []
-
-        def stream():
-            for m in mats:
-                pulled.append(m)
-                yield m
-
         with pytest.raises(GraftError, match="mismatch"):
-            blend(stream(), np.ones(5))
+            blend(self.counted(mats, pulled), np.ones(5))
         assert len(pulled) == 3

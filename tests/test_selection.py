@@ -193,9 +193,7 @@ class TestSelectionMemory:
             tracemalloc.stop()
         assert peak < 16 * 8 * gs.n * gs.n
 
-
-class TestStreamedSelectionMemory:
-    def test_fit_peaks_below_three_and_a_half_dense_matrices(self):
+    def test_streamed_fit_peaks_below_three_and_a_half_dense_matrices(self):
         # the blend, MDS's centred copy and its symmetrised copy; keeping all
         # 24 hop matrices for a weight fit peaked near 6 float64 n × n arrays
         gs, _, _ = generate(SynthSpec(1000, 500, dynamic_factor=0.2, maturity=0.5, seed=0))
