@@ -1,14 +1,15 @@
 """Evaluation metrics and reference baselines.
 
 Scoring compares an estimated graph to a ground-truth graph: entities match by
-id, edges match by unordered id pair over the global id space, and weights are
-ignored. Baselines share the construction stage with the main pipeline where
-they have one.
+id, edges match by unordered id pair over the global id space (counted as
+integer keys over the truth's index), and weights are ignored. Baselines share
+the construction stage with the main pipeline where they have one.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -49,15 +50,23 @@ def _prf(n_correct: int, n_estimated: int, n_truth: int) -> tuple[float, float, 
 
 
 def score(estimate: HeteroGraph, truth: HeteroGraph) -> EvalResult:
-    """Entity and edge F1 against a ground truth, averaged into a combined score."""
-    est_entities = set(estimate.entity_ids)
-    true_entities = set(truth.entity_ids)
-    ep, er, ef1, eflag = _prf(
-        len(est_entities & true_entities), len(est_entities), len(true_entities)
-    )
-    est_edges = {(a, b) for a, b, _ in estimate.edges()}
-    true_edges = {(a, b) for a, b, _ in truth.edges()}
-    dp, dr, df1, dflag = _prf(len(est_edges & true_edges), len(est_edges), len(true_edges))
+    """Entity and edge F1 against a ground truth, averaged into a combined score.
+
+    Edges are counted as integer pair keys, not id pairs: each estimate entity
+    maps to its truth index (-1 where the truth lacks it), and an edge whose
+    endpoints both map keys as ``pos[row] * truth.n + pos[col]``. Both graphs
+    index their ids in sorted order, so the map keeps row < col and the key is
+    the one the truth gives the same pair, ``rows * n + cols``.
+    """
+    pos = np.fromiter(map(truth._index.get, estimate.entity_ids, repeat(-1)), np.intp, estimate.n)
+    n_shared = int(np.count_nonzero(pos >= 0))
+    ep, er, ef1, eflag = _prf(n_shared, estimate.n, truth.n)
+    rows, cols, _ = estimate.edge_arrays()
+    a, b = pos[rows], pos[cols]
+    keys = a * truth.n + b
+    true_rows, true_cols, _ = truth.edge_arrays()
+    hits = np.isin(keys[(a >= 0) & (b >= 0)], true_rows * truth.n + true_cols)
+    dp, dr, df1, dflag = _prf(int(np.count_nonzero(hits)), estimate.edge_count, truth.edge_count)
     return EvalResult(
         entity_precision=ep,
         entity_recall=er,

@@ -8,8 +8,11 @@ matrix index convention in the package and makes serialization deterministic.
 Edges are stored column-wise: integer endpoint arrays with row < col, sorted
 by (row, col), and a float64 weight array. ``HeteroGraph.csr`` is the one
 place edges become a matrix (cached, graphs being immutable), and dense views
-select from it. The validating constructor (``parse_graph`` goes through it
-too) and the package's own builders end in one array-level constructor.
+select from it. ``edges()`` builds a tuple of Python (id, id, weight) records
+on each call and keeps none, since it costs about four times the arrays: a
+caller that reads the edges more than once should use ``edge_arrays()``. The
+validating constructor (``parse_graph`` goes through it too) and the package's
+own builders end in one array-level constructor.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ class HeteroGraph:
         Self-loops and duplicate (unordered) edges are rejected.
     """
 
-    __slots__ = ("_ids", "_types", "_index", "_rows", "_cols", "_weights", "_csr", "_edge_list")
+    __slots__ = ("_ids", "_types", "_index", "_rows", "_cols", "_weights", "_csr")
 
     def __init__(self, entities: Iterable[tuple[str, str]] = (), edges: Iterable[tuple] = ()):
         self._init(*_columns(entities, edges))
@@ -181,7 +184,6 @@ class HeteroGraph:
         for arr in (self._rows, self._cols, self._weights):
             arr.flags.writeable = False
         self._csr = {}
-        self._edge_list = None
         return self
 
     def _with_edges(self, rows, cols, weights) -> HeteroGraph:
@@ -231,12 +233,11 @@ class HeteroGraph:
         return frozenset(self._types)
 
     def edges(self) -> tuple[tuple[str, str, float], ...]:
-        """All edges as (id1, id2, weight) with id1 < id2, sorted."""
-        if self._edge_list is None:
-            name = self._ids.__getitem__
-            ends = map(name, self._rows.tolist()), map(name, self._cols.tolist())
-            self._edge_list = tuple(zip(*ends, self._weights.tolist()))
-        return self._edge_list
+        """All edges as (id1, id2, weight) with id1 < id2, sorted. The tuple is
+        built on each call and not kept; repeated readers use ``edge_arrays()``."""
+        name = self._ids.__getitem__
+        ends = map(name, self._rows.tolist()), map(name, self._cols.tolist())
+        return tuple(zip(*ends, self._weights.tolist()))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (rows, cols, weights) with rows < cols, sorted by (row, col)."""

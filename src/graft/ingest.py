@@ -31,7 +31,7 @@ from .hetgraph import HeteroGraph, entity_problem, is_token
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One event record: epoch-ms timestamp and a type -> id attribute map.
 
@@ -44,8 +44,14 @@ class Event:
 
 
 def parse_events(lines: Iterable[str]) -> list[Event]:
-    """Parse JSON-lines event records; malformed records report their index."""
+    """Parse JSON-lines event records; malformed records report their index.
+
+    Every event's attribute map keys one shared string per entity type, where
+    each decoded record would carry its own copies.
+    """
     events: list[Event] = []
+    type_names: dict[str, str] = {}
+    shared = type_names.setdefault
     rec = 0
     for raw in lines:
         line = raw.strip()
@@ -67,7 +73,7 @@ def parse_events(lines: Iterable[str]) -> list[Event]:
         if not all(is_token(k) and is_token(v) for k, v in attrs.items()):
             msg = "attribute keys and values must be non-empty strings without whitespace"
             raise GraftError(f"record {rec}: {msg}")
-        events.append(Event(ts, dict(attrs)))
+        events.append(Event(ts, {shared(k, k): v for k, v in attrs.items()}))
     return events
 
 
@@ -155,7 +161,7 @@ def snapshot_series(events: Iterable[Event], window: int) -> list[HeteroGraph]:
     Snapshot k aggregates every event with ts < start + k * window, where
     start is the earliest timestamp. An empty stream yields one empty graph.
     """
-    if not isinstance(window, int) or window <= 0:
+    if isinstance(window, bool) or not isinstance(window, int) or window <= 0:
         raise GraftError(f"window must be a positive integer of milliseconds, got {window!r}")
     evs = sorted(events, key=lambda e: e.ts)
     if not evs:

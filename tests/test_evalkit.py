@@ -14,6 +14,7 @@ from graft import (
     random_walk_scores,
     score,
 )
+from testkit import reference_score
 
 
 def graph_of(entities, edges=()):
@@ -87,6 +88,64 @@ class TestScore:
             "combined_f1",
             "had_zero_division",
         }
+
+
+def exactly_equal(a: EvalResult, b: EvalResult) -> bool:
+    """Field by field, floats compared bit for bit."""
+    fa, fb = a.to_dict(), b.to_dict()
+    return fa.keys() == fb.keys() and all(
+        type(fa[k]) is type(fb[k]) and np.float64(fa[k]).tobytes() == np.float64(fb[k]).tobytes() for k in fa
+    )
+
+
+class TestScoreOracle:
+    """``score`` counts integer pair keys; the set-based reference counts id pairs."""
+
+    @pytest.mark.parametrize(
+        "est,truth",
+        [
+            # estimate entities the truth lacks, with edges to them and between them;
+            # unmasked, (b, y) would key as 1 * 3 - 1, the truth's (a, c)
+            (
+                graph_of("abxy", [("a", "b"), ("a", "x"), ("x", "y"), ("b", "y")]),
+                graph_of("abc", [("a", "b"), ("a", "c"), ("b", "c")]),
+            ),
+            # truth entities the estimate lacks, sorting between and around the shared ones
+            (graph_of("bd", [("b", "d")]), graph_of("abcde", [("a", "b"), ("b", "d"), ("c", "e"), ("d", "e")])),
+            (graph_of("ab", [("a", "b")]), graph_of("xyz", [("x", "y"), ("y", "z")])),
+            (graph_of("abc"), graph_of("abc", [("a", "c")])),
+            (graph_of("abc", [("a", "c")]), graph_of("abc")),
+            (graph_of("ab"), graph_of("ab")),
+            (graph_of(""), graph_of("ab", [("a", "b")])),
+            (graph_of("ab", [("a", "b")]), graph_of("")),
+            (graph_of(""), graph_of("")),
+        ],
+        ids=["estimate-only", "truth-only", "disjoint", "empty-estimate-edges", "empty-truth-edges",
+             "no-edges", "empty-estimate", "empty-truth", "both-empty"],
+    )
+    def test_cases(self, est, truth):
+        assert exactly_equal(score(est, truth), reference_score(est, truth))
+
+    def test_identical_graphs(self):
+        gs, truth, _ = generate(SynthSpec(60, 30, seed=3))
+        for g in (gs, truth):
+            assert exactly_equal(score(g, g), reference_score(g, g))
+
+    def test_random_overlapping_graphs(self):
+        rng = np.random.default_rng(5)
+        pool = [f"e{i:02d}" for i in range(40)]
+        for _ in range(30):
+            graphs = []
+            for _ in range(2):
+                ids = sorted(rng.choice(pool, size=int(rng.integers(2, 30)), replace=False))
+                pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < 0.3]
+                graphs.append(graph_of(ids, pairs))
+            assert exactly_equal(score(*graphs), reference_score(*graphs))
+
+    def test_synthetic_instance(self):
+        gs, truth, gt_hat = generate(SynthSpec(120, 60, dynamic_factor=0.2, maturity=0.5, seed=1))
+        for est in (gs, gt_hat, baseline_dt(gs, gt_hat)):
+            assert exactly_equal(score(est, truth), reference_score(est, truth))
 
 
 class TestSimpleBaselines:

@@ -1,6 +1,8 @@
+import gc
 import json
 import logging
 import re
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -233,7 +235,50 @@ class TestSnapshotSeries:
         snaps = snapshot_series([], 10)
         assert len(snaps) == 1 and snaps[0].n == 0
 
-    @pytest.mark.parametrize("window", [0, -5, 2.5])
+    @pytest.mark.parametrize("window", [0, -5, 2.5, True, False])  # True is an int equal to 1
     def test_bad_window_rejected(self, window):
-        with pytest.raises(GraftError, match="window"):
-            snapshot_series([], window)
+        evs = [Event(0, {"a": "x", "b": "y"}), Event(3, {"a": "x", "b": "z"})]
+        message = f"window must be a positive integer of milliseconds, got {window!r}"
+        with pytest.raises(GraftError, match=f"^{re.escape(message)}$"):
+            snapshot_series(evs, window)
+
+
+def stream_lines(seed: int, n_events: int, span: int) -> list[str]:
+    """JSONL records of 2-4 attributes over six types, ids drawn from skewed pools."""
+    rng = np.random.default_rng(seed)
+    types = ("host", "proc", "user", "file", "net", "svc")
+    out = []
+    for ts in np.sort(rng.integers(0, span, size=n_events)):
+        picked = rng.choice(len(types), size=int(rng.integers(2, 5)), replace=False)
+        attrs = {types[i]: f"{types[i][0]}{int(rng.zipf(1.3)) % 400}" for i in picked}
+        out.append(line(int(ts), attrs))
+    return out
+
+
+class TestIngestMemory:
+    def test_formatting_snapshots_keeps_no_edge_records(self):
+        # a graph that cached its edges as (str, str, float) tuples kept about
+        # four times its 24 B of arrays per edge alive after format_graph
+        snaps = snapshot_series(parse_events(stream_lines(2, 3000, 24_000)), 1000)
+        distinct = list({id(s): s for s in snaps}.values())
+        array_bytes = sum(a.nbytes for s in distinct for a in s.edge_arrays())
+        assert len(distinct) == 24 and array_bytes > 1_000_000
+        tracemalloc.start()
+        try:
+            for snap in snaps:
+                format_graph(snap)
+            gc.collect()  # a full collection empties the tuple free lists, which tracemalloc counts as live
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert grown < 0.05 * array_bytes
+
+    def test_events_share_one_string_per_type(self):
+        events = parse_events(stream_lines(3, 500, 1000))
+        keys = [k for ev in events for k in ev.attrs]
+        assert len(set(keys)) == 6
+        assert len({id(k) for k in keys}) == 6
+
+    def test_events_have_no_instance_dict(self):
+        (ev,) = parse_events([line(1, {"proc": "p1", "file": "f1"})])
+        assert not hasattr(ev, "__dict__")

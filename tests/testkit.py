@@ -1,11 +1,12 @@
-"""Numerical helpers used only by the tests: a finite-difference gradient
-check and the differentiable dynamic factor of a low-rank factor."""
+"""Helpers used only by the tests: a finite-difference gradient check, the
+differentiable dynamic factor of a low-rank factor, and set-based scoring."""
 
 from typing import Callable
 
 import numpy as np
 
-from graft import GraftError
+from graft import EvalResult, GraftError, HeteroGraph
+from graft.evalkit import _prf
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
@@ -30,3 +31,25 @@ def soft_dynamic_factor(u: np.ndarray, adj: np.ndarray) -> float:
     n = adj.shape[0]
     diff = u @ u.T - adj
     return float((diff * diff).sum()) / (n * (n - 1))
+
+
+def reference_score(estimate: HeteroGraph, truth: HeteroGraph) -> EvalResult:
+    """``evalkit.score`` over Python sets of ids and of (id1, id2) edge pairs."""
+    est_entities = set(estimate.entity_ids)
+    true_entities = set(truth.entity_ids)
+    ep, er, ef1, eflag = _prf(
+        len(est_entities & true_entities), len(est_entities), len(true_entities)
+    )
+    est_edges = {(a, b) for a, b, _ in estimate.edges()}
+    true_edges = {(a, b) for a, b, _ in truth.edges()}
+    dp, dr, df1, dflag = _prf(len(est_edges & true_edges), len(est_edges), len(true_edges))
+    return EvalResult(
+        entity_precision=ep,
+        entity_recall=er,
+        entity_f1=ef1,
+        edge_precision=dp,
+        edge_recall=dr,
+        edge_f1=df1,
+        combined_f1=(ef1 + df1) / 2.0,
+        had_zero_division=eflag or dflag,
+    )
