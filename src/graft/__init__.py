@@ -16,7 +16,6 @@ from .evalkit import (
     score,
 )
 from .hetgraph import (
-    AdjacencyView,
     HeteroGraph,
     align_union_entities,
     dynamic_factor,
@@ -62,7 +61,6 @@ from .transfer import TransferReport, auto_mu, construct_dependencies, run_trans
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdjacencyView",
     "EvalResult",
     "Event",
     "GraftError",

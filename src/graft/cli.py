@@ -54,6 +54,16 @@ def _config_value(key: str):
     return parse
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # rejected below like any count under 1
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(usage_error=parser.error)
     group = parser.add_argument_group("pipeline configuration")
@@ -270,7 +280,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--methods", required=True, help=f"comma-separated subset of: {', '.join(METHODS)}")
     p.add_argument("--seeds", default="0", help="comma-separated generator seeds")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default 1: serial)")
     p.add_argument("--out", required=True, help="output CSV path")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_sweep)

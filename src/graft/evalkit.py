@@ -113,7 +113,7 @@ def random_walk_scores(
     for eid in restart_ids:
         if not gs.has_entity(eid):
             raise GraftError(f"restart entity {eid!r} not in the source graph")
-    adj = gs.adjacency(binary=True).matrix
+    adj = gs.csr().toarray()
     degrees = adj.sum(axis=0)
     dangling = degrees == 0
     w = adj / np.where(dangling, 1.0, degrees)  # dangling columns are zero already

@@ -7,19 +7,20 @@ matrix index convention in the package and makes serialization deterministic.
 
 Edges are stored column-wise: integer endpoint arrays with row < col, sorted
 by (row, col), and a float64 weight array. ``HeteroGraph.csr`` is the one
-place edges become a matrix (cached, graphs being immutable), and dense views
-select from it. ``edges()`` builds a tuple of Python (id, id, weight) records
-on each call and keeps none, since it costs about four times the arrays: a
-caller that reads the edges more than once should use ``edge_arrays()``. The
-validating constructor (``parse_graph`` goes through it too) and the package's
-own builders end in one array-level constructor.
+place edges become a matrix (cached, graphs being immutable): the construction
+stage reads both of its adjacencies as this cached CSR, and a caller that
+needs a dense matrix takes ``csr().toarray()``. ``edges()`` builds a tuple of
+Python (id, id, weight) records on each call and keeps none, since it costs
+about four times the arrays: a caller that reads the edges more than once
+should use ``edge_arrays()``. The validating constructor (``parse_graph`` goes
+through it too) and the package's own builders end in one array-level
+constructor.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence, Sized
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,31 +29,6 @@ import scipy.sparse as sp
 from .errors import GraftError, GraphFormatError
 
 FORMAT_HEADER = "graphfmt 1"
-
-
-@dataclass(frozen=True, eq=False)
-class AdjacencyView:
-    """Dense symmetric adjacency matrix over an explicit, sorted entity index.
-
-    ``binary`` states that weights were clamped to {0, 1}. The diagonal is
-    always zero because self-loops are forbidden.
-    """
-
-    ids: tuple[str, ...]
-    matrix: np.ndarray
-    binary: bool
-
-    def __post_init__(self):
-        n = len(self.ids)
-        m = self.matrix
-        if m.shape != (n, n):
-            raise GraftError(f"adjacency matrix shape {m.shape} does not match {n} entities")
-        if n and (not np.array_equal(m, m.T) or np.diagonal(m).any()):
-            raise GraftError("adjacency matrix must be symmetric with a zero diagonal")
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
 
 
 class _RecordError(GraftError):
@@ -261,19 +237,6 @@ class HeteroGraph:
             self._csr[binary] = sp.csr_matrix((np.concatenate([data, data]), ends), shape=(self.n, self.n))
         return self._csr[binary]
 
-    def adjacency(self, binary: bool = False, ids: Sequence[str] | None = None) -> AdjacencyView:
-        """Dense adjacency over the entity index, or selected from ``csr`` over
-        ``ids``: ids the graph lacks get zero rows, entities not in ``ids`` go."""
-        m = self.csr(binary)
-        if ids is None:
-            return AdjacencyView(self._ids, m.toarray(), binary)
-        ids = tuple(ids)
-        pos = np.array([self._index.get(eid, -1) for eid in ids], dtype=np.intp)
-        have = np.flatnonzero(pos >= 0)
-        out = np.zeros((len(ids), len(ids)))
-        out[np.ix_(have, have)] = m[pos[have]][:, pos[have]].toarray()
-        return AdjacencyView(ids, out, binary)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeteroGraph):
             return NotImplemented
@@ -315,33 +278,33 @@ def induced_subgraph(g: HeteroGraph, keep: Iterable[str]) -> HeteroGraph:
     return g._reindexed([(eid, etype) for eid, etype in g.entity_items() if eid in keep_set])
 
 
-def align_union_entities(
-    a: HeteroGraph, b: HeteroGraph, binary: bool = True
-) -> tuple[AdjacencyView, AdjacencyView]:
-    """Adjacency views for both graphs over the sorted union of their entity ids.
+def align_union_entities(a: HeteroGraph, b: HeteroGraph) -> tuple[HeteroGraph, HeteroGraph]:
+    """Both graphs over the sorted union of their entities.
 
-    Entities absent from one graph contribute zero rows and columns to its
-    view. An id present in both graphs with different types is an error.
+    Entities absent from one graph arrive in it isolated. An id present in
+    both graphs with different types is an error.
     """
     check_shared_types(a, b)
-    ids = tuple(sorted(set(a.entity_ids) | set(b.entity_ids)))
-    return a.adjacency(binary, ids), b.adjacency(binary, ids)
+    items = sorted(set(a.entity_items()) | set(b.entity_items()))
+    return a._reindexed(items), b._reindexed(items)
 
 
-def dynamic_factor(a: AdjacencyView, b: AdjacencyView) -> float:
-    """Discrepancy between two aligned adjacency views.
+def dynamic_factor(a: HeteroGraph, b: HeteroGraph) -> float:
+    """Discrepancy between two graphs over the same entity ids.
 
-    Defined as the entrywise sum of squared differences divided by n(n-1).
-    For binary views this is the fraction of entity pairs whose edge status
-    differs, counting each unordered pair once.
+    The fraction of entity pairs whose edge status differs, counting each
+    unordered pair once: 2k / (n(n-1)) for k differing pairs, which is the
+    entrywise sum of squared differences of the binary adjacencies divided by
+    n(n-1). Weights play no part.
     """
-    if a.ids != b.ids:
-        raise GraftError("adjacency views are over different entity index spaces")
+    if a.entity_ids != b.entity_ids:
+        raise GraftError("graphs are over different entity index spaces")
     n = a.n
     if n < 2:
         raise GraftError(f"dynamic factor needs at least 2 entities, got {n}")
-    diff = a.matrix - b.matrix
-    return float((diff * diff).sum()) / (n * (n - 1))
+    (ra, ca, _), (rb, cb, _) = a.edge_arrays(), b.edge_arrays()
+    k = len(np.setxor1d(ra * n + ca, rb * n + cb, assume_unique=True))
+    return 2 * k / (n * (n - 1))
 
 
 def format_graph(g: HeteroGraph) -> str:

@@ -10,9 +10,15 @@ backtracking line search from a spectral initialization.
 The objective and gradient are evaluated in factored form (Burer & Monteiro,
 Math. Prog. 2003): with ``G = u.T @ u``,
 ``||u u^T - A||_F^2 = ||G||_F^2 - 2 sum(u * (A @ u)) + ||A||_F^2`` and
-``(u u^T - A) @ u = u @ G - A @ u``. Both adjacency views are held as CSR, so
-one evaluation costs O(nnz * rank + n * rank^2) and the descent loop never
-forms an n x n array.
+``(u u^T - A) @ u = u @ G - A @ u``. Both adjacencies are read as the graphs'
+cached CSR, so one evaluation costs O(nnz * rank + n * rank^2) and the descent
+loop never forms an n x n array.
+
+The one n x n step left in the solve is the spectral start: it densifies the
+blend ``mu * A_T + (1 - mu) * A_S`` and takes numpy's full ``eigh``. numpy and
+scipy each load their own OpenBLAS, and on few cores their thread pools
+contend, so a top-rank solve through scipy measured slower than the full dense
+solve. ``finalize_edges`` scores every pair densely after the solve.
 """
 
 from __future__ import annotations
@@ -21,11 +27,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import TransferConfig
 from .errors import GraftError
-from .hetgraph import AdjacencyView, HeteroGraph
+from .hetgraph import HeteroGraph
 from .numerics import _row_zscores, sym_eig_topk
 
 log = logging.getLogger(__name__)
@@ -39,26 +44,25 @@ MAX_BACKTRACKS = 60
 class ReconstructionProblem:
     """Inputs of the construction stage.
 
-    ``target_adj`` and ``source_adj`` are binary adjacency views over the same
-    entity index (the extended target graph). ``observed_gap`` is the dynamic
-    factor measured between the domains on the original target entity set;
-    the consistency term holds the reconstruction at that discrepancy level.
+    ``target`` and ``source`` are graphs over the same entity index (the
+    extended target graph); the problem reads their binary adjacencies as the
+    graphs' cached CSR. ``observed_gap`` is the dynamic factor measured
+    between the domains on the original target entity set; the consistency
+    term holds the reconstruction at that discrepancy level.
     """
 
-    target_adj: AdjacencyView
-    source_adj: AdjacencyView
+    target: HeteroGraph
+    source: HeteroGraph
     observed_gap: float
     mu: float
     reg: float
     rank: int
 
     def __post_init__(self):
-        if self.target_adj.ids != self.source_adj.ids:
-            raise GraftError("target and source adjacency views must share one entity index")
-        if self.target_adj.n < 2:
-            raise GraftError(f"reconstruction needs at least 2 entities, got {self.target_adj.n}")
-        if not (self.target_adj.binary and self.source_adj.binary):
-            raise GraftError("reconstruction expects binary adjacency views")
+        if self.target.entity_ids != self.source.entity_ids:
+            raise GraftError("target and source graphs must share one entity index")
+        if self.target.n < 2:
+            raise GraftError(f"reconstruction needs at least 2 entities, got {self.target.n}")
         if not 0.0 <= self.observed_gap <= 1.0:
             raise GraftError(f"observed_gap must be in [0, 1], got {self.observed_gap}")
         if not 0.0 <= self.mu <= 1.0:
@@ -67,14 +71,10 @@ class ReconstructionProblem:
             raise GraftError(f"reg must be nonnegative, got {self.reg}")
         if not (isinstance(self.rank, int) and self.rank >= 1):
             raise GraftError(f"rank must be a positive integer, got {self.rank!r}")
-        # the sparse forms and squared Frobenius norms every evaluation reads
-        for name, view in (("_target", self.target_adj), ("_source", self.source_adj)):
-            a = sp.csr_matrix(view.matrix)
-            object.__setattr__(self, name, (a, float((a.data * a.data).sum())))
 
     @property
     def n(self) -> int:
-        return self.target_adj.n
+        return self.target.n
 
 
 class _Evaluation:
@@ -90,7 +90,8 @@ class _Evaluation:
         n = prob.n
         if u.shape[0] != n:
             raise GraftError(f"u has {u.shape[0]} rows but the problem has {n} entities")
-        (a_t, sq_t), (a_s, sq_s) = prob._target, prob._source
+        a_t, a_s = prob.target.csr(), prob.source.csr()
+        sq_t, sq_s = float(a_t.nnz), float(a_s.nnz)  # squared norms of 0/1 matrices
         self.u = u
         self.prob = prob
         self.gram = u.T @ u
@@ -177,7 +178,8 @@ def solve_reconstruction(
     config = config or TransferConfig()
     n = prob.n
     rank = min(prob.rank, n)
-    blended = prob.mu * prob.target_adj.matrix + (1.0 - prob.mu) * prob.source_adj.matrix
+    # the solve's one n x n array (module docstring)
+    blended = (prob.mu * prob.target.csr() + (1.0 - prob.mu) * prob.source.csr()).toarray()
     values, vectors = sym_eig_topk(blended, rank)
     u = vectors * np.sqrt(np.clip(values, 0.0, None))[None, :]
     rng = np.random.default_rng(seed)

@@ -74,16 +74,19 @@ def squared_row_distances(embedding: np.ndarray, start: int = 0, stop: int | Non
 
 
 def fit_weights(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], ridge: float) -> np.ndarray:
-    """Nonnegative blend weights regressing the matrices onto embedding distances.
+    """Blend weights regressing the matrices onto embedding distances by
+    clamped ridge least squares.
 
     The design X has one column per matrix and one row per entity pair (the
     strict upper triangle); the target t is the upper triangle of the
-    embedding's pairwise squared distances. Negative coefficients are
-    clamped to zero. XᵀX and Xᵀt are summed over blocks of whole rows of the
-    full symmetric matrices and halved, which equals the upper-triangle sum
-    because both triangles are equal and the diagonal is zero, so the
-    n(n−1)/2 × P design is never formed. On small-integer hop matrices every
-    partial sum of XᵀX is an integer below 2⁵³, so XᵀX is exact.
+    embedding's pairwise squared distances. The unconstrained ridge solution
+    has its negative coefficients clamped to zero afterwards, which is not the
+    nonnegative least-squares (NNLS) optimum and can fit worse. XᵀX and Xᵀt
+    are summed over blocks of whole rows of the full symmetric matrices and
+    halved, which equals the upper-triangle sum because both triangles are
+    equal and the diagonal is zero, so the n(n−1)/2 × P design is never
+    formed. On small-integer hop matrices every partial sum of XᵀX is an
+    integer below 2⁵³, so XᵀX is exact.
     """
     if len(mats) == 0:
         raise GraftError("fit_weights needs at least one matrix")

@@ -99,7 +99,7 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
             f"but only {n_pairs} entity pairs exist"
         )
     t_rows, t_cols = np.triu_indices(m, k=1)
-    pairs = trimmed.adjacency(binary=True).matrix[t_rows, t_cols] > 0
+    pairs = trimmed.csr().toarray()[t_rows, t_cols] > 0
     pairs[rng.choice(n_pairs, size=k, replace=False)] ^= True
     gt_truth = trimmed._with_edges(t_rows[pairs], t_cols[pairs], np.ones(np.count_nonzero(pairs)))
 
@@ -116,10 +116,9 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
 def measured_stats(gs: HeteroGraph, gt_truth: HeteroGraph, gt_hat: HeteroGraph) -> dict:
     """Measured counterparts of the requested spec knobs, for metadata files."""
     check_shared_types(gt_truth, gs)
-    source_view = gs.adjacency(binary=True, ids=gt_truth.entity_ids)
     truth_on_hat = induced_subgraph(gt_truth, list(gt_hat.entity_ids))
     return {
-        "measured_dynamic_factor": dynamic_factor(source_view, gt_truth.adjacency(binary=True)),
+        "measured_dynamic_factor": dynamic_factor(gs._reindexed(gt_truth.entity_items()), gt_truth),
         "measured_entity_maturity": gt_hat.n / gt_truth.n,
         "measured_edge_maturity": (
             gt_hat.edge_count / truth_on_hat.edge_count if truth_on_hat.edge_count else 1.0

@@ -108,21 +108,18 @@ def construct_dependencies(
 ) -> tuple[HeteroGraph, ReconstructionSolution, ReconstructionProblem]:
     """Run the construction stage against a merged target graph.
 
-    Both adjacency views live on the merged graph's entity index; the source
-    view is selected from the source adjacency, zero where the source lacks an
-    entity. The observed gap is the dynamic factor on the original target set.
-    A ``mu`` of None is ``auto_mu(merged, target_partial)``.
+    The problem reads both adjacencies as the graphs' cached CSR over the
+    merged graph's entity index: the merged graph's own and the source
+    reindexed onto those entities, isolated where the source lacks one. The
+    observed gap is the dynamic factor on the original target set. A ``mu``
+    of None is ``auto_mu(merged, target_partial)``.
     """
     check_shared_types(merged, source)
     check_shared_types(target_partial, source)
-    observed_gap = dynamic_factor(
-        source.adjacency(binary=True, ids=target_partial.entity_ids),
-        target_partial.adjacency(binary=True),
-    )
     prob = ReconstructionProblem(
-        target_adj=merged.adjacency(binary=True),
-        source_adj=source.adjacency(binary=True, ids=merged.entity_ids),
-        observed_gap=observed_gap,
+        target=merged,
+        source=source._reindexed(merged.entity_items()),
+        observed_gap=dynamic_factor(source._reindexed(target_partial.entity_items()), target_partial),
         mu=auto_mu(merged, target_partial) if mu is None else mu,
         reg=config.lam,
         rank=config.d2,

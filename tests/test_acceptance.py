@@ -32,7 +32,6 @@ from graft import (
     score,
 )
 from graft.cli import main as cli_main
-from graft.hetgraph import AdjacencyView
 from graft.reconstruction import (
     ReconstructionProblem,
     reconstruction_gradient,
@@ -45,7 +44,7 @@ from graft.selection import (
     squared_row_distances,
 )
 from graft.transfer import construct_dependencies
-from testkit import finite_diff_grad
+from testkit import finite_diff_grad, graph_from_upper
 
 BENCH_SPEC = dict(n_source=1200, n_target=600, dynamic_factor=0.2, maturity=0.5)
 BENCH_SEEDS = (0, 1, 2, 3, 4)
@@ -100,13 +99,11 @@ def test_criterion_01_gradient_matches_finite_differences():
         mu = (0.0, 0.3, 0.7, 1.0)[i % 4]
         ids = tuple(f"e{j:02d}" for j in range(n))
 
-        def random_adj():
-            m = (rng.random((n, n)) < 0.3).astype(float)
-            m = np.triu(m, 1)
-            return AdjacencyView(ids, m + m.T, True)
+        def random_graph():
+            return graph_from_upper(ids, rng.random((n, n)) < 0.3)
 
         prob = ReconstructionProblem(
-            random_adj(), random_adj(), float(rng.random()), mu,
+            random_graph(), random_graph(), float(rng.random()), mu,
             float(rng.choice([0.0, 0.1])), rank,
         )
         u = 0.7 * rng.standard_normal((n, rank))
@@ -303,12 +300,8 @@ def test_criterion_09_dynamic_factor_axioms():
         n = int(rng.integers(6, 30))
         ids = tuple(f"e{j:02d}" for j in range(n))
 
-        def random_adj():
-            m = (rng.random((n, n)) < 0.4).astype(float)
-            m = np.triu(m, 1)
-            return AdjacencyView(ids, m + m.T, True)
-
-        a, b = random_adj(), random_adj()
+        m = rng.random((n, n)) < 0.4
+        a, b = graph_from_upper(ids, m), graph_from_upper(ids, rng.random((n, n)) < 0.4)
         ok &= dynamic_factor(a, a) == 0.0
         ok &= dynamic_factor(a, b) == dynamic_factor(b, a)
         ok &= 0.0 <= dynamic_factor(a, b) <= 1.0
@@ -316,16 +309,16 @@ def test_criterion_09_dynamic_factor_axioms():
         k = int(rng.integers(0, n * (n - 1) // 2 + 1))
         rows, cols = np.triu_indices(n, k=1)
         chosen = rng.choice(rows.size, size=k, replace=False)
-        flipped = a.matrix.copy()
+        flipped = m.copy()
         for idx in chosen:
             i, j = rows[idx], cols[idx]
-            flipped[i, j] = flipped[j, i] = 1.0 - flipped[i, j]
-        got = dynamic_factor(a, AdjacencyView(ids, flipped, True))
+            flipped[i, j] = not flipped[i, j]
+        got = dynamic_factor(a, graph_from_upper(ids, flipped))
         expect = 2.0 * k / (n * (n - 1))
         ok &= got == expect
         details.append(f"k={k},n={n}")
-    full = AdjacencyView(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), True)
-    empty = AdjacencyView(("a", "b"), np.zeros((2, 2)), True)
+    full = HeteroGraph([("a", "t"), ("b", "t")], [("a", "b")])
+    empty = HeteroGraph([("a", "t"), ("b", "t")], [])
     ok &= dynamic_factor(full, empty) == 1.0
     _report(9, bool(ok), f"identity, symmetry, range, flip formula exact ({'; '.join(details)})")
 

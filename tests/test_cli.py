@@ -355,6 +355,21 @@ class TestSweepCommand:
         assert self.run_sweep(b, values="0.1", methods="nt") == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_process_pool_writes_the_serial_bytes(self, tmp_path):
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        assert self.run_sweep(serial, seeds="0,1", extra=("--jobs", "1")) == 0
+        assert self.run_sweep(pooled, seeds="0,1", extra=("--jobs", "2")) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two(self, tmp_path, capsys, jobs):
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run_sweep(out, extra=("--jobs", jobs))
+        assert exc.value.code == 2
+        assert "--jobs: must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failing_cell_marks_row_and_exit(self, tmp_path):
         out = tmp_path / "sweep.csv"
         # size axis fixes n_target=900; a smaller source must fail

@@ -178,7 +178,7 @@ class TestSimpleBaselines:
 def dense_walk_oracle(gs, restart_ids, restart):
     """Closed form p = restart * (I - (1-restart) W)^-1 r for graphs with no
     degree-zero entities."""
-    adj = gs.adjacency(binary=True).matrix
+    adj = gs.csr().toarray()
     deg = adj.sum(axis=0)
     assert (deg > 0).all()
     w = adj / deg

@@ -223,15 +223,14 @@ class TestEdgeWeightsArePythonFloats:
 class TestAdjacency:
     def test_weighted_matrix(self):
         g = toy_graph()
-        view = g.adjacency()
-        i, j = view.ids.index("f1"), view.ids.index("p1")
-        assert view.matrix[i, j] == 2.0
-        assert view.matrix[j, i] == 2.0
-        assert not view.binary
+        m = g.csr(binary=False).toarray()
+        i, j = g.index_of("f1"), g.index_of("p1")
+        assert m[i, j] == 2.0
+        assert m[j, i] == 2.0
+        assert g.csr().toarray()[i, j] == 1.0
 
     def test_binary_matrix_and_invariants(self):
-        view = toy_graph().adjacency(binary=True)
-        m = view.matrix
+        m = toy_graph().csr().toarray()
         assert set(np.unique(m)) <= {0.0, 1.0}
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0.0)
@@ -239,7 +238,7 @@ class TestAdjacency:
     def test_empty_graph(self):
         g = HeteroGraph([], [])
         assert g.n == 0
-        assert g.adjacency().matrix.shape == (0, 0)
+        assert g.csr().shape == (0, 0)
 
 
 class TestSubgraphAndAlignment:
@@ -259,10 +258,10 @@ class TestSubgraphAndAlignment:
     def test_align_union_entities(self):
         a = HeteroGraph([("a", "t"), ("b", "t")], [("a", "b")])
         b = HeteroGraph([("b", "t"), ("c", "t")], [("b", "c")])
-        va, vb = align_union_entities(a, b)
-        assert va.ids == vb.ids == ("a", "b", "c")
-        assert va.matrix[0, 1] == 1.0 and va.matrix[1, 2] == 0.0
-        assert vb.matrix[1, 2] == 1.0 and vb.matrix[0, 1] == 0.0
+        ga, gb = align_union_entities(a, b)
+        assert ga.entity_ids == gb.entity_ids == ("a", "b", "c")
+        assert ga.edges() == (("a", "b", 1.0),)
+        assert gb.edges() == (("b", "c", 1.0),)
 
     def test_align_type_conflict(self):
         a = HeteroGraph([("a", "t1")], [])
@@ -280,8 +279,10 @@ class TestSubgraphAndAlignment:
 
 class TestDynamicFactor:
     def test_identical_graphs_zero(self):
-        v = toy_graph().adjacency(binary=True)
-        assert dynamic_factor(v, v) == 0.0
+        g = toy_graph()
+        reweighted = HeteroGraph(g.entity_items(), [(a, b, 7.5 * w) for a, b, w in g.edges()])
+        for a, b in ((g, g), (g, reweighted)):  # weights play no part
+            assert dynamic_factor(a, b) == 0.0
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(11)
@@ -297,11 +298,11 @@ class TestDynamicFactor:
                     for j in range(i + 1, n)
                     if rng.random() < 0.4
                 ]
-                return HeteroGraph(ents, edges).adjacency(binary=True)
+                return HeteroGraph(ents, edges)
 
-            va, vb = rand_graph(), rand_graph()
-            f = dynamic_factor(va, vb)
-            assert f == dynamic_factor(vb, va)
+            ga, gb = rand_graph(), rand_graph()
+            f = dynamic_factor(ga, gb)
+            assert f == dynamic_factor(gb, ga)
             assert 0.0 <= f <= 1.0
 
     def test_flip_count_formula_exact(self):
@@ -326,14 +327,15 @@ class TestDynamicFactor:
                 p = all_pairs[idx]
                 pairs.symmetric_difference_update({p})
             g2 = HeteroGraph(ents, sorted(pairs))
-            f = dynamic_factor(g1.adjacency(binary=True), g2.adjacency(binary=True))
-            assert f == 2.0 * k / (n * (n - 1))
+            f = dynamic_factor(g1, g2)
+            assert f == dynamic_factor(g2, g1) == 2.0 * k / (n * (n - 1))
 
     def test_mismatched_ids_rejected(self):
-        va = toy_graph().adjacency(binary=True)
-        vb = HeteroGraph([("x", "t"), ("y", "t")], []).adjacency(binary=True)
-        with pytest.raises(GraftError):
-            dynamic_factor(va, vb)
+        g = toy_graph()
+        renamed = HeteroGraph([("x", "t"), ("y", "t"), ("z", "t")], [("x", "y")])
+        for other in (HeteroGraph([("x", "t"), ("y", "t")], []), renamed):
+            with pytest.raises(GraftError, match="different entity index spaces"):
+                dynamic_factor(g, other)
 
 
 class TestGraphFormat:

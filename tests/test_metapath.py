@@ -101,7 +101,7 @@ class TestEnumerate:
 def naive_projection_weights(g, p):
     """Dense masked chain product, counting both orientations for non-palindromes."""
     n = g.n
-    adj = g.adjacency(binary=True).matrix
+    adj = g.csr().toarray()
     types = np.array(g.entity_types)
 
     def mask(t):
@@ -157,7 +157,7 @@ class TestProject:
 def naive_hop_distances(gp, cap):
     """BFS from every entity over binary adjacency."""
     n = gp.n
-    adj = gp.adjacency(binary=True).matrix
+    adj = gp.csr().toarray()
     nbrs = [np.flatnonzero(adj[i] > 0) for i in range(n)]
     dist = np.full((n, n), np.inf)
     for s in range(n):

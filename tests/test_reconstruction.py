@@ -6,7 +6,6 @@ import pytest
 import scipy.sparse as sp
 
 from graft import (
-    AdjacencyView,
     GraftError,
     HeteroGraph,
     ReconstructionProblem,
@@ -23,7 +22,7 @@ from graft.reconstruction import (
     reconstruction_gradient,
     reconstruction_objective,
 )
-from testkit import finite_diff_grad, soft_dynamic_factor
+from testkit import finite_diff_grad, graph_from_upper, soft_dynamic_factor
 
 
 def random_graph(seed, n=20, p=0.25, weighted=True):
@@ -42,15 +41,13 @@ def make_problem(seed=0, n=12, mu=0.5, reg=0.01, rank=4, gap=0.1):
     gt = random_graph(seed, n=n)
     gs = random_graph(seed + 100, n=n)
     gs = HeteroGraph(gt.entity_items(), [(a, b, w) for a, b, w in gs.edges()])
-    return ReconstructionProblem(
-        gt.adjacency(binary=True), gs.adjacency(binary=True), gap, mu, reg, rank
-    )
+    return ReconstructionProblem(gt, gs, gap, mu, reg, rank)
 
 
 def naive_objective(u, prob):
     """Triple-loop transcription of the objective."""
     n = prob.n
-    at, asrc = prob.target_adj.matrix, prob.source_adj.matrix
+    at, asrc = prob.target.csr().toarray(), prob.source.csr().toarray()
     m = u @ u.T
     smooth = 0.0
     gap = 0.0
@@ -70,7 +67,7 @@ def reference_solve(prob, seed, config):
     halvings, for comparison with ``solve_reconstruction``.
     """
     rank = min(prob.rank, prob.n)
-    blended = prob.mu * prob.target_adj.matrix + (1.0 - prob.mu) * prob.source_adj.matrix
+    blended = prob.mu * prob.target.csr().toarray() + (1.0 - prob.mu) * prob.source.csr().toarray()
     values, vectors = sym_eig_topk(blended, rank)
     u = vectors * np.sqrt(np.clip(values, 0.0, None))[None, :]
     u = u + INIT_NOISE * np.random.default_rng(seed).standard_normal(u.shape)
@@ -116,8 +113,8 @@ class TestObjective:
         # the same floating-point order; any reordering shows up in the last bits
         prob = make_problem(mu=mu, n=60, rank=6)
         u = np.random.default_rng(11).standard_normal((prob.n, prob.rank))
-        a_t = sp.csr_matrix(prob.target_adj.matrix)
-        a_s = sp.csr_matrix(prob.source_adj.matrix)
+        a_t = sp.csr_matrix(prob.target.csr().toarray())
+        a_s = sp.csr_matrix(prob.source.csr().toarray())
         gram = u.T @ u
         au_t, au_s = a_t @ u, a_s @ u
         pairs = prob.n * (prob.n - 1)
@@ -144,11 +141,12 @@ class TestObjective:
         u = np.random.default_rng(11).standard_normal((prob.n, prob.rank))
         m = u @ u.T
         pairs = prob.n * (prob.n - 1)
-        gap = float(((m - prob.source_adj.matrix) ** 2).sum()) / pairs
+        a_t, a_s = prob.target.csr().toarray(), prob.source.csr().toarray()
+        gap = float(((m - a_s) ** 2).sum()) / pairs
         dense = (
-            4.0 * prob.mu * ((m - prob.target_adj.matrix) @ u)
+            4.0 * prob.mu * ((m - a_t) @ u)
             + (1.0 - prob.mu) * 2.0 * (gap - prob.observed_gap) * (4.0 / pairs)
-            * ((m - prob.source_adj.matrix) @ u)
+            * ((m - a_s) @ u)
             + 2.0 * prob.reg * u
         )
         np.testing.assert_allclose(reconstruction_gradient(u, prob), dense, rtol=1e-10, atol=0.0)
@@ -157,13 +155,13 @@ class TestObjective:
         prob0 = make_problem(mu=0.0, reg=0.0)
         rng = np.random.default_rng(1)
         u = rng.standard_normal((prob0.n, prob0.rank))
-        gap = soft_dynamic_factor(u, prob0.source_adj.matrix)
+        gap = soft_dynamic_factor(u, prob0.source.csr().toarray())
         assert reconstruction_objective(u, prob0) == pytest.approx(
             (gap - prob0.observed_gap) ** 2, rel=1e-12
         )
         prob1 = make_problem(mu=1.0, reg=0.0)
         m = u @ u.T
-        smooth = float(((m - prob1.target_adj.matrix) ** 2).sum())
+        smooth = float(((m - prob1.target.csr().toarray()) ** 2).sum())
         assert reconstruction_objective(u, prob1) == pytest.approx(smooth, rel=1e-12)
 
     def test_orthogonal_rotation_invariant(self):
@@ -177,7 +175,7 @@ class TestObjective:
 
     def test_soft_dynamic_factor_zero_at_exact_fit(self):
         g = random_graph(5, n=8, weighted=False)
-        adj = g.adjacency(binary=True).matrix
+        adj = g.csr().toarray()
         vals, vecs = np.linalg.eigh(adj)
         u = vecs @ np.diag(np.sqrt(np.clip(vals, 0, None)))
         # adjacency is indefinite, so a PSD factorization cannot be exact,
@@ -195,11 +193,10 @@ class TestEvaluationMemory:
         n, rank = 2000, 16
         ids = tuple(f"e{i:04d}" for i in range(n))
 
-        def sparse_view(seed):
-            upper = np.triu(np.random.default_rng(seed).random((n, n)) < 0.002, k=1)
-            return AdjacencyView(ids, (upper | upper.T).astype(float), True)
+        def sparse_graph(seed):
+            return graph_from_upper(ids, np.random.default_rng(seed).random((n, n)) < 0.002)
 
-        prob = ReconstructionProblem(sparse_view(1), sparse_view(2), 0.01, 0.5, 0.01, rank)
+        prob = ReconstructionProblem(sparse_graph(1), sparse_graph(2), 0.01, 0.5, 0.01, rank)
         u = np.random.default_rng(3).standard_normal((n, rank))
         tracemalloc.start()
         try:
@@ -232,9 +229,8 @@ class TestGradient:
         # with mu=1 and no regularizer, u = V sqrt(L) on positive top
         # eigenpairs of A_T zeroes the gradient exactly
         g = random_graph(2, n=10, weighted=False)
-        adj = g.adjacency(binary=True)
-        prob = ReconstructionProblem(adj, adj, 0.0, 1.0, 0.0, 1)
-        vals, vecs = np.linalg.eigh(adj.matrix)
+        prob = ReconstructionProblem(g, g, 0.0, 1.0, 0.0, 1)
+        vals, vecs = np.linalg.eigh(g.csr().toarray())
         top = vecs[:, -1:] * np.sqrt(vals[-1])
         grad = reconstruction_gradient(top, prob)
         assert np.abs(grad).max() < 1e-10
@@ -247,15 +243,10 @@ class TestGradient:
 
 class TestProblemValidation:
     def test_mismatched_index_rejected(self):
-        a = random_graph(0, n=5).adjacency(binary=True)
-        b = random_graph(1, n=6).adjacency(binary=True)
+        a = random_graph(0, n=5)
+        b = random_graph(1, n=6)
         with pytest.raises(GraftError, match="entity index"):
             ReconstructionProblem(a, b, 0.0, 0.5, 0.0, 2)
-
-    def test_weighted_views_rejected(self):
-        g = random_graph(0, n=5)
-        with pytest.raises(GraftError, match="binary"):
-            ReconstructionProblem(g.adjacency(), g.adjacency(binary=True), 0.0, 0.5, 0.0, 2)
 
     @pytest.mark.parametrize(
         "gap,mu,reg,rank,msg",
@@ -270,32 +261,30 @@ class TestProblemValidation:
         ],
     )
     def test_bad_scalars_rejected(self, gap, mu, reg, rank, msg):
-        adj = random_graph(0, n=5).adjacency(binary=True)
+        g = random_graph(0, n=5)
         with pytest.raises(GraftError, match=msg):
-            ReconstructionProblem(adj, adj, gap, mu, reg, rank)
+            ReconstructionProblem(g, g, gap, mu, reg, rank)
 
     def test_too_few_entities(self):
-        adj = HeteroGraph([("a", "t")], []).adjacency(binary=True)
+        g = HeteroGraph([("a", "t")], [])
         with pytest.raises(GraftError, match="at least 2"):
-            ReconstructionProblem(adj, adj, 0.0, 0.5, 0.0, 1)
+            ReconstructionProblem(g, g, 0.0, 0.5, 0.0, 1)
 
 
 class TestSolve:
     def test_self_transfer_reproduces_edges(self):
         g = random_graph(0, n=20)
-        adj = g.adjacency(binary=True)
-        prob = ReconstructionProblem(adj, adj, 0.0, 1.0, 0.0, 20)
+        prob = ReconstructionProblem(g, g, 0.0, 1.0, 0.0, 20)
         sol = solve_reconstruction(prob, seed=0, config=TransferConfig())
         out = finalize_edges(sol, g, 1.96)
         assert set(out.edges()) == set(g.edges())
 
     def test_mu_one_reaches_eigen_truncation_value(self):
         g = random_graph(0, n=20, weighted=False)
-        adj = g.adjacency(binary=True)
         rank = 4
-        prob = ReconstructionProblem(adj, adj, 0.0, 1.0, 0.0, rank)
+        prob = ReconstructionProblem(g, g, 0.0, 1.0, 0.0, rank)
         sol = solve_reconstruction(prob, seed=1, config=TransferConfig())
-        a = adj.matrix
+        a = g.csr().toarray()
         vals = np.linalg.eigvalsh(a)[::-1]
         kept = np.clip(vals[:rank], 0.0, None)
         optimum = float((a * a).sum() - (kept**2).sum())

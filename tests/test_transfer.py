@@ -178,11 +178,11 @@ class TestConstructionViews:
             target, induced_subgraph(source, [e for e in target.entity_ids if e in in_source])
         )
         _, _, prob = construct_dependencies(source, target, merged, 0.5, TransferConfig())
-        assert prob.target_adj.ids == prob.source_adj.ids == ref_target.ids == merged.entity_ids
-        assert np.array_equal(prob.target_adj.matrix, ref_target.matrix)
-        assert np.array_equal(prob.source_adj.matrix, ref_source.matrix)
+        assert prob.target.entity_ids == prob.source.entity_ids == ref_target.entity_ids == merged.entity_ids
+        assert prob.target == ref_target
+        assert prob.source == ref_source
         assert prob.observed_gap == dynamic_factor(hat_source, hat)
-        assert ref_source.matrix.any() and prob.observed_gap > 0.0
+        assert ref_source.edge_count and prob.observed_gap > 0.0
 
     def test_type_conflict_in_merged_rejected(self):
         source, target, _ = views_instance()

@@ -1,5 +1,6 @@
 """Helpers used only by the tests: a finite-difference gradient check, the
-differentiable dynamic factor of a low-rank factor, and set-based scoring."""
+differentiable dynamic factor of a low-rank factor, set-based scoring, and a
+graph built from a boolean matrix."""
 
 from typing import Callable
 
@@ -31,6 +32,12 @@ def soft_dynamic_factor(u: np.ndarray, adj: np.ndarray) -> float:
     n = adj.shape[0]
     diff = u @ u.T - adj
     return float((diff * diff).sum()) / (n * (n - 1))
+
+
+def graph_from_upper(ids, m: np.ndarray) -> HeteroGraph:
+    """One-type graph over ``ids`` with an edge for each true entry of ``m``'s strict upper triangle."""
+    rows, cols = np.nonzero(np.triu(m, 1))
+    return HeteroGraph([(e, "t") for e in ids], [(ids[i], ids[j]) for i, j in zip(rows, cols)])
 
 
 def reference_score(estimate: HeteroGraph, truth: HeteroGraph) -> EvalResult:
