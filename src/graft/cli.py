@@ -1,7 +1,8 @@
 """Command-line entry point: synth, ingest, transfer, baseline, eval, sweep.
 
 Every subcommand writes exactly the files named by its --out flags, keeps all
-randomness behind --seed, and is byte-reproducible given identical flags.
+randomness behind --seed, and is byte-reproducible given identical flags, the
+same numpy/scipy builds and the same BLAS thread count.
 Exit codes: 0 success, 1 pipeline/file error, 2 usage error.
 """
 

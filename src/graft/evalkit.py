@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 from itertools import repeat
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import TransferConfig
 from .errors import GraftError
@@ -103,8 +104,9 @@ def random_walk_scores(
     """Random walk with restart over the binarized source graph.
 
     Power iteration on p <- (1-restart) * W p + restart * r with the restart
-    vector r uniform over ``restart_ids``; mass leaving degree-zero entities is
-    routed back to r so the iterate stays a probability vector.
+    vector r uniform over ``restart_ids``, each step one sparse product with the
+    column-stochastic W; mass leaving degree-zero entities is routed back to r
+    so the iterate stays a probability vector.
     """
     if not restart_ids:
         raise GraftError("restart set is empty")
@@ -113,10 +115,11 @@ def random_walk_scores(
     for eid in restart_ids:
         if not gs.has_entity(eid):
             raise GraftError(f"restart entity {eid!r} not in the source graph")
-    adj = gs.csr().toarray()
-    degrees = adj.sum(axis=0)
+    adj = gs.csr()
+    degrees = np.asarray(adj.sum(axis=0)).ravel()
     dangling = degrees == 0
-    w = adj / np.where(dangling, 1.0, degrees)  # dangling columns are zero already
+    # column-stochastic transition matrix with the adjacency's sparsity; dangling columns stay empty
+    w = sp.csr_matrix((adj.data / degrees[adj.indices], adj.indices, adj.indptr), shape=adj.shape)
     r = np.zeros(gs.n)
     for eid in restart_ids:
         r[gs.index_of(eid)] = 1.0

@@ -4,12 +4,14 @@ Each event carries an epoch-millisecond timestamp and a mapping from entity
 type to entity id. Every event contributes +1 weight to each unordered pair
 of its entities (clique expansion), so edge weights count co-occurrences.
 
-``accumulate`` and ``snapshot_series`` read events through one loop,
-``_prefix_graphs``. It folds the events in once, coding each entity as an
-integer at first sight (where its id and type are checked) and appending each
-pair as two codes. Each prefix graph that gained a pair is then one array
-build from those codes, through ``HeteroGraph._init``, so a series of
-snapshots costs one pass over the events plus one sort-and-count per window.
+``parse_events`` checks each distinct token once. ``accumulate`` and
+``snapshot_series`` read events through one loop, ``_prefix_graphs``: one
+fold codes each entity as an integer at first sight (where its id and type
+are checked) and appends every event's codes to one flat array; one sort
+ranks the ids and one ``np.unique`` numbers the distinct pairs. Each window
+that adds a pair then costs one count update and one array build through
+``HeteroGraph._init``, so a series of snapshots costs one fold and one sort
+plus its graphs, never a re-sort per window.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import logging
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
@@ -46,12 +47,13 @@ class Event:
 def parse_events(lines: Iterable[str]) -> list[Event]:
     """Parse JSON-lines event records; malformed records report their index.
 
-    Every event's attribute map keys one shared string per entity type, where
-    each decoded record would carry its own copies.
+    One dict maps each distinct token (type or id) to itself: a token is
+    checked the first time it is seen, and every event's attribute map shares
+    one string per entity type and per entity id, where each decoded record
+    would carry its own copies.
     """
     events: list[Event] = []
-    type_names: dict[str, str] = {}
-    shared = type_names.setdefault
+    tokens: dict[str, str] = {}
     rec = 0
     for raw in lines:
         line = raw.strip()
@@ -70,10 +72,18 @@ def parse_events(lines: Iterable[str]) -> list[Event]:
         attrs = obj["attrs"]
         if not isinstance(attrs, dict):
             raise GraftError(f"record {rec}: 'attrs' must be an object mapping type to id")
-        if not all(is_token(k) and is_token(v) for k, v in attrs.items()):
-            msg = "attribute keys and values must be non-empty strings without whitespace"
-            raise GraftError(f"record {rec}: {msg}")
-        events.append(Event(ts, {shared(k, k): v for k, v in attrs.items()}))
+        try:
+            shared = {tokens[k]: tokens[v] for k, v in attrs.items()}
+        except (KeyError, TypeError):  # a token not seen before, or an unhashable value
+            for tok in (*attrs, *attrs.values()):
+                if isinstance(tok, str) and tok in tokens:
+                    continue
+                if not is_token(tok):
+                    msg = "attribute keys and values must be non-empty strings without whitespace"
+                    raise GraftError(f"record {rec}: {msg}") from None
+                tokens[tok] = tok
+            shared = {tokens[k]: tokens[v] for k, v in attrs.items()}
+        events.append(Event(ts, shared))
     return events
 
 
@@ -87,27 +97,29 @@ def _prefix_graphs(events: list[Event], cuts: Iterable[int]) -> list[HeteroGraph
 
     One fold reads every event once. It gives each entity an integer code at
     first sight, checking then its id and type tokens, and later sightings
-    against its type; each co-occurring pair is appended as two codes. A cut
-    that added a pair builds its graph from those arrays in one array-level
-    construction (``_pairs_graph``); one that added none shares the previous
-    cut's graph (graphs are immutable). Events with fewer than two attributes
-    are skipped, with one warning for all of them.
+    against its type; it appends each event's codes to one flat array and the
+    event's arity to another. Events with fewer than two attributes are
+    skipped, with one warning for all of them.
+
+    After the fold, one sort ranks the ids and one ``np.unique`` numbers the
+    distinct pairs; the cuts then add their pair occurrences into one running
+    count. A cut that added pairs but no entity shares the previous graph's
+    id and type tables; one that added nothing shares the previous graph
+    (graphs are immutable).
     """
     code: dict[str, int] = {}
     ids: list[str] = []
     types: list[str] = []
-    left, right = array("q"), array("q")
-    add_left, add_right = left.append, right.append
-    graphs: list[HeteroGraph] = []
+    flat, arity = array("q"), array("q")
+    add_code, add_arity = flat.append, arity.append
+    folded: list[int] = []  # events kept by each cut
+    seen: list[int] = []  # entities coded by each cut
     skipped = done = 0
     for cut in cuts:
-        changed = not graphs
         for ev in events[done:cut]:
             if len(ev.attrs) < 2:
                 skipped += 1
                 continue
-            changed = True
-            codes = []
             for etype, eid in ev.attrs.items():
                 try:
                     c = code.get(eid)
@@ -122,31 +134,61 @@ def _prefix_graphs(events: list[Event], cuts: Iterable[int]) -> list[HeteroGraph
                     types.append(etype)
                 elif types[c] != etype:
                     raise GraftError(f"entity {eid!r} appears with conflicting types {types[c]!r} and {etype!r}")
-                codes.append(c)
-            for a, b in combinations(codes, 2):
-                add_left(a)
-                add_right(b)
+                add_code(c)
+            add_arity(len(ev.attrs))
         done = cut
-        graphs.append(_pairs_graph(ids, types, left, right) if changed else graphs[-1])
+        folded.append(len(arity))
+        seen.append(len(ids))
     if skipped:
         log.warning("skipped %d event(s) with fewer than two attributes", skipped)
+
+    n = len(ids)
+    by_rank = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.int64)  # the code at each global rank
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+    keys, bounds = _pair_keys(rank[np.frombuffer(flat, np.int64)], np.frombuffer(arity, np.int64), n)
+    pairs, occurrence = np.unique(keys, return_inverse=True)
+    pair_rows, pair_cols = np.divmod(pairs, max(n, 1))
+
+    counts = np.zeros(len(pairs), dtype=np.int64)
+    graphs: list[HeteroGraph] = []
+    counted = known = 0
+    for end, m in zip(folded, seen):
+        if graphs and end == counted:
+            graphs.append(graphs[-1])
+            continue
+        counts += np.bincount(occurrence[bounds[counted] : bounds[end]], minlength=len(pairs))
+        if not graphs or m != known:
+            present = by_rank < m
+            local = np.cumsum(present) - 1  # global rank -> rank among this cut's entities
+            kept = by_rank[present].tolist()
+            cut_ids = tuple(map(ids.__getitem__, kept))
+            cut_types = tuple(map(types.__getitem__, kept))
+            index = dict(zip(cut_ids, range(m)))
+        live = np.flatnonzero(counts)
+        rows, cols = local[pair_rows[live]], local[pair_cols[live]]
+        graph = HeteroGraph.__new__(HeteroGraph)
+        graphs.append(graph._init(cut_ids, cut_types, index, rows, cols, counts[live].astype(float)))
+        counted, known = end, m
     return graphs
 
 
-def _pairs_graph(ids: list[str], types: list[str], left: array, right: array) -> HeteroGraph:
-    """The graph over coded entities (``ids[c]`` has type ``types[c]``) whose
-    edge weights count the coded pairs ``(left[k], right[k])``."""
-    n = len(ids)
-    order = sorted(range(n), key=ids.__getitem__)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    a, b = rank[np.frombuffer(left, np.int64)], rank[np.frombuffer(right, np.int64)]
-    keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
-    sorted_ids = tuple(map(ids.__getitem__, order))
-    sorted_types = tuple(map(types.__getitem__, order))
-    index = dict(zip(sorted_ids, range(n)))
-    graph = HeteroGraph.__new__(HeteroGraph)
-    return graph._init(sorted_ids, sorted_types, index, keys // n, keys % n, counts.astype(float))
+def _pair_keys(ranked: np.ndarray, sizes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The key ``min * n + max`` of every pair of ranks within each event, in
+    event order, and the offset at which each event's keys start (plus the
+    total). Event ``e`` holds the ``sizes[e]`` ranks after those of the events
+    before it; each arity is one numpy pass over its C(a, 2) position pairs."""
+    first = np.cumsum(sizes) - sizes
+    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes * (sizes - 1) // 2, out=bounds[1:])
+    keys = np.empty(bounds[-1], dtype=np.int64)
+    for a in np.unique(sizes).tolist():
+        evs = np.flatnonzero(sizes == a)
+        members = ranked[first[evs, None] + np.arange(a)]
+        i, j = np.triu_indices(a, 1)
+        x, y = members[:, i], members[:, j]
+        keys[bounds[evs, None] + np.arange(len(i))] = np.minimum(x, y) * n + np.maximum(x, y)
+    return keys, bounds
 
 
 def accumulate(events: Iterable[Event]) -> HeteroGraph:

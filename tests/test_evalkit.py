@@ -14,7 +14,8 @@ from graft import (
     random_walk_scores,
     score,
 )
-from testkit import reference_score
+from graft import evalkit
+from testkit import dense_random_walk_scores, reference_score
 
 
 def graph_of(entities, edges=()):
@@ -229,6 +230,17 @@ class TestRandomWalk:
         p = random_walk_scores(g, ["c"])
         assert sum(p.values()) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("restart", [0.15, 0.5])
+    def test_matches_dense_reference_with_dangling_entities(self, restart):
+        gs, _, _ = generate(SynthSpec(300, 150, seed=5))
+        isolated = [(f"zz{i}", gs.type_of(gs.entity_ids[i])) for i in range(3)]
+        g = HeteroGraph(list(gs.entity_items()) + isolated, gs.edges())
+        restart_ids = list(gs.entity_ids[::7]) + ["zz0"]  # mass sits on a dangling entity too
+        got, want = random_walk_scores(g, restart_ids, restart), dense_random_walk_scores(g, restart_ids, restart)
+        assert list(got) == list(want) == list(g.entity_ids)
+        assert want["zz1"] == 0.0 and want["zz0"] > 0.0
+        np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize(
         "ids,restart,msg",
         [
@@ -256,6 +268,15 @@ class TestRandomWalkBaseline:
         gs, _, _ = generate(SynthSpec(20, 20, maturity=1.0, seed=3))
         out = baseline_random_walk(gs, gs)
         assert set(out.entity_ids) == set(gs.entity_ids)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_walk_selects_as_dense_reference(self, seed, monkeypatch):
+        gs, _, gt_hat = generate(SynthSpec(300, 150, seed=seed))
+        sparse = baseline_random_walk(gs, gt_hat)
+        monkeypatch.setattr(evalkit, "random_walk_scores", dense_random_walk_scores)
+        dense = baseline_random_walk(gs, gt_hat)
+        assert sparse.n > gt_hat.n
+        assert sparse.entity_ids == dense.entity_ids
 
     def test_deterministic(self):
         gs, _, gt_hat = generate(SynthSpec(40, 20, seed=4))

@@ -64,6 +64,16 @@ class TestParseEvents:
         with pytest.raises(GraftError, match="record 3"):
             parse_events([good, good, "{bad"])
 
+    @pytest.mark.parametrize(
+        "attrs", [{"t": ["x"]}, {"t": ""}, {"a": "x", "b": ["y"]}, {"a": "x", "b": ""}, {"a": {"x": 1}}]
+    )
+    def test_bad_token_after_valid_records_reports_its_index(self, attrs):
+        # every token of the valid records has passed by then, so only the new one is checked
+        good = line(1, {"a": "x", "b": "y"})
+        message = "record 3: attribute keys and values must be non-empty strings without whitespace"
+        with pytest.raises(GraftError, match=f"^{re.escape(message)}$"):
+            parse_events([good, good, line(2, attrs), good])
+
 
 def mixed_stream(seed: int, window: int) -> list[Event]:
     """Events with 1-4 attributes; ties on window boundaries and three empty windows."""
@@ -75,6 +85,28 @@ def mixed_stream(seed: int, window: int) -> list[Event]:
     for ts in offsets:
         picked = rng.choice(len(types), size=int(rng.integers(1, 5)), replace=False)
         events.append(Event(1000 + ts, {types[i]: f"{types[i][0]}{rng.integers(14)}" for i in picked}))
+    return events
+
+
+def growing_stream(seed: int, windows: int, window: int) -> list[Event]:
+    """Events with 1-3 attributes in every window from ts 0. Ids are random
+    numbers, so a later window's new ids often sort before earlier ones, and
+    every third window draws only ids seen before."""
+    rng = np.random.default_rng(seed)
+    types = ("host", "proc", "user")
+    pools: dict[str, list[str]] = {t: [] for t in types}
+    events = []
+    for k in range(windows):
+        for j in range(int(rng.integers(1, 4))):
+            attrs = {}
+            for i in rng.choice(len(types), size=int(rng.integers(1, 4)), replace=False):
+                pool = pools[types[i]]
+                if k % 3 != 2 and (not pool or rng.random() < 0.3):
+                    pool.append(f"{types[i][0]}{int(rng.integers(10**6)):06d}")
+                    attrs[types[i]] = pool[-1]
+                elif pool:
+                    attrs[types[i]] = pool[int(rng.integers(len(pool)))]
+            events.append(Event(k * window + (j and int(rng.integers(window))), attrs))
     return events
 
 
@@ -201,6 +233,25 @@ class TestSnapshotSeries:
         assert snaps[4] is snaps[5] is snaps[6] is snaps[3]
         assert format_graph(snaps[-1]) == format_graph(counter_graph(events))
 
+    def test_long_series_matches_counter_oracle(self):
+        window = 10
+        events = growing_stream(5, 240, window)
+        snaps = snapshot_series(events, window)
+        assert len(snaps) == 240
+        seen: set[str] = set()
+        earlier_first = entity_only = 0
+        for k, snap in enumerate(snaps):
+            prefix = [ev for ev in events if ev.ts < (k + 1) * window]
+            assert snap == counter_graph(prefix), k
+            new = set(snap.entity_ids) - seen
+            earlier_first += bool(new and seen and min(new) < max(seen))
+            if k and not new and snap is not snaps[k - 1]:  # pairs added, no entity
+                entity_only += 1
+                assert snap.entity_ids is snaps[k - 1].entity_ids
+                assert snap.edge_count >= snaps[k - 1].edge_count
+            seen |= new
+        assert earlier_first > 50 and entity_only > 20
+
     def test_ties_belong_to_earlier_window(self):
         evs = [Event(0, {"a": "x", "b": "y"}), Event(5, {"a": "x", "b": "z"})]
         # boundary at 5 is exclusive, so the second event lands in window 2
@@ -278,6 +329,24 @@ class TestIngestMemory:
         keys = [k for ev in events for k in ev.attrs]
         assert len(set(keys)) == 6
         assert len({id(k) for k in keys}) == 6
+
+    def test_events_share_one_string_per_id(self):
+        events = parse_events(stream_lines(3, 500, 1000))
+        values = [v for ev in events for v in ev.attrs.values()]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values) / 2
+
+    def test_snapshot_series_holds_no_window_by_pair_matrix(self):
+        # the transient peak stays below one int64 count per window and distinct pair
+        events = parse_events(stream_lines(4, 2000, 200_000))
+        pairs = accumulate(events).edge_count
+        tracemalloc.start()
+        try:
+            snaps = snapshot_series(events, 1000)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(snaps) == 200 and pairs > 2000
+        assert peak - live < len(snaps) * pairs * 8
 
     def test_events_have_no_instance_dict(self):
         (ev,) = parse_events([line(1, {"proc": "p1", "file": "f1"})])

@@ -1,13 +1,13 @@
 """Helpers used only by the tests: a finite-difference gradient check, the
-differentiable dynamic factor of a low-rank factor, set-based scoring, and a
-graph built from a boolean matrix."""
+differentiable dynamic factor of a low-rank factor, set-based scoring, a
+dense random walk with restart, and a graph built from a boolean matrix."""
 
 from typing import Callable
 
 import numpy as np
 
 from graft import EvalResult, GraftError, HeteroGraph
-from graft.evalkit import _prf
+from graft.evalkit import RESTART_PROB, WALK_MAX_ITERS, WALK_TOL, _prf
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
@@ -60,3 +60,25 @@ def reference_score(estimate: HeteroGraph, truth: HeteroGraph) -> EvalResult:
         combined_f1=(ef1 + df1) / 2.0,
         had_zero_division=eflag or dflag,
     )
+
+
+def dense_random_walk_scores(gs: HeteroGraph, restart_ids: list[str], restart: float = RESTART_PROB) -> dict[str, float]:
+    """``evalkit.random_walk_scores`` over the dense adjacency and a dense
+    transition matrix, one dense matvec per power step."""
+    adj = gs.csr().toarray()
+    degrees = adj.sum(axis=0)
+    dangling = degrees == 0
+    w = adj / np.where(dangling, 1.0, degrees)  # dangling columns are zero already
+    r = np.zeros(gs.n)
+    for eid in restart_ids:
+        r[gs.index_of(eid)] = 1.0
+    r /= r.sum()
+    p = r.copy()
+    for _ in range(WALK_MAX_ITERS):
+        spread = w @ p + p[dangling].sum() * r
+        p_next = (1.0 - restart) * spread + restart * r
+        if np.abs(p_next - p).sum() < WALK_TOL:
+            p = p_next
+            break
+        p = p_next
+    return {eid: float(p[i]) for i, eid in enumerate(gs.entity_ids)}
