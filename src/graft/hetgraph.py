@@ -151,12 +151,16 @@ class HeteroGraph:
     def _init(self, ids, types, index, rows, cols, weights) -> HeteroGraph:
         """The array-level constructor every graph ends in. It trusts that ``ids``
         are sorted and unique and that each edge rows[k] < cols[k] occurs once
-        with a positive finite weight."""
+        with a positive finite weight. Edges already in pair order are kept
+        as given, and frozen, so callers hand over arrays they no longer write."""
         self._ids, self._types, self._index = ids, types, index
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        order = np.argsort(rows * len(ids) + cols, kind="stable")  # near linear on sorted input
-        self._rows, self._cols = rows[order], cols[order]
-        self._weights = np.asarray(weights, dtype=float)[order]
+        weights = np.asarray(weights, dtype=float)
+        key = rows * len(ids) + cols
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            rows, cols, weights = rows[order], cols[order], weights[order]
+        self._rows, self._cols, self._weights = rows, cols, weights
         for arr in (self._rows, self._cols, self._weights):
             arr.flags.writeable = False
         self._csr = {}

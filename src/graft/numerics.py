@@ -7,8 +7,11 @@ construction's spectral start), and ``sym_eig_topk_subset`` asks LAPACK's
 MRRR routine through ``scipy.linalg.eigh`` for the top k only (MDS). numpy and
 scipy each ship their own OpenBLAS thread pool, and on a 2-core host the two
 pools contend, so the construction start, which runs once per μ, stays on
-numpy's. All routines fix sign and ordering conventions so that identical
-inputs give bit-identical outputs on a given platform.
+numpy's. Both check and symmetrise their input through one routine that
+works in place over tile pairs; the public solves run it on a copy, and MDS
+hands it its own centred matrix, so that solve holds one n × n array. All
+routines fix sign and ordering conventions so that identical inputs give
+bit-identical outputs on a given platform.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import scipy.linalg
 from .errors import GraftError
 
 SYMMETRY_RTOL = 1e-9
+# side of the square tiles that _symmetrize_in_place checks and averages in pairs
+_TILE = 256
 
 
 def sym_eig_topk(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -35,9 +40,10 @@ def sym_eig_topk(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     vectors : (n, k) orthonormal eigenvectors; each column is flipped so its
         largest-magnitude entry is positive, which makes the result unique.
 
-    Solves for all n eigenpairs (``numpy.linalg.eigh``) and keeps the top k.
+    Solves for all n eigenpairs (``numpy.linalg.eigh``) of a symmetrised copy
+    and keeps the top k; ``m`` is left unchanged.
     """
-    values, vectors = np.linalg.eigh(_symmetrized(m, k))
+    values, vectors = np.linalg.eigh(_symmetrize_in_place(np.array(m, dtype=float), k))
     return _top_oriented(values, vectors, k)
 
 
@@ -49,36 +55,58 @@ def sym_eig_topk_subset(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     MRRR routine ``dsyevr`` (Dhillon, Parlett & Vömel, ACM TOMS 2006); it
     skips the other n−k eigenvectors and their workspace.
     Results agree with ``sym_eig_topk`` to rounding, not bit for bit.
+    ``m`` is left unchanged: the solve runs on a copy.
     """
-    s = _symmetrized(m, k)
+    return _eig_topk_subset_in_place(np.array(m, dtype=float), k)
+
+
+def _eig_topk_subset_in_place(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sym_eig_topk_subset`` on a C-ordered float64 buffer the caller gives
+    up: it is symmetrised in place and then overwritten by LAPACK, so the
+    solve holds no n × n array besides ``s``."""
+    _symmetrize_in_place(s, k)
     n = s.shape[0]
-    # s is exactly symmetric, so its transpose is the Fortran-ordered array
-    # LAPACK can overwrite without a copy
+    # s is now exactly symmetric, so its transpose is the Fortran-ordered
+    # array LAPACK can overwrite without a copy
     values, vectors = scipy.linalg.eigh(
         s.T, subset_by_index=[n - k, n - 1], overwrite_a=True, check_finite=False
     )
     return _top_oriented(values, vectors, k)
 
 
-def _symmetrized(m: np.ndarray, k: int) -> np.ndarray:
-    """(m + mᵀ)/2 after checking that m is finite, square, symmetric within
-    ``SYMMETRY_RTOL`` of its largest entry, and has at least k rows (k >= 1)."""
-    m = np.asarray(m, dtype=float)
+def _symmetrize_in_place(m: np.ndarray, k: int) -> np.ndarray:
+    """Check the float64 array ``m`` and overwrite it with (m + mᵀ)/2; returns ``m``.
+
+    ``m`` must be square, have at least k rows (k >= 1), be finite, and be
+    symmetric within ``SYMMETRY_RTOL`` of its largest |entry|. The check and
+    the average run over pairs of ``_TILE`` × ``_TILE`` tiles A = m[I, J] and
+    B = m[J, I]: the tile pair is checked on |A − Bᵀ|, and (A + Bᵀ)/2 is
+    written to A and its transpose to B, so the only temporary is one tile.
+    IEEE addition is commutative, so both triangles receive the same value,
+    bit for bit that of (m + mᵀ)/2. A tile pair is written once it passes,
+    so after an error ``m`` holds a mix of both; callers pass buffers of
+    their own.
+    """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraftError(f"matrix must be square, got shape {m.shape}")
     n = m.shape[0]
     if not (1 <= k <= n):
         raise GraftError(f"k must be in [1, {n}], got {k}")
-    if not np.isfinite(m).all():
+    lo, hi = m.min(), m.max()  # a nan or an inf reaches one of them
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise GraftError("matrix must be finite")
-    scale = max(m.max(), -m.min())  # the largest |entry|, with no n × n temporary
-    asym = m - m.T
-    if scale > 0 and np.abs(asym, out=asym).max() > SYMMETRY_RTOL * scale:
-        raise GraftError("matrix is not symmetric within tolerance")
-    del asym
-    s = m + m.T
-    s /= 2.0
-    return s
+    tol = SYMMETRY_RTOL * max(hi, -lo)
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            a, b = m[i : i + _TILE, j : j + _TILE], m[j : j + _TILE, i : i + _TILE]
+            t = np.subtract(a, b.T)
+            if np.abs(t, out=t).max() > tol:
+                raise GraftError("matrix is not symmetric within tolerance")
+            np.add(a, b.T, out=t)
+            t /= 2.0
+            a[...] = t
+            b[...] = t.T
+    return m
 
 
 def _top_oriented(values: np.ndarray, vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,17 +3,20 @@
 The selection model embeds the source graph with classical MDS of the
 uniform blend of its meta-path distance matrices in one streamed pass: each
 small-integer hop matrix is added into the float64 blend as it is computed,
-then dropped. MDS solves for its top d1 eigenpairs only (``sym_eig_topk_subset``).
-The objective and ``fit_weights`` (which the pipeline does not call) work over
-row blocks, so neither forms an n × n temporary or n(n−1)/2 × P design. Relevance
-between entities is the inner product of their embeddings; source-only
-entities are selected when their relevance z-score against some shared entity
-clears a threshold.
+then dropped. MDS double-centres one working copy of the blend, symmetrises
+it in place and lets LAPACK overwrite it while solving for the top d1
+eigenpairs only, so the fit holds two n × n float64 arrays, the blend and that
+copy. The objective and ``fit_weights`` (which the pipeline does not call)
+work over row blocks, so neither forms an n × n temporary or n(n−1)/2 × P
+design. Relevance between entities is the inner product of their embeddings;
+source-only entities are selected when their relevance z-score against some
+shared entity clears a threshold, standardized over blocks of shared rows.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -23,14 +26,15 @@ from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
-from .numerics import _row_zscores, solve_normal_nonneg, sym_eig_topk_subset
+from .numerics import _eig_topk_subset_in_place, _row_zscores, solve_normal_nonneg
 
 log = logging.getLogger(__name__)
 
 # keeps the weight fit's normal equations solvable when meta-path columns are collinear
 RIDGE = 1e-6
 # matrix cells in one row block of the weight fit (per path, so its float64
-# copy of the P hop matrices stays at P × 128 KiB) and of the objective
+# copy of the P hop matrices stays at P × 128 KiB), of the objective and of
+# the relevance z-scores
 _FIT_BLOCK_CELLS = 1 << 14
 
 
@@ -60,7 +64,7 @@ def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
     b -= m.mean(axis=0, keepdims=True)
     b += m.mean()
     b *= -0.5
-    values, vectors = sym_eig_topk_subset(b, d1)  # which symmetrises it
+    values, vectors = _eig_topk_subset_in_place(b, d1)  # symmetrises b, then overwrites it
     values = np.clip(values, 0.0, None)
     return vectors * np.sqrt(values)[None, :]
 
@@ -160,10 +164,20 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     Each hop matrix is added into the blend as it is computed, then dropped.
     The state's weights are the uniform ones blended, and its trace holds
     ``selection_objective`` at them; no weights are fitted.
+
+    The fit holds two n × n float64 arrays at once, the blend and MDS's
+    working copy, so it raises ``GraftError`` before the first projection
+    when their 16·n² bytes exceed ``_physical_memory_bytes()``.
     """
     config = config or TransferConfig()
     if gs.n == 0:
         raise GraftError("source graph has no entities")
+    need, budget = 16 * gs.n * gs.n, _physical_memory_bytes()
+    if budget is not None and need > budget:
+        raise GraftError(
+            f"selection over {gs.n} entities needs {need} bytes for two n × n float64 "
+            f"arrays, more than the {budget} bytes of physical memory"
+        )
     paths, mats = _path_distances(gs, config)
     # renormalized by its own sum, which for some path counts (6, 7, ...)
     # differs from 1/P in the last bit; fitted outputs are pinned to this form
@@ -174,6 +188,17 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     obj = _blend_objective(embedding, blended.matrix, weights, config.lam)
     log.info("selection model fitted over %d meta-path(s)", len(paths))
     return SelectionState(paths, weights, embedding, [obj])
+
+
+def _physical_memory_bytes() -> int | None:
+    """Physical memory, as ``os.sysconf`` page size × page count, or None
+    where sysconf does not report it. Cgroup and other process limits are
+    not read, so a container can run out below this figure."""
+    try:
+        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+    return size * pages if size > 0 and pages > 0 else None
 
 
 def relevance_matrix(embedding: np.ndarray) -> np.ndarray:
@@ -188,6 +213,12 @@ def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph
     standardized (population std); a source-only entity's score is its best
     standardized relevance over the shared rows. Rows with zero variance are
     skipped. No shared entities is an error.
+
+    The shared rows are standardized in blocks against a running maximum, so
+    no |shared| × n temporary is made; per-row z-scores and the maximum are
+    the same bit for bit. The relevance itself stays the full
+    ``relevance_matrix``: numpy forms E Eᵀ with BLAS ``syrk``, and row-block
+    products E[rows] Eᵀ differ from it in the last bits.
     """
     r = relevance_matrix(state.embedding)
     if r.shape[0] != gs.n:
@@ -195,7 +226,10 @@ def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph
     shared, only = split_by_overlap(gs, gt_hat)
     if not only:
         return {}
-    best = _row_zscores(r[shared])[:, only].max(axis=0)
+    best = np.full(len(only), -np.inf)
+    rows = max(1, _FIT_BLOCK_CELLS // gs.n)
+    for start in range(0, len(shared), rows):
+        np.maximum(best, _row_zscores(r[shared[start : start + rows]])[:, only].max(axis=0), out=best)
     if best[0] == -np.inf:  # every shared row has zero variance
         return {}
     return {gs.entity_ids[i]: float(s) for i, s in zip(only, best)}

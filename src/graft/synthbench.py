@@ -68,11 +68,33 @@ def _entity_id(i: int) -> str:
     return f"e{i:05d}"
 
 
+# source pairs drawn per rng.random call: 512 KiB of uniforms at a time
+_DRAW_CELLS = 1 << 16
+
+
+def _pair_starts(n: int) -> np.ndarray:
+    """Row-major index of pair (i, i + 1) among the n(n − 1)/2 pairs i < j of
+    n entities, for each row i; pair (i, j) has index starts[i] + j − i − 1."""
+    i = np.arange(n, dtype=np.int64)
+    return i * (2 * n - i - 1) // 2
+
+
+def _pairs_at(starts: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (rows, cols) at row-major indices ``flat``, the inverse of
+    starts[i] + j − i − 1 for ``starts = _pair_starts(n)``."""
+    rows = np.searchsorted(starts, flat, side="right") - 1
+    return rows, flat - starts[rows] + rows + 1
+
+
 def generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
     """Generate (source, target_truth, target_partial) for one spec.
 
     Draw order is fixed (types, source edges, entity deletion, pair toggles,
-    kept entities, kept edges) so outputs are reproducible per seed.
+    kept entities, kept edges) so outputs are reproducible per seed. Each
+    entity pair i < j has a row-major index (``_pair_starts``). The source
+    pairs are drawn in chunks of that order from one ``rng.random`` stream,
+    which equals one draw over all pairs, and the target's pairs are one
+    bool per index, so no triangle index arrays or dense adjacency are made.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_source
@@ -80,11 +102,15 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
     type_idx = rng.integers(0, spec.n_types, size=n)
     entities = [(ids[i], f"t{type_idx[i]}") for i in range(n)]
 
-    rows, cols = np.triu_indices(n, k=1)
-    mask = rng.random(rows.shape[0]) < spec.edge_prob_effective
+    total = n * (n - 1) // 2
+    hits = [
+        start + np.flatnonzero(rng.random(min(_DRAW_CELLS, total - start)) < spec.edge_prob_effective)
+        for start in range(0, total, _DRAW_CELLS)
+    ]
+    rows, cols = _pairs_at(_pair_starts(n), np.concatenate(hits))
     # below 100000 entities the zero-padded ids sort in index order, so the
     # pair indices are already entity indices
-    gs = HeteroGraph(entities)._with_edges(rows[mask], cols[mask], np.ones(np.count_nonzero(mask)))
+    gs = HeteroGraph(entities)._with_edges(rows, cols, np.ones(len(rows)))
 
     survivors = np.sort(rng.choice(n, size=spec.n_target, replace=False))
     keep_ids = [ids[i] for i in survivors]
@@ -98,10 +124,13 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
             f"requested dynamic factor {spec.dynamic_factor} needs {k} toggles "
             f"but only {n_pairs} entity pairs exist"
         )
-    t_rows, t_cols = np.triu_indices(m, k=1)
-    pairs = trimmed.csr().toarray()[t_rows, t_cols] > 0
+    starts = _pair_starts(m)
+    t_rows, t_cols, _ = trimmed.edge_arrays()
+    pairs = np.zeros(n_pairs, dtype=bool)
+    pairs[starts[t_rows] + t_cols - t_rows - 1] = True
     pairs[rng.choice(n_pairs, size=k, replace=False)] ^= True
-    gt_truth = trimmed._with_edges(t_rows[pairs], t_cols[pairs], np.ones(np.count_nonzero(pairs)))
+    t_rows, t_cols = _pairs_at(starts, np.flatnonzero(pairs))
+    gt_truth = trimmed._with_edges(t_rows, t_cols, np.ones(len(t_rows)))
 
     n_keep = max(1, int(round(spec.maturity * gt_truth.n)))
     kept = np.sort(rng.choice(gt_truth.n, size=n_keep, replace=False))

@@ -76,6 +76,20 @@ class TestHeteroGraph:
         assert g1 == g2
         assert g1 != HeteroGraph([("a", "t"), ("b", "t")], [("a", "b", 4.0)])
 
+    def test_sorted_and_shuffled_edge_arrays_build_equal_graphs(self):
+        rng = np.random.default_rng(0)
+        base = HeteroGraph([(f"e{i:02d}", "t") for i in range(30)])
+        rows, cols = np.triu_indices(30, k=1)
+        pick = rng.random(len(rows)) < 0.2
+        rows, cols, weights = rows[pick], cols[pick], rng.uniform(1.0, 2.0, np.count_nonzero(pick))
+        in_order = base._with_edges(rows.copy(), cols.copy(), weights.copy())
+        last_two_swapped = np.r_[: len(rows) - 2, len(rows) - 1, len(rows) - 2]
+        for order in (rng.permutation(len(rows)), last_two_swapped):
+            built = base._with_edges(rows[order], cols[order], weights[order])
+            assert built == in_order and format_graph(built) == format_graph(in_order)
+            r, c, _ = built.edge_arrays()
+            assert (np.diff(r * 30 + c) > 0).all()
+
 
 def graph_text(entities, edges) -> str:
     """Records in list order as a graph file: entity k on line 2 + k, edge k after all entities."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graft import GraftError
-from graft.numerics import _row_zscores, ols_nonneg, sym_eig_topk, sym_eig_topk_subset
+from graft.numerics import _TILE, _row_zscores, _symmetrize_in_place, ols_nonneg, sym_eig_topk, sym_eig_topk_subset
 from testkit import finite_diff_grad
 
 
@@ -112,9 +112,37 @@ class TestSymEigTopkSubset:
 
     def test_input_left_unchanged(self):
         m = random_symmetric(20, 1)
+        m[0, 1] += 1e-12  # so symmetrising changes it
         before = m.copy()
         sym_eig_topk_subset(m, 3)
+        sym_eig_topk(m, 3)
         assert np.array_equal(m, before)
+
+
+# one tile short, exactly one, one over, and two tiles and one row
+TILE_EDGE_SIZES = [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1]
+
+
+class TestSymmetrizeInPlace:
+    @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
+    def test_bitwise_mean_with_transpose(self, n):
+        m = random_symmetric(n, n) + 1e-12 * np.random.default_rng(n).standard_normal((n, n))
+        want = (m + m.T) / 2.0
+        got = m.copy()
+        assert _symmetrize_in_place(got, 1) is got
+        assert np.array_equal(got, want) and not np.array_equal(got, m)
+
+    @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
+    def test_asymmetry_in_far_tile_corner_rejected(self, n):
+        starts = range(0, n, _TILE)
+        # the last cell of each off-diagonal tile; with one tile, the last cell above its diagonal
+        corners = [(min(i + _TILE, n) - 1, min(j + _TILE, n) - 1) for i in starts for j in starts if i < j]
+        for i, j in corners or [(n - 2, n - 1)]:
+            for cell in ((i, j), (j, i)):
+                m = random_symmetric(n, n)
+                m[cell] += 1e-6 * np.abs(m).max()
+                with pytest.raises(GraftError, match="not symmetric"):
+                    _symmetrize_in_place(m, 1)
 
 
 class TestOlsNonneg:

@@ -193,10 +193,11 @@ class TestSelectionMemory:
             tracemalloc.stop()
         assert peak < 16 * 8 * gs.n * gs.n
 
-    def test_streamed_fit_peaks_below_three_and_a_half_dense_matrices(self):
-        # the blend, MDS's centred copy and its symmetrised copy; keeping all
-        # 24 hop matrices for a weight fit peaked near 6 float64 n × n arrays
-        gs, _, _ = generate(SynthSpec(1000, 500, dynamic_factor=0.2, maturity=0.5, seed=0))
+    def test_streamed_fit_peaks_below_two_and_a_half_dense_matrices(self):
+        # the blend and MDS's working copy; a separate symmetrised copy read
+        # 3.06 float64 n × n arrays, and keeping all 24 hop matrices for a
+        # weight fit peaked near 6
+        gs, _, _ = generate(SynthSpec(1200, 600, dynamic_factor=0.2, maturity=0.5, seed=0))
         assert len(enumerate_metapaths(gs, TransferConfig().max_path_len)) == 24
         fit_selection_model(gs)
         tracemalloc.start()
@@ -205,7 +206,45 @@ class TestSelectionMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 8 * gs.n * gs.n
+        assert peak < 2.5 * 8 * gs.n * gs.n
+
+    def test_relevance_peaks_below_one_and_a_quarter_dense_matrices(self):
+        # the relevance matrix itself; z-scoring every shared row at once read 1.76
+        gs, _, gt_hat = generate(SynthSpec(1200, 600, dynamic_factor=0.2, maturity=0.5, seed=0))
+        state = fit_selection_model(gs)
+        want = relevance_scores(state, gs, gt_hat)
+        tracemalloc.start()
+        try:
+            got = relevance_scores(state, gs, gt_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1.25 * 8 * gs.n * gs.n
+
+    def test_fit_refused_when_two_dense_matrices_exceed_physical_memory(self, monkeypatch):
+        g = typed_random_graph(0, n=40, p=0.2)
+        need = 16 * 40 * 40
+        projected, real_project = [], selection.project
+        monkeypatch.setattr(selection, "project", lambda *a: projected.append(a) or real_project(*a))
+        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(GraftError, match=f"40 entities needs {need} bytes .* {need - 1} bytes of physical"):
+            fit_selection_model(g)
+        assert projected == []
+        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: need)
+        fit_selection_model(g)
+        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: None)
+        fit_selection_model(g)
+        assert projected
+
+    def test_physical_memory_from_sysconf(self, monkeypatch):
+        answers = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
+        monkeypatch.setattr(selection.os, "sysconf", answers.__getitem__)
+        assert selection._physical_memory_bytes() == 4096 * 1000
+        answers["SC_PHYS_PAGES"] = -1  # sysconf's answer for an indeterminate value
+        assert selection._physical_memory_bytes() is None
+        monkeypatch.delattr(selection.os, "sysconf")  # as on Windows
+        assert selection._physical_memory_bytes() is None
 
 
 def dense_objective_reference(embedding, mats, weights, lam):

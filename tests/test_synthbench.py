@@ -1,7 +1,11 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from graft import GraftError, SynthSpec, generate, induced_subgraph, measured_stats
+from graft import GraftError, SynthSpec, generate, induced_subgraph, measured_stats, synthbench
+from testkit import reference_generate
 
 
 class TestSynthSpec:
@@ -105,3 +109,39 @@ class TestGenerate:
         # tiny maturity still keeps at least one entity
         _, _, gt_hat = generate(SynthSpec(20, 10, maturity=0.01, seed=9))
         assert gt_hat.n == 1
+
+
+class TestGenerateAgainstReference:
+    KNOBS = list(itertools.product((1, 3, 7), (None, 1.0, 0.01), (0.0, 0.2, 0.9), (0.3, 1.0)))
+
+    # 7-pair draws cut the source stream mid-row
+    @pytest.mark.parametrize(
+        "n_source,n_target,draw_cells",
+        [(2, 2, 7), (3, 2, 7), (3, 3, 7), (41, 17, 7), (257, 130, synthbench._DRAW_CELLS)],
+    )
+    def test_matches_triangle_index_reference(self, monkeypatch, n_source, n_target, draw_cells):
+        monkeypatch.setattr(synthbench, "_DRAW_CELLS", draw_cells)
+        for seed, (n_types, edge_prob, factor, maturity) in enumerate(self.KNOBS):
+            spec = SynthSpec(n_source, n_target, factor, maturity, n_types, edge_prob, seed)
+            assert generate(spec) == reference_generate(spec), spec
+
+    def test_matches_reference_over_several_draws(self):
+        # 800 entities take 5 default draws
+        spec = SynthSpec(800, 400, dynamic_factor=0.2, maturity=0.5, seed=3)
+        assert 800 * 799 // 2 > 4 * synthbench._DRAW_CELLS
+        assert generate(spec) == reference_generate(spec)
+
+
+class TestGenerateMemory:
+    def test_peaks_below_three_quarters_of_a_dense_matrix(self):
+        # the triangle index arrays, one uniform per pair and the target's
+        # dense adjacency peaked at 1.73 float64 n × n arrays
+        spec = SynthSpec(1200, 600, dynamic_factor=0.2, maturity=0.5, seed=0)
+        generate(spec)
+        tracemalloc.start()
+        try:
+            generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 8 * 1200 * 1200

@@ -1,13 +1,15 @@
 """Helpers used only by the tests: a finite-difference gradient check, the
 differentiable dynamic factor of a low-rank factor, set-based scoring, a
-dense random walk with restart, and a graph built from a boolean matrix."""
+dense random walk with restart, a graph built from a boolean matrix, and the
+synthetic generator over triangle index arrays."""
 
 from typing import Callable
 
 import numpy as np
 
-from graft import EvalResult, GraftError, HeteroGraph
+from graft import EvalResult, GraftError, HeteroGraph, SynthSpec, induced_subgraph
 from graft.evalkit import RESTART_PROB, WALK_MAX_ITERS, WALK_TOL, _prf
+from graft.synthbench import _entity_id
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
@@ -82,3 +84,45 @@ def dense_random_walk_scores(gs: HeteroGraph, restart_ids: list[str], restart: f
             break
         p = p_next
     return {eid: float(p[i]) for i, eid in enumerate(gs.entity_ids)}
+
+
+def reference_generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
+    """``synthbench.generate`` over ``np.triu_indices`` pair arrays, one
+    ``rng.random`` draw for all source pairs and the target's dense adjacency."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_source
+    ids = [_entity_id(i) for i in range(n)]
+    type_idx = rng.integers(0, spec.n_types, size=n)
+    entities = [(ids[i], f"t{type_idx[i]}") for i in range(n)]
+
+    rows, cols = np.triu_indices(n, k=1)
+    mask = rng.random(rows.shape[0]) < spec.edge_prob_effective
+    # below 100000 entities the zero-padded ids sort in index order, so the
+    # pair indices are already entity indices
+    gs = HeteroGraph(entities)._with_edges(rows[mask], cols[mask], np.ones(np.count_nonzero(mask)))
+
+    survivors = np.sort(rng.choice(n, size=spec.n_target, replace=False))
+    keep_ids = [ids[i] for i in survivors]
+    trimmed = induced_subgraph(gs, keep_ids)
+
+    m = spec.n_target
+    n_pairs = m * (m - 1) // 2
+    k = int(round(spec.dynamic_factor * n_pairs))
+    if k > n_pairs:
+        raise GraftError(
+            f"requested dynamic factor {spec.dynamic_factor} needs {k} toggles "
+            f"but only {n_pairs} entity pairs exist"
+        )
+    t_rows, t_cols = np.triu_indices(m, k=1)
+    pairs = trimmed.csr().toarray()[t_rows, t_cols] > 0
+    pairs[rng.choice(n_pairs, size=k, replace=False)] ^= True
+    gt_truth = trimmed._with_edges(t_rows[pairs], t_cols[pairs], np.ones(np.count_nonzero(pairs)))
+
+    n_keep = max(1, int(round(spec.maturity * gt_truth.n)))
+    kept = np.sort(rng.choice(gt_truth.n, size=n_keep, replace=False))
+    gt_hat = induced_subgraph(gt_truth, [gt_truth.entity_ids[i] for i in kept])
+    n_edges_keep = int(round(spec.maturity * gt_hat.edge_count))
+    if n_edges_keep < gt_hat.edge_count:
+        chosen = np.sort(rng.choice(gt_hat.edge_count, size=n_edges_keep, replace=False))
+        gt_hat = gt_hat._with_edges(*(arr[chosen] for arr in gt_hat.edge_arrays()))
+    return gs, gt_truth, gt_hat
