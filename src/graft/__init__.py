@@ -50,7 +50,6 @@ from .selection import (
     mds_embed,
     merge_transferred_entities,
     metapath_distance_matrices,
-    relevance_matrix,
     relevance_scores,
     select_entities,
     selection_objective,
@@ -106,7 +105,6 @@ __all__ = [
     "read_graph",
     "reconstruction_gradient",
     "reconstruction_objective",
-    "relevance_matrix",
     "relevance_scores",
     "run_transfer",
     "score",

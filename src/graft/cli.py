@@ -26,7 +26,7 @@ from .config import CONFIG_KEYS, TransferConfig, _parse_value, build_config, par
 from .errors import GraftError
 from .hetgraph import read_graph, write_graph
 from .ingest import accumulate, read_events, snapshot_series
-from .selection import metapath_distance_matrices
+from .selection import _path_distances
 from .transfer import run_transfer, write_report
 
 log = logging.getLogger(__name__)
@@ -98,7 +98,10 @@ def _build_config_from_args(args: argparse.Namespace) -> TransferConfig:
 
 
 def _cmd_synth(args) -> int:
-    spec = synthbench.SynthSpec(**{f.name: getattr(args, f.name) for f in _SPEC_FIELDS})
+    try:
+        spec = synthbench.SynthSpec(**{f.name: getattr(args, f.name) for f in _SPEC_FIELDS})
+    except GraftError as exc:  # a value out of range is a usage error, like a malformed flag
+        args.usage_error(str(exc))
     gs, gt_truth, gt_hat = synthbench.generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,7 +132,7 @@ def _cmd_transfer(args) -> int:
     if args.dump_similarity:
         dump_dir = Path(args.dump_similarity)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        for sim in metapath_distance_matrices(source, config):
+        for sim in _path_distances(source, config)[1]:  # one matrix held at a time
             name = f"sim_{sim.provenance.label()}.csv"
             np.savetxt(dump_dir / name, sim.matrix, delimiter=",", fmt="%.17g")
     graph, report = run_transfer(source, target, config)
@@ -244,11 +247,11 @@ def _make_parser() -> argparse.ArgumentParser:
             default=None if required else f.default,
         )
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, usage_error=p.error)
 
     p = sub.add_parser("ingest", help="build a graph from a JSONL event stream")
     p.add_argument("--events", required=True)
-    p.add_argument("--window", type=int, default=None, help="snapshot window in ms; makes --out a directory")
+    p.add_argument("--window", type=_positive_int, help="snapshot window in ms; makes --out a directory")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
 

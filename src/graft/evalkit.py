@@ -96,22 +96,14 @@ def baseline_dt(gs: HeteroGraph, gt_hat: HeteroGraph) -> HeteroGraph:
     return HeteroGraph(types.items(), ((a, b, w) for (a, b), w in weights.items()))
 
 
-def random_walk_scores(
-    gs: HeteroGraph,
-    restart_ids: list[str],
-    restart: float = RESTART_PROB,
-) -> dict[str, float]:
+def random_walk_scores(gs: HeteroGraph, restart_ids: list[str]) -> dict[str, float]:
     """Random walk with restart over the binarized source graph.
 
-    Power iteration on p <- (1-restart) * W p + restart * r with the restart
-    vector r uniform over ``restart_ids``, each step one sparse product with the
-    column-stochastic W; mass leaving degree-zero entities is routed back to r
-    so the iterate stays a probability vector.
-    """
+    Power iteration on p <- (1-c) * W p + c * r, c = ``RESTART_PROB``, r uniform
+    over ``restart_ids``, each step one sparse product with the column-stochastic
+    W; mass leaving degree-zero entities goes back to r, so p sums to one."""
     if not restart_ids:
         raise GraftError("restart set is empty")
-    if not 0.0 < restart <= 1.0:
-        raise GraftError("restart probability must be in (0, 1]")
     for eid in restart_ids:
         if not gs.has_entity(eid):
             raise GraftError(f"restart entity {eid!r} not in the source graph")
@@ -127,7 +119,7 @@ def random_walk_scores(
     p = r.copy()
     for _ in range(WALK_MAX_ITERS):
         spread = w @ p + p[dangling].sum() * r
-        p_next = (1.0 - restart) * spread + restart * r
+        p_next = (1.0 - RESTART_PROB) * spread + RESTART_PROB * r
         if np.abs(p_next - p).sum() < WALK_TOL:
             p = p_next
             break

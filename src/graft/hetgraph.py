@@ -7,14 +7,14 @@ matrix index convention in the package and makes serialization deterministic.
 
 Edges are stored column-wise: integer endpoint arrays with row < col, sorted
 by (row, col), and a float64 weight array. ``HeteroGraph.csr`` is the one
-place edges become a matrix (cached, graphs being immutable): the construction
-stage reads both of its adjacencies as this cached CSR, and a caller that
-needs a dense matrix takes ``csr().toarray()``. ``edges()`` builds a tuple of
-Python (id, id, weight) records on each call and keeps none, since it costs
-about four times the arrays: a caller that reads the edges more than once
-should use ``edge_arrays()``. The validating constructor (``parse_graph`` goes
-through it too) and the package's own builders end in one array-level
-constructor.
+place edges become a matrix, a binary one (cached, graphs being immutable):
+the construction stage reads both of its adjacencies as this cached CSR, and
+a caller that needs a dense matrix takes ``csr().toarray()``. ``edges()``
+builds a tuple of Python (id, id, weight) records on each call and keeps
+none, since it costs about four times the arrays: a caller that reads the
+edges more than once should use ``edge_arrays()``. The validating
+constructor (``parse_graph`` goes through it too) and the package's own
+builders end in one array-level constructor.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ class HeteroGraph:
         self._rows, self._cols, self._weights = rows, cols, weights
         for arr in (self._rows, self._cols, self._weights):
             arr.flags.writeable = False
-        self._csr = {}
+        self._csr = None
         return self
 
     def _with_edges(self, rows, cols, weights) -> HeteroGraph:
@@ -209,9 +209,6 @@ class HeteroGraph:
     def type_of(self, eid: str) -> str:
         return self._types[self.index_of(eid)]
 
-    def type_labels(self) -> frozenset[str]:
-        return frozenset(self._types)
-
     def edges(self) -> tuple[tuple[str, str, float], ...]:
         """All edges as (id1, id2, weight) with id1 < id2, sorted. The tuple is
         built on each call and not kept; repeated readers use ``edge_arrays()``."""
@@ -233,13 +230,12 @@ class HeteroGraph:
         k = lo + int(np.searchsorted(self._cols[lo:hi], j))
         return float(self._weights[k]) if k < hi and self._cols[k] == j else None
 
-    def csr(self, binary: bool = True) -> sp.csr_matrix:
-        """Symmetric sparse adjacency over the entity index, cached: callers must not modify it."""
-        if binary not in self._csr:
-            data = np.ones(self.edge_count) if binary else self._weights
+    def csr(self) -> sp.csr_matrix:
+        """Symmetric sparse binary adjacency over the entity index, cached: callers must not modify it."""
+        if self._csr is None:
             ends = np.concatenate([self._rows, self._cols]), np.concatenate([self._cols, self._rows])
-            self._csr[binary] = sp.csr_matrix((np.concatenate([data, data]), ends), shape=(self.n, self.n))
-        return self._csr[binary]
+            self._csr = sp.csr_matrix((np.ones(2 * self.edge_count), ends), shape=(self.n, self.n))
+        return self._csr
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeteroGraph):

@@ -3,8 +3,8 @@
 A meta-path is a sequence of entity types. Projecting a graph along a
 meta-path yields a homogeneous graph whose edge weights count the walks that
 realize the type sequence between two distinct endpoints. Distance matrices
-are hop counts on the projection, with unreachable pairs set to a cap, held
-as small unsigned integers (one byte per pair at the default cap).
+are hop counts on the projection, unreachable pairs one past the longest hop,
+held as small unsigned integers (one byte per pair below 255 hops).
 Both work on the cached sparse binary adjacency ``HeteroGraph.csr``: a
 projection's walk counts are a product of typed adjacency blocks, and its
 hop counts come from a multi-source BFS that keeps one bit per source, so a
@@ -27,6 +27,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .errors import GraftError
 from .hetgraph import HeteroGraph
+from .numerics import _tile_pairs
 
 
 @dataclass(frozen=True, order=True)
@@ -47,10 +48,6 @@ class MetaPath:
             raise GraftError(f"meta-path types must be non-empty strings, got {seq!r}")
         rev = seq[::-1]
         object.__setattr__(self, "types", min(seq, rev))
-
-    @property
-    def length(self) -> int:
-        return len(self.types)
 
     def is_palindrome(self) -> bool:
         return self.types == self.types[::-1]
@@ -73,9 +70,7 @@ class SimilarityMatrix:
         if m.size:
             if not np.isfinite(m).all():
                 raise GraftError("similarity matrix must be finite")
-            t = 256  # side of the tiles compared with their transposed mirrors, so both stay in cache
-            tiles = [(i, j) for i in range(0, m.shape[0], t) for j in range(i, m.shape[0], t)]
-            if not all(np.array_equal(m[i : i + t, j : j + t], m[j : j + t, i : i + t].T) for i, j in tiles):
+            if not all(np.array_equal(a, b.T) for a, b in _tile_pairs(m)):
                 raise GraftError("similarity matrix must be symmetric")
             if np.diagonal(m).any():
                 raise GraftError("similarity matrix must have a zero diagonal")
@@ -139,17 +134,14 @@ def project(g: HeteroGraph, p: MetaPath) -> HeteroGraph:
     return g._with_edges(upper.row[keep], upper.col[keep], upper.data[keep])
 
 
-def path_distance_matrix(
-    gp: HeteroGraph, cap: float | None = None, provenance: MetaPath | None = None
-) -> SimilarityMatrix:
+def path_distance_matrix(gp: HeteroGraph, provenance: MetaPath | None = None) -> SimilarityMatrix:
     """Pairwise hop-count distances on a projection graph.
 
-    Unreachable pairs (including isolated entities) get ``cap``; when cap is
-    None it defaults to the longest finite shortest path plus one. Edge
-    weights are ignored: distance is the number of hops. The matrix has the
-    narrowest unsigned integer dtype that holds the cap and every hop count
-    (``uint8`` while the longest hop is below 255), or float64 when ``cap``
-    is not a whole number.
+    Unreachable pairs (including isolated entities) get the cap, the longest
+    finite shortest path plus one, so they rank behind every reachable pair.
+    Edge weights are ignored: distance is the number of hops. The matrix has
+    the narrowest unsigned integer dtype that holds the cap (``uint8`` while
+    the longest hop is below 255).
 
     Isolated entities are set aside first. Over the k others a bit-parallel
     BFS runs all sources at once, one hop per O(nnz·k/64)-word OR-gather,
@@ -159,34 +151,19 @@ def path_distance_matrix(
     chosen dtype. Hop counts are exact, so the result equals a per-source BFS
     bit for bit.
     """
-    if cap is not None and not cap > 0:
-        raise GraftError(f"distance cap must be positive, got {cap}")
     n = gp.n
     adj = gp.csr()
     live = np.flatnonzero(np.diff(adj.indptr))
     hops, reach, todo, far = _hop_counts(adj[live][:, live])
     reached = np.isfinite(far)
-    longest = float(max(hops.max(initial=0), far[reached].max(initial=0.0)))
-    if cap is None:
-        cap = longest + 1.0
-    dtype = _hop_dtype(cap, longest)
+    cap = int(max(hops.max(initial=0), far[reached].max(initial=0.0))) + 1
+    dtype = np.min_scalar_type(cap)
     block = np.where(_unpack(reach, len(live)).view(bool), hops, dtype.type(cap))
     block[todo] = np.where(reached, far, cap)
     dist = np.full((n, n), cap, dtype=dtype)
     dist[np.ix_(live, live)] = block
     np.fill_diagonal(dist, 0)
     return SimilarityMatrix(dist, provenance)
-
-
-def _hop_dtype(cap: float, longest: float) -> np.dtype:
-    """Narrowest unsigned integer dtype holding ``cap`` and hop counts up to
-    ``longest``; float64 when the cap is not a whole number or needs more than
-    64 bits."""
-    if float(cap).is_integer():
-        dtype = np.min_scalar_type(int(max(cap, longest)))
-        if dtype.kind == "u":
-            return dtype
-    return np.dtype(float)
 
 
 # A bitset hop touches every word of every frontier row it gathers,

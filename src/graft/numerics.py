@@ -3,12 +3,12 @@ regression, and per-row standardization.
 
 Two solves share one set of checks and one order and sign rule:
 ``sym_eig_topk`` solves for all eigenpairs with ``numpy.linalg.eigh`` (the
-construction's spectral start), and ``sym_eig_topk_subset`` asks LAPACK's
-MRRR routine through ``scipy.linalg.eigh`` for the top k only (MDS). numpy and
-scipy each ship their own OpenBLAS thread pool, and on a 2-core host the two
-pools contend, so the construction start, which runs once per μ, stays on
+construction's spectral start), and MDS's ``_eig_topk_subset_in_place`` asks
+LAPACK's MRRR routine through ``scipy.linalg.eigh`` for the top k only. numpy
+and scipy each ship their own OpenBLAS thread pool, and on a 2-core host the
+two pools contend, so the construction start, which runs once per μ, stays on
 numpy's. Both check and symmetrise their input through one routine that
-works in place over tile pairs; the public solves run it on a copy, and MDS
+works in place over tile pairs; ``sym_eig_topk`` runs it on a copy, and MDS
 hands it its own centred matrix, so that solve holds one n × n array. All
 routines fix sign and ordering conventions so that identical inputs give
 bit-identical outputs on a given platform.
@@ -16,13 +16,15 @@ bit-identical outputs on a given platform.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 import scipy.linalg
 
 from .errors import GraftError
 
 SYMMETRY_RTOL = 1e-9
-# side of the square tiles that _symmetrize_in_place checks and averages in pairs
+# side of the square tiles that symmetry checks walk in mirrored pairs, so both stay in cache
 _TILE = 256
 
 
@@ -47,23 +49,12 @@ def sym_eig_topk(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _top_oriented(values, vectors, k)
 
 
-def sym_eig_topk_subset(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sym_eig_topk`` that computes only the top k eigenpairs.
-
-    Same checks, order and sign rule; the solve is ``scipy.linalg.eigh``
-    restricted to eigenvalue indices n−k..n−1, which scipy hands to LAPACK's
-    MRRR routine ``dsyevr`` (Dhillon, Parlett & Vömel, ACM TOMS 2006); it
-    skips the other n−k eigenvectors and their workspace.
-    Results agree with ``sym_eig_topk`` to rounding, not bit for bit.
-    ``m`` is left unchanged: the solve runs on a copy.
-    """
-    return _eig_topk_subset_in_place(np.array(m, dtype=float), k)
-
-
 def _eig_topk_subset_in_place(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sym_eig_topk_subset`` on a C-ordered float64 buffer the caller gives
-    up: it is symmetrised in place and then overwritten by LAPACK, so the
-    solve holds no n × n array besides ``s``."""
+    """``sym_eig_topk`` for the top k only, on a C-ordered float64 buffer the
+    caller gives up: ``s`` is symmetrised in place, then overwritten by
+    ``scipy.linalg.eigh`` over eigenvalue indices n−k..n−1, which runs LAPACK's
+    MRRR routine ``dsyevr`` (Dhillon, Parlett & Vömel, ACM TOMS 2006) and holds
+    no n × n array besides ``s``. Agrees with ``sym_eig_topk`` to rounding."""
     _symmetrize_in_place(s, k)
     n = s.shape[0]
     # s is now exactly symmetric, so its transpose is the Fortran-ordered
@@ -96,17 +87,22 @@ def _symmetrize_in_place(m: np.ndarray, k: int) -> np.ndarray:
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise GraftError("matrix must be finite")
     tol = SYMMETRY_RTOL * max(hi, -lo)
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            a, b = m[i : i + _TILE, j : j + _TILE], m[j : j + _TILE, i : i + _TILE]
-            t = np.subtract(a, b.T)
-            if np.abs(t, out=t).max() > tol:
-                raise GraftError("matrix is not symmetric within tolerance")
-            np.add(a, b.T, out=t)
-            t /= 2.0
-            a[...] = t
-            b[...] = t.T
+    for a, b in _tile_pairs(m):
+        t = np.subtract(a, b.T)
+        if np.abs(t, out=t).max() > tol:
+            raise GraftError("matrix is not symmetric within tolerance")
+        np.add(a, b.T, out=t)
+        t /= 2.0
+        a[...] = t
+        b[...] = t.T
     return m
+
+
+def _tile_pairs(m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Mirrored views (m[I, J], m[J, I]) of square ``m`` over its ``_TILE``-sided tiles with I <= J."""
+    for i in range(0, m.shape[0], _TILE):
+        for j in range(i, m.shape[0], _TILE):
+            yield m[i : i + _TILE, j : j + _TILE], m[j : j + _TILE, i : i + _TILE]
 
 
 def _top_oriented(values: np.ndarray, vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -30,8 +30,6 @@ from .numerics import _eig_topk_subset_in_place, _row_zscores, solve_normal_nonn
 
 log = logging.getLogger(__name__)
 
-# keeps the weight fit's normal equations solvable when meta-path columns are collinear
-RIDGE = 1e-6
 # matrix cells in one row block of the weight fit (per path, so its float64
 # copy of the P hop matrices stays at P × 128 KiB), of the objective and of
 # the relevance z-scores
@@ -201,11 +199,6 @@ def _physical_memory_bytes() -> int | None:
     return size * pages if size > 0 and pages > 0 else None
 
 
-def relevance_matrix(embedding: np.ndarray) -> np.ndarray:
-    """Entity-to-entity relevance: inner products of embedding rows."""
-    return embedding @ embedding.T
-
-
 def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph) -> dict[str, float]:
     """Max relevance z-score of each source-only entity against the shared entities.
 
@@ -216,11 +209,11 @@ def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph
 
     The shared rows are standardized in blocks against a running maximum, so
     no |shared| × n temporary is made; per-row z-scores and the maximum are
-    the same bit for bit. The relevance itself stays the full
-    ``relevance_matrix``: numpy forms E Eᵀ with BLAS ``syrk``, and row-block
-    products E[rows] Eᵀ differ from it in the last bits.
+    the same bit for bit. The relevance itself stays the full E Eᵀ: numpy
+    forms it with BLAS ``syrk``, and row-block products E[rows] Eᵀ differ
+    from it in the last bits.
     """
-    r = relevance_matrix(state.embedding)
+    r = state.embedding @ state.embedding.T
     if r.shape[0] != gs.n:
         raise GraftError(f"embedding rows {r.shape[0]} do not match source entities {gs.n}")
     shared, only = split_by_overlap(gs, gt_hat)

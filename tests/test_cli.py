@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from graft import TransferConfig, read_graph
+from graft import TransferConfig, read_graph, selection
 from graft.cli import _make_parser, main
 
 
@@ -52,15 +52,20 @@ class TestSynth:
         for name in ("source.graph", "target_truth.graph", "target_partial.graph", "meta.json"):
             assert (tmp_path / name).read_bytes() == (bench_dir / name).read_bytes()
 
-    def test_invalid_spec_exits_one(self, tmp_path, capsys):
-        rc = main(["synth", "--n-source", "10", "--n-target", "20", "--out", str(tmp_path)])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+    def test_invalid_spec_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--n-source", "10", "--n-target", "20", "--out", str(tmp_path / "bench")])
+        assert exc.value.code == 2
+        assert "error: n_target" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
-    def test_negative_seed_exits_one(self, tmp_path, capsys):
-        rc = main(["synth", "--n-source", "10", "--n-target", "5", "--seed", "-1", "--out", str(tmp_path)])
-        assert rc == 1
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--n-source", "10", "--n-target", "5", "--seed", "-1",
+                  "--out", str(tmp_path / "bench")])
+        assert exc.value.code == 2
         assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
 
 class TestIngest:
@@ -94,6 +99,15 @@ class TestIngest:
         rc = main(["ingest", "--events", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "g")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["0", "-5", "x"])
+    def test_window_below_one_exits_two(self, tmp_path, capsys, window):
+        # the events file does not exist: a usage error is raised before it is read
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--events", str(tmp_path / "nope.jsonl"), "--window", window,
+                  "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert "--window: must be a positive integer" in capsys.readouterr().err
 
 
 class TestTransferCommand:
@@ -189,6 +203,24 @@ class TestTransferCommand:
         m = np.loadtxt(files[0], delimiter=",")
         assert m.shape == (40, 40)
         assert np.array_equal(m, m.T)
+
+    def test_dump_writes_each_matrix_before_computing_the_next(self, bench_dir, tmp_path, monkeypatch):
+        dump = tmp_path / "sims"
+        written_before = []  # CSV files on disk as each distance matrix starts
+        real = selection.path_distance_matrix
+
+        def spy(*args, **kwargs):
+            written_before.append(len(list(dump.glob("sim_*.csv"))) if dump.exists() else 0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "path_distance_matrix", spy)
+        args = ["--source", str(bench_dir / "source.graph"), "--target", str(bench_dir / "target_partial.graph")]
+        args += ["--out", str(tmp_path / "est.graph"), "--dump-similarity", str(dump)]
+        assert main(["transfer", *args]) == 0
+        paths = len(list(dump.glob("sim_*.csv")))
+        assert paths > 1
+        # the dump's matrices, then the pipeline's own pass over the same paths
+        assert written_before == list(range(paths)) + [paths] * paths
 
     def test_bad_config_value_exits_two(self, bench_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:

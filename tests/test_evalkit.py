@@ -215,13 +215,6 @@ class TestRandomWalk:
         got_vec = np.array([got[eid] for eid in g.entity_ids])
         assert np.allclose(got_vec, expect, atol=1e-8)
 
-    def test_full_restart_returns_restart_vector(self):
-        g = self.connected_graph(2, n=10)
-        restart_ids = list(g.entity_ids)[:4]
-        p = random_walk_scores(g, restart_ids, restart=1.0)
-        for eid, v in p.items():
-            assert v == pytest.approx(0.25 if eid in restart_ids else 0.0)
-
     def test_dangling_mass_recycled(self):
         # isolated entity keeps total mass at one
         g = HeteroGraph(
@@ -230,30 +223,28 @@ class TestRandomWalk:
         p = random_walk_scores(g, ["c"])
         assert sum(p.values()) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("restart", [0.15, 0.5])
-    def test_matches_dense_reference_with_dangling_entities(self, restart):
+    def test_matches_dense_reference_with_dangling_entities(self):
         gs, _, _ = generate(SynthSpec(300, 150, seed=5))
         isolated = [(f"zz{i}", gs.type_of(gs.entity_ids[i])) for i in range(3)]
         g = HeteroGraph(list(gs.entity_items()) + isolated, gs.edges())
         restart_ids = list(gs.entity_ids[::7]) + ["zz0"]  # mass sits on a dangling entity too
-        got, want = random_walk_scores(g, restart_ids, restart), dense_random_walk_scores(g, restart_ids, restart)
+        got = random_walk_scores(g, restart_ids)
+        want = dense_random_walk_scores(g, restart_ids, evalkit.RESTART_PROB)
         assert list(got) == list(want) == list(g.entity_ids)
         assert want["zz1"] == 0.0 and want["zz0"] > 0.0
         np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
-        "ids,restart,msg",
+        "ids,msg",
         [
-            ([], 0.15, "empty"),
-            (["zz"], 0.15, "not in the source"),
-            (["e00"], 0.0, "restart probability"),
-            (["e00"], 1.5, "restart probability"),
+            ([], "empty"),
+            (["zz"], "not in the source"),
         ],
     )
-    def test_invalid_rejected(self, ids, restart, msg):
+    def test_invalid_rejected(self, ids, msg):
         g = self.connected_graph(3, n=5, p=0.0)
         with pytest.raises(GraftError, match=msg):
-            random_walk_scores(g, ids, restart=restart)
+            random_walk_scores(g, ids)
 
 
 class TestRandomWalkBaseline:

@@ -46,9 +46,6 @@ class TestMetaPath:
         assert p.label() == "process-file-process"
         assert not MetaPath(("file", "process")).is_palindrome()
 
-    def test_length(self):
-        assert MetaPath(("a", "b", "c")).length == 3
-
     @pytest.mark.parametrize("types", [(), ("a",), ("a", ""), ("a", 3)])
     def test_invalid_rejected(self, types):
         with pytest.raises(GraftError):
@@ -154,8 +151,8 @@ class TestProject:
         assert project(HeteroGraph(), MetaPath(("a", "b"))).n == 0
 
 
-def naive_hop_distances(gp, cap):
-    """BFS from every entity over binary adjacency."""
+def naive_hop_distances(gp):
+    """BFS from every entity over binary adjacency; unreachable pairs get the longest hop plus one."""
     n = gp.n
     adj = gp.csr().toarray()
     nbrs = [np.flatnonzero(adj[i] > 0) for i in range(n)]
@@ -173,9 +170,7 @@ def naive_hop_distances(gp, cap):
                         dist[s, v] = d
                         nxt.append(v)
             frontier = nxt
-    if cap is None:
-        cap = dist[np.isfinite(dist)].max() + 1.0
-    dist[~np.isfinite(dist)] = cap
+    dist[~np.isfinite(dist)] = dist[np.isfinite(dist)].max() + 1.0
     return dist
 
 
@@ -193,16 +188,11 @@ class TestPathDistance:
         assert m[i["a"], i["d"]] == 3.0
         assert np.array_equal(m, m.T)
 
-    def test_explicit_cap(self):
-        g = HeteroGraph([("a", "t"), ("b", "t")], [])
-        sim = path_distance_matrix(g, cap=9.0)
-        assert sim.matrix[0, 1] == 9.0
-
-    @pytest.mark.parametrize("seed,cap", [(0, None), (1, 5.0), (2, None)])
-    def test_matches_naive_bfs_oracle(self, seed, cap):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_naive_bfs_oracle(self, seed):
         g = random_graph(np.random.default_rng(seed), p=0.08)
-        got = path_distance_matrix(g, cap=cap).matrix
-        assert np.array_equal(got, naive_hop_distances(g, cap))
+        got = path_distance_matrix(g).matrix
+        assert np.array_equal(got, naive_hop_distances(g))
 
     def test_triangle_inequality_on_reachable_pairs(self):
         g = random_graph(np.random.default_rng(4), p=0.3)
@@ -217,10 +207,6 @@ class TestPathDistance:
         p = MetaPath(("t", "t"))
         sim = path_distance_matrix(HeteroGraph([("a", "t")], []), provenance=p)
         assert sim.provenance == p
-
-    def test_bad_cap(self):
-        with pytest.raises(GraftError, match="cap"):
-            path_distance_matrix(HeteroGraph(), cap=0.0)
 
     def test_empty_graph(self):
         assert path_distance_matrix(HeteroGraph()).n == 0
@@ -255,87 +241,73 @@ class HandOffSpy:
 class TestBitsetBfs:
     """The multi-source bitset BFS against the per-source oracle, bit for bit."""
 
-    @pytest.mark.parametrize("cap", [None, 5.0, 0.5])
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
-    def test_word_boundaries(self, n, cap):
+    def test_word_boundaries(self, n):
         # from n = 2 on every entity gets an edge, so all n bit columns are live
         rng = np.random.default_rng(n)
         pairs = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 2.0 / n}
         lonely = set(range(n)) - {v for p in pairs for v in p}
         pairs |= {tuple(sorted((v, (v + 1) % n))) for v in lonely if n > 1}
         g = graph_from_pairs(n, sorted(pairs))
-        got = path_distance_matrix(g, cap=cap).matrix
-        assert np.array_equal(got, naive_hop_distances(g, cap))
+        got = path_distance_matrix(g).matrix
+        assert np.array_equal(got, naive_hop_distances(g))
 
-    @pytest.mark.parametrize("cap", [None, 5.0, 0.5])
-    def test_components_and_isolated_entities(self, cap):
+    def test_components_and_isolated_entities(self):
         ring = [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
         clique = [(a, b) for a in range(12, 16) for b in range(a + 1, 16)]
         g = graph_from_pairs(16, path_pairs(0, 5) + ring + clique, isolated=6)
-        got = path_distance_matrix(g, cap=cap).matrix
-        assert np.array_equal(got, naive_hop_distances(g, cap))
+        got = path_distance_matrix(g).matrix
+        assert np.array_equal(got, naive_hop_distances(g))
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_all_isolated(self, n):
         got = path_distance_matrix(graph_from_pairs(0, [], isolated=n)).matrix
         assert np.array_equal(got, 1.0 - np.eye(n))
 
-    @pytest.mark.parametrize("cap", [None, 5.0, 0.5])
-    def test_long_path_hands_off_every_source(self, monkeypatch, cap):
+    def test_long_path_hands_off_every_source(self, monkeypatch):
         spy = HandOffSpy(monkeypatch)
         g = graph_from_pairs(100, path_pairs(0, 100), isolated=2)
-        got = path_distance_matrix(g, cap=cap).matrix
-        assert np.array_equal(got, naive_hop_distances(g, cap))
+        got = path_distance_matrix(g).matrix
+        assert np.array_equal(got, naive_hop_distances(g))
         # every vertex of a 100-path has a vertex at least 50 hops away
         assert [s.tolist() for s in spy.sources] == [list(range(100))]
 
-    @pytest.mark.parametrize("cap", [None, 5.0, 0.5])
-    def test_dense_core_with_tail_hands_off_some_sources(self, monkeypatch, cap):
+    def test_dense_core_with_tail_hands_off_some_sources(self, monkeypatch):
         spy = HandOffSpy(monkeypatch)
         rng = np.random.default_rng(3)
         core = [(a, b) for a in range(20) for b in range(a + 1, 20) if rng.random() < 0.4]
         # the tail hangs from its middle, so only the entities near that
         # point reach everything within the bitset hops
         g = graph_from_pairs(80, core + [(0, 50)] + path_pairs(20, 60), isolated=3)
-        got = path_distance_matrix(g, cap=cap).matrix
-        assert np.array_equal(got, naive_hop_distances(g, cap))
+        got = path_distance_matrix(g).matrix
+        assert np.array_equal(got, naive_hop_distances(g))
         live = np.flatnonzero(np.diff(g.csr().indptr))
-        eccentricity = naive_hop_distances(g, None)[np.ix_(live, live)].max(axis=1)
+        eccentricity = naive_hop_distances(g)[np.ix_(live, live)].max(axis=1)
         (sources,) = spy.sources
         assert sources.tolist() == np.flatnonzero(eccentricity >= metapath._BITSET_HOPS).tolist()
         assert 0 < len(sources) < 80
 
 
 class TestCompactHops:
-    """Hop matrices take the narrowest unsigned dtype that holds the cap and every hop."""
+    """Hop matrices take the narrowest unsigned dtype that holds the cap, one past the longest hop."""
 
-    @pytest.mark.parametrize("graph,cap,dtype", [
-        ("random", None, np.uint8),
-        ("path300", 300.0, np.uint16),
-        # a cap below the longest hop still leaves room for that hop
-        ("path300", 5.0, np.uint16),
-        ("random", 9, np.uint8),
-        ("random", 0.5, np.float64),
-        ("path300", 0.5, np.float64),
+    @pytest.mark.parametrize("graph,dtype", [
+        ("random", np.uint8),
+        # the longest hop is 299, so the cap is 300
+        ("path300", np.uint16),
     ])
-    def test_dtype_and_values(self, graph, cap, dtype):
+    def test_dtype_and_values(self, graph, dtype):
         if graph == "random":
             g = random_graph(np.random.default_rng(5), p=0.08)
         else:
             g = graph_from_pairs(300, path_pairs(0, 300), isolated=1)
-        got = path_distance_matrix(g, cap=cap).matrix
+        got = path_distance_matrix(g).matrix
         assert got.dtype == dtype
-        assert np.array_equal(got, naive_hop_distances(g, cap))
-
-    def test_huge_whole_cap_falls_back_to_float(self):
-        g = graph_from_pairs(3, path_pairs(0, 3), isolated=1)
-        got = path_distance_matrix(g, cap=1e30).matrix
-        assert got.dtype == np.float64
-        assert np.array_equal(got, naive_hop_distances(g, 1e30))
+        assert np.array_equal(got, naive_hop_distances(g))
 
     def test_blend_reads_the_same_values_as_float(self):
         g = random_graph(np.random.default_rng(6), p=0.1)
-        mats = [path_distance_matrix(g), path_distance_matrix(g, cap=7.0)]
+        mats = [path_distance_matrix(g), path_distance_matrix(random_graph(np.random.default_rng(7), p=0.1))]
         floats = [SimilarityMatrix(m.matrix.astype(float)) for m in mats]
         w = [0.3, 0.7]
         assert mats[0].matrix.dtype == np.uint8
@@ -345,15 +317,14 @@ class TestCompactHops:
 class TestIntegerHopCounts:
     """Hop counts go straight into the integer matrix, with no float64 k × k matrix on the way."""
 
-    @pytest.mark.parametrize("cap", [None, 5.0, 0.5, 300.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_isolated_entities_match_oracle(self, seed, cap):
+    def test_isolated_entities_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
         pairs = {(a, b) for a, b in rng.integers(0, 150, (120, 2)).tolist() if a < b}
         g = graph_from_pairs(150, sorted(pairs), isolated=40)
         assert (np.diff(g.csr().indptr) == 0).sum() >= 40
-        got = path_distance_matrix(g, cap=cap).matrix
-        assert np.array_equal(got, naive_hop_distances(g, cap))
+        got = path_distance_matrix(g).matrix
+        assert np.array_equal(got, naive_hop_distances(g))
 
     def test_hand_off_rows_need_uint16(self, monkeypatch):
         # a 300-path hands off every one of its entities, and its rows hold
@@ -364,7 +335,7 @@ class TestIntegerHopCounts:
         got = path_distance_matrix(g).matrix
         assert got.dtype == np.uint16
         assert got.max() == 300
-        assert np.array_equal(got, naive_hop_distances(g, None))
+        assert np.array_equal(got, naive_hop_distances(g))
         live = np.flatnonzero(np.diff(g.csr().indptr))
         (sources,) = spy.sources
         assert live[sources].tolist() == [g.entity_ids.index(f"v{i:04d}") for i in range(300)]

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from graft import GraftError
-from graft.numerics import _TILE, _row_zscores, _symmetrize_in_place, ols_nonneg, sym_eig_topk, sym_eig_topk_subset
+from graft import GraftError, mds_embed
+from graft.numerics import (
+    _TILE,
+    _eig_topk_subset_in_place,
+    _row_zscores,
+    _symmetrize_in_place,
+    ols_nonneg,
+    sym_eig_topk,
+)
 from testkit import finite_diff_grad
 
 
@@ -70,11 +77,16 @@ def random_symmetric(n, seed):
     return a + a.T
 
 
+def topk_subset(m, k):
+    """The top-k-only solve MDS runs, on a float64 copy of ``m``."""
+    return _eig_topk_subset_in_place(np.array(m, dtype=float), k)
+
+
 class TestSymEigTopkSubset:
     @pytest.mark.parametrize("n,k", [(40, 1), (40, 16), (40, 40), (1, 1), (200, 16)])
     def test_matches_full_eigh(self, n, k):
         m = random_symmetric(n, n + k)
-        vals, vecs = sym_eig_topk_subset(m, k)
+        vals, vecs = topk_subset(m, k)
         want_vals, want_vecs = full_eigh_top(m, k)
         scale = np.abs(m).max()
         assert vals.shape == (k,) and vecs.shape == (n, k)
@@ -91,7 +103,7 @@ class TestSymEigTopkSubset:
         spectrum = np.concatenate([[9.0, 7.0, 5.0, 5.0], np.linspace(2.0, -3.0, 26)])
         m = (q * spectrum) @ q.T
         m = (m + m.T) / 2.0
-        vals, vecs = sym_eig_topk_subset(m, 4)
+        vals, vecs = topk_subset(m, 4)
         _, want = full_eigh_top(m, 4)
         assert np.abs(vals - spectrum[:4]).max() <= 1e-12 * np.abs(m).max()
         assert np.allclose(vecs @ vecs.T, want @ want.T, atol=1e-10)
@@ -101,21 +113,22 @@ class TestSymEigTopkSubset:
 
     def test_deterministic(self):
         m = random_symmetric(120, 9)
-        v1 = sym_eig_topk_subset(m, 16)
-        v2 = sym_eig_topk_subset(m.copy(), 16)
+        v1 = topk_subset(m, 16)
+        v2 = topk_subset(m.copy(), 16)
         assert np.array_equal(v1[0], v2[0]) and np.array_equal(v1[1], v2[1])
 
     @pytest.mark.parametrize("m,k,msg", INVALID_EIG_INPUTS)
     def test_invalid_rejected(self, m, k, msg):
         with pytest.raises(GraftError, match=msg):
-            sym_eig_topk_subset(m, k)
+            topk_subset(m, k)
 
     def test_input_left_unchanged(self):
+        # the full solve symmetrises a copy, and MDS hands the subset solve a centred copy
         m = random_symmetric(20, 1)
         m[0, 1] += 1e-12  # so symmetrising changes it
         before = m.copy()
-        sym_eig_topk_subset(m, 3)
         sym_eig_topk(m, 3)
+        mds_embed(m, 3)
         assert np.array_equal(m, before)
 
 

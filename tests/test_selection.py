@@ -21,15 +21,16 @@ from graft import (
 )
 from graft.numerics import ols_nonneg
 from graft.selection import (
-    RIDGE,
     SelectionState,
     blend,
     fit_weights,
     metapath_distance_matrices,
-    relevance_matrix,
     selection_objective,
     squared_row_distances,
 )
+
+# keeps the weight fit's normal equations solvable when hop-matrix columns are collinear
+RIDGE = 1e-6
 
 
 def typed_random_graph(seed, n=20, n_types=3, p=0.25):
@@ -382,10 +383,6 @@ class TestRelevanceScores:
         assert select_entities(self.state, self.gs, self.gt_hat, 5.0) == {}
         scores = relevance_scores(self.state, self.gs, self.gt_hat)
         assert select_entities(self.state, self.gs, self.gt_hat, 0.9) == {e: scores[e] for e in "cd"}
-
-    def test_relevance_matrix_is_gram(self):
-        emb = np.array([[1.0, 2.0], [0.0, 1.0]])
-        assert np.allclose(relevance_matrix(emb), emb @ emb.T)
 
     def test_zero_variance_rows_skipped(self):
         # shared entity 'a' has a zero embedding, so its relevance row is flat
