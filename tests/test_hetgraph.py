@@ -234,13 +234,20 @@ class TestEdgeWeightsArePythonFloats:
 
 
 class TestAdjacency:
+    def test_weighted_matrix(self):
+        g = toy_graph()
+        i, j = g.index_of("f1"), g.index_of("p1")
+        rows, cols, weights = g.edge_arrays()
+        assert weights[(rows == min(i, j)) & (cols == max(i, j))].tolist() == [2.0]
+        m = g.csr().toarray()
+        assert m[i, j] == 1.0
+        assert m[j, i] == 1.0
+
     def test_binary_matrix_and_invariants(self):
         g = toy_graph()
         assert g.csr() is g.csr()
         m = g.csr().toarray()
         assert set(np.unique(m)) <= {0.0, 1.0}
-        # the f1-p1 edge weighs 2.0
-        assert m[g.index_of("f1"), g.index_of("p1")] == 1.0
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0.0)
 
