@@ -19,14 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
 
-import numpy as np
-
 from . import evalkit, synthbench
 from .config import CONFIG_KEYS, TransferConfig, _parse_value, build_config, parse_config_file
 from .errors import GraftError
 from .hetgraph import read_graph, write_graph
 from .ingest import accumulate, read_events, snapshot_series
-from .selection import _path_distances
 from .transfer import run_transfer, write_report
 
 log = logging.getLogger(__name__)
@@ -129,12 +126,6 @@ def _cmd_transfer(args) -> int:
     config = _build_config_from_args(args)
     source = read_graph(args.source)
     target = read_graph(args.target)
-    if args.dump_similarity:
-        dump_dir = Path(args.dump_similarity)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        for sim in _path_distances(source, config)[1]:  # one matrix held at a time
-            name = f"sim_{sim.provenance.label()}.csv"
-            np.savetxt(dump_dir / name, sim.matrix, delimiter=",", fmt="%.17g")
     graph, report = run_transfer(source, target, config)
     write_graph(graph, args.out)
     if args.report:
@@ -202,12 +193,15 @@ def _split(text: str, what: str, parse=str) -> list:
 
 
 def _cmd_sweep(args) -> int:
-    methods = _split(args.methods, "methods")
-    for m in methods:
-        if m not in METHODS:
-            raise GraftError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-    seeds = _split(args.seeds, "seeds", int)
-    values = _split(args.values, "axis values", int if args.axis == "size" else float)
+    try:
+        methods = _split(args.methods, "methods")
+        for m in methods:
+            if m not in METHODS:
+                raise GraftError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+        seeds = _split(args.seeds, "seeds", int)
+        values = _split(args.values, "axis values", int if args.axis == "size" else float)
+    except GraftError as exc:  # a malformed grid is a usage error, like a malformed flag
+        args.usage_error(str(exc))
     config_dict = _build_config_from_args(args).to_dict()
     cells = [(args.axis, *key, config_dict) for key in sorted(product(values, methods, seeds))]
     if args.jobs > 1:
@@ -260,8 +254,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="also write the run report JSON here")
-    p.add_argument("--dump-similarity", default=None, metavar="DIR",
-                   help="write each meta-path distance matrix as CSV")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_transfer)
 

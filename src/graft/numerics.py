@@ -1,15 +1,15 @@
 """Deterministic numerical kernels: symmetric eigensolves, clamped ridge
 regression, and per-row standardization.
 
-Two solves share one set of checks and one order and sign rule:
+Two solves share one read-only check and one order and sign rule:
 ``sym_eig_topk`` solves for all eigenpairs with ``numpy.linalg.eigh`` (the
 construction's spectral start), and MDS's ``_eig_topk_subset_in_place`` asks
 LAPACK's MRRR routine through ``scipy.linalg.eigh`` for the top k only. numpy
 and scipy each ship their own OpenBLAS thread pool, and on a 2-core host the
 two pools contend, so the construction start, which runs once per μ, stays on
-numpy's. Both check and symmetrise their input through one routine that
-works in place over tile pairs; ``sym_eig_topk`` runs it on a copy, and MDS
-hands it its own centred matrix, so that solve holds one n × n array. All
+numpy's. ``_check_symmetric`` walks tile pairs and writes nothing; both
+solves then read one triangle of the matrix as given, so ``sym_eig_topk``
+makes no copy of a float64 input and MDS holds one n × n array. All
 routines fix sign and ordering conventions so that identical inputs give
 bit-identical outputs on a given platform.
 """
@@ -42,41 +42,38 @@ def sym_eig_topk(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     vectors : (n, k) orthonormal eigenvectors; each column is flipped so its
         largest-magnitude entry is positive, which makes the result unique.
 
-    Solves for all n eigenpairs (``numpy.linalg.eigh``) of a symmetrised copy
-    and keeps the top k; ``m`` is left unchanged.
+    Solves for all n eigenpairs (``numpy.linalg.eigh``, which reads the lower
+    triangle) and keeps the top k; ``m`` is left unchanged.
     """
-    values, vectors = np.linalg.eigh(_symmetrize_in_place(np.array(m, dtype=float), k))
+    m = np.asarray(m, dtype=float)
+    _check_symmetric(m, k)
+    values, vectors = np.linalg.eigh(m)
     return _top_oriented(values, vectors, k)
 
 
 def _eig_topk_subset_in_place(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sym_eig_topk`` for the top k only, on a C-ordered float64 buffer the
-    caller gives up: ``s`` is symmetrised in place, then overwritten by
-    ``scipy.linalg.eigh`` over eigenvalue indices n−k..n−1, which runs LAPACK's
-    MRRR routine ``dsyevr`` (Dhillon, Parlett & Vömel, ACM TOMS 2006) and holds
-    no n × n array besides ``s``. Agrees with ``sym_eig_topk`` to rounding."""
-    _symmetrize_in_place(s, k)
+    """``sym_eig_topk`` for the top k only, on a checked, C-ordered float64
+    buffer the caller gives up: ``scipy.linalg.eigh`` over eigenvalue indices
+    n−k..n−1 overwrites ``s`` while running LAPACK's MRRR routine ``dsyevr``
+    (Dhillon, Parlett & Vömel, ACM TOMS 2006), and holds no n × n array
+    besides ``s``. Agrees with ``sym_eig_topk`` to rounding."""
     n = s.shape[0]
-    # s is now exactly symmetric, so its transpose is the Fortran-ordered
-    # array LAPACK can overwrite without a copy
+    # sᵀ is the Fortran-ordered array LAPACK can overwrite without a copy; its
+    # lower triangle is s's upper one, which equals the lower for symmetric s
     values, vectors = scipy.linalg.eigh(
         s.T, subset_by_index=[n - k, n - 1], overwrite_a=True, check_finite=False
     )
     return _top_oriented(values, vectors, k)
 
 
-def _symmetrize_in_place(m: np.ndarray, k: int) -> np.ndarray:
-    """Check the float64 array ``m`` and overwrite it with (m + mᵀ)/2; returns ``m``.
+def _check_symmetric(m: np.ndarray, k: int) -> None:
+    """Raise ``GraftError`` unless the float64 array ``m`` is square, has at
+    least k rows (k >= 1), is finite, and is symmetric within
+    ``SYMMETRY_RTOL`` of its largest |entry|.
 
-    ``m`` must be square, have at least k rows (k >= 1), be finite, and be
-    symmetric within ``SYMMETRY_RTOL`` of its largest |entry|. The check and
-    the average run over pairs of ``_TILE`` × ``_TILE`` tiles A = m[I, J] and
-    B = m[J, I]: the tile pair is checked on |A − Bᵀ|, and (A + Bᵀ)/2 is
-    written to A and its transpose to B, so the only temporary is one tile.
-    IEEE addition is commutative, so both triangles receive the same value,
-    bit for bit that of (m + mᵀ)/2. A tile pair is written once it passes,
-    so after an error ``m`` holds a mix of both; callers pass buffers of
-    their own.
+    Symmetry is checked on |A − Bᵀ| over pairs of ``_TILE`` × ``_TILE`` tiles
+    A = m[I, J] and B = m[J, I], so the only temporary is one tile; ``m`` is
+    never written.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraftError(f"matrix must be square, got shape {m.shape}")
@@ -91,11 +88,6 @@ def _symmetrize_in_place(m: np.ndarray, k: int) -> np.ndarray:
         t = np.subtract(a, b.T)
         if np.abs(t, out=t).max() > tol:
             raise GraftError("matrix is not symmetric within tolerance")
-        np.add(a, b.T, out=t)
-        t /= 2.0
-        a[...] = t
-        b[...] = t.T
-    return m
 
 
 def _tile_pairs(m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:

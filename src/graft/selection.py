@@ -3,14 +3,15 @@
 The selection model embeds the source graph with classical MDS of the
 uniform blend of its meta-path distance matrices in one streamed pass: each
 small-integer hop matrix is added into the float64 blend as it is computed,
-then dropped. MDS double-centres one working copy of the blend, symmetrises
-it in place and lets LAPACK overwrite it while solving for the top d1
-eigenpairs only, so the fit holds two n × n float64 arrays, the blend and that
-copy. The objective and ``fit_weights`` (which the pipeline does not call)
-work over row blocks, so neither forms an n × n temporary or n(n−1)/2 × P
-design. Relevance between entities is the inner product of their embeddings;
-source-only entities are selected when their relevance z-score against some
-shared entity clears a threshold, standardized over blocks of shared rows.
+then dropped. MDS checks the blend once, read-only, double-centres it into
+one working copy that is bitwise symmetric, and lets LAPACK overwrite that
+copy while solving for the top d1 eigenpairs only, so the fit holds two
+n × n float64 arrays, the blend and that copy. The objective and
+``fit_weights`` (which the pipeline does not call) work over row blocks, so
+neither forms an n × n temporary or n(n−1)/2 × P design. Relevance between
+entities is the inner product of their embeddings; source-only entities are
+selected when their relevance z-score against some shared entity clears a
+threshold, standardized over blocks of shared rows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
-from .numerics import _eig_topk_subset_in_place, _row_zscores, solve_normal_nonneg
+from .numerics import _check_symmetric, _eig_topk_subset_in_place, _row_zscores, solve_normal_nonneg
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +48,7 @@ def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
     Returns an (n, d1) embedding whose pairwise squared distances approximate
     the input.
     """
-    m = distances.matrix if isinstance(distances, SimilarityMatrix) else np.asarray(distances, dtype=float)
+    m = np.asarray(distances.matrix if isinstance(distances, SimilarityMatrix) else distances, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraftError(f"distance matrix must be square, got shape {m.shape}")
     n = m.shape[0]
@@ -55,14 +56,15 @@ def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
         raise GraftError("cannot embed an empty distance matrix")
     if not (1 <= d1 <= n):
         raise GraftError(f"d1 must be in [1, {n}], got {d1}")
-    if not np.isfinite(m).all():
-        raise GraftError("distance matrix must be finite")
-    # J m J with J = I - 11ᵀ/n, from the row, column and grand means
-    b = m - m.mean(axis=1, keepdims=True)
-    b -= m.mean(axis=0, keepdims=True)
-    b += m.mean()
+    _check_symmetric(m, d1)  # before the means, so an inf/-inf mix is an error, not a nan
+    # J m J with J = I - 11ᵀ/n from one row-mean vector r: m_ij - r_i - r_j + mean(r);
+    # IEEE addition commutes, so b is bitwise symmetric wherever m is
+    r = m.mean(axis=1)
+    b = np.add.outer(r, r)
+    np.subtract(m, b, out=b)
+    b += r.mean()
     b *= -0.5
-    values, vectors = _eig_topk_subset_in_place(b, d1)  # symmetrises b, then overwrites it
+    values, vectors = _eig_topk_subset_in_place(b, d1)  # overwrites b
     values = np.clip(values, 0.0, None)
     return vectors * np.sqrt(values)[None, :]
 

@@ -104,7 +104,6 @@ def construct_dependencies(
     merged: HeteroGraph,
     mu: float | None,
     config: TransferConfig,
-    seed: int | None = None,
 ) -> tuple[HeteroGraph, ReconstructionSolution, ReconstructionProblem]:
     """Run the construction stage against a merged target graph.
 
@@ -124,7 +123,7 @@ def construct_dependencies(
         reg=config.lam,
         rank=config.d2,
     )
-    solution = solve_reconstruction(prob, config.seed if seed is None else seed, config)
+    solution = solve_reconstruction(prob, config.seed, config)
     graph = finalize_edges(solution, merged, config.z_edge)
     return graph, solution, prob
 

@@ -64,9 +64,7 @@ def _pipeline_run(seed: int, config: TransferConfig):
     selected = sorted(e for e, s in scores.items() if s >= config.z_entity)
     merged = merge_transferred_entities(gt_hat, gs, selected)
     mu = auto_mu(merged, gt_hat)
-    estimate, solution, _ = construct_dependencies(
-        gs, gt_hat, merged, mu, config, seed=config.seed
-    )
+    estimate, solution, _ = construct_dependencies(gs, gt_hat, merged, mu, config)
     return SimpleNamespace(
         seed=seed,
         gs=gs,
@@ -274,9 +272,7 @@ def test_criterion_08_auto_mix_near_grid_best(benchmark_runs):
     for m in grid:
         f1s = [
             score(
-                construct_dependencies(
-                    r.gs, r.gt_hat, r.merged, m, ACCEPT_CFG, seed=ACCEPT_CFG.seed
-                )[0],
+                construct_dependencies(r.gs, r.gt_hat, r.merged, m, ACCEPT_CFG)[0],
                 r.gt_truth,
             ).combined_f1
             for r in runs

@@ -3,10 +3,9 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from graft import TransferConfig, read_graph, selection
+from graft import TransferConfig, read_graph
 from graft.cli import _make_parser, main
 
 
@@ -185,42 +184,6 @@ class TestTransferCommand:
         hat_n = 10
         merged_n = hat_n + len(report["transferred_entities"])
         assert report["mu_used"] == pytest.approx((merged_n - hat_n) / merged_n)
-
-    def test_dump_similarity_matrices(self, bench_dir, tmp_path):
-        dump = tmp_path / "sims"
-        rc = main(
-            [
-                "transfer",
-                "--source", str(bench_dir / "source.graph"),
-                "--target", str(bench_dir / "target_partial.graph"),
-                "--out", str(tmp_path / "est.graph"),
-                "--dump-similarity", str(dump),
-            ]
-        )
-        assert rc == 0
-        files = sorted(dump.glob("sim_*.csv"))
-        assert files
-        m = np.loadtxt(files[0], delimiter=",")
-        assert m.shape == (40, 40)
-        assert np.array_equal(m, m.T)
-
-    def test_dump_writes_each_matrix_before_computing_the_next(self, bench_dir, tmp_path, monkeypatch):
-        dump = tmp_path / "sims"
-        written_before = []  # CSV files on disk as each distance matrix starts
-        real = selection.path_distance_matrix
-
-        def spy(*args, **kwargs):
-            written_before.append(len(list(dump.glob("sim_*.csv"))) if dump.exists() else 0)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(selection, "path_distance_matrix", spy)
-        args = ["--source", str(bench_dir / "source.graph"), "--target", str(bench_dir / "target_partial.graph")]
-        args += ["--out", str(tmp_path / "est.graph"), "--dump-similarity", str(dump)]
-        assert main(["transfer", *args]) == 0
-        paths = len(list(dump.glob("sim_*.csv")))
-        assert paths > 1
-        # the dump's matrices, then the pipeline's own pass over the same paths
-        assert written_before == list(range(paths)) + [paths] * paths
 
     def test_bad_config_value_exits_two(self, bench_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -424,14 +387,17 @@ class TestSweepCommand:
             (["--values", "0.1,high"], "bad axis values"),
         ],
     )
-    def test_bad_grid_exits_one(self, tmp_path, capsys, extra, msg):
+    def test_bad_grid_exits_two(self, tmp_path, capsys, extra, msg):
         args = ["sweep", "--axis", "dynfactor", "--values", "0.1", "--methods", "nt",
                 "--seeds", "0", "--out", str(tmp_path / "s.csv")]
         for i in range(0, len(extra), 2):
             idx = args.index(extra[i])
             args[idx + 1] = extra[i + 1]
-        assert main(args) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
         assert msg in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestEntryPoint:

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from graft import GraftError, mds_embed
 from graft.numerics import (
+    SYMMETRY_RTOL,
     _TILE,
+    _check_symmetric,
     _eig_topk_subset_in_place,
     _row_zscores,
-    _symmetrize_in_place,
     ols_nonneg,
     sym_eig_topk,
 )
@@ -78,7 +81,7 @@ def random_symmetric(n, seed):
 
 
 def topk_subset(m, k):
-    """The top-k-only solve MDS runs, on a float64 copy of ``m``."""
+    """The top-k-only solve MDS runs, on a float64 copy of ``m``; it checks nothing itself."""
     return _eig_topk_subset_in_place(np.array(m, dtype=float), k)
 
 
@@ -119,13 +122,24 @@ class TestSymEigTopkSubset:
 
     @pytest.mark.parametrize("m,k,msg", INVALID_EIG_INPUTS)
     def test_invalid_rejected(self, m, k, msg):
-        with pytest.raises(GraftError, match=msg):
-            topk_subset(m, k)
+        # the subset solve checks nothing; MDS, its caller, rejects these
+        # before it centres (TestSymEigTopk runs them through the full solve)
+        with pytest.raises(GraftError, match=msg.replace("k must", "d1 must")):
+            mds_embed(m, k)
+
+    def test_inf_mix_rejected_before_centring(self):
+        # row means of +inf and -inf are nan, with a RuntimeWarning CI turns into an error
+        m = np.zeros((3, 3))
+        m[0, 1], m[1, 0], m[0, 2], m[2, 0] = np.inf, np.inf, -np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(GraftError, match="finite"):
+                mds_embed(m, 1)
 
     def test_input_left_unchanged(self):
-        # the full solve symmetrises a copy, and MDS hands the subset solve a centred copy
+        # the full solve reads m as given, and MDS hands the subset solve a centred copy
         m = random_symmetric(20, 1)
-        m[0, 1] += 1e-12  # so symmetrising changes it
+        m[0, 1] += 1e-12  # so writing (m + mᵀ)/2 back would change it
         before = m.copy()
         sym_eig_topk(m, 3)
         mds_embed(m, 3)
@@ -136,26 +150,33 @@ class TestSymEigTopkSubset:
 TILE_EDGE_SIZES = [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1]
 
 
-class TestSymmetrizeInPlace:
+def far_tile_corners(n):
+    """The last cell of each off-diagonal tile; with one tile, the last cell above its diagonal."""
+    starts = range(0, n, _TILE)
+    corners = [(min(i + _TILE, n) - 1, min(j + _TILE, n) - 1) for i in starts for j in starts if i < j]
+    return corners or [(n - 2, n - 1)]
+
+
+class TestCheckSymmetric:
     @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
-    def test_bitwise_mean_with_transpose(self, n):
-        m = random_symmetric(n, n) + 1e-12 * np.random.default_rng(n).standard_normal((n, n))
-        want = (m + m.T) / 2.0
-        got = m.copy()
-        assert _symmetrize_in_place(got, 1) is got
-        assert np.array_equal(got, want) and not np.array_equal(got, m)
+    def test_asymmetry_under_tolerance_accepted_and_input_unchanged(self, n):
+        m = random_symmetric(n, n)
+        for cell in far_tile_corners(n):
+            m[cell] += 0.5 * SYMMETRY_RTOL * np.abs(m).max()
+        before = m.copy()
+        assert _check_symmetric(m, 1) is None
+        assert np.array_equal(m, before) and not np.array_equal(m, m.T)
 
     @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
     def test_asymmetry_in_far_tile_corner_rejected(self, n):
-        starts = range(0, n, _TILE)
-        # the last cell of each off-diagonal tile; with one tile, the last cell above its diagonal
-        corners = [(min(i + _TILE, n) - 1, min(j + _TILE, n) - 1) for i in starts for j in starts if i < j]
-        for i, j in corners or [(n - 2, n - 1)]:
+        for i, j in far_tile_corners(n):
             for cell in ((i, j), (j, i)):
                 m = random_symmetric(n, n)
                 m[cell] += 1e-6 * np.abs(m).max()
+                before = m.copy()
                 with pytest.raises(GraftError, match="not symmetric"):
-                    _symmetrize_in_place(m, 1)
+                    _check_symmetric(m, 1)
+                assert np.array_equal(m, before)
 
 
 class TestOlsNonneg:

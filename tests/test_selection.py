@@ -19,7 +19,7 @@ from graft import (
     relevance_scores,
     select_entities,
 )
-from graft.numerics import ols_nonneg
+from graft.numerics import _TILE, ols_nonneg
 from graft.selection import (
     SelectionState,
     blend,
@@ -84,6 +84,27 @@ class TestMdsEmbed:
         m = np.array([[0.0, 4.0], [4.0, 0.0]])
         emb = mds_embed(SimilarityMatrix(m), 1)
         assert np.allclose(emb, [[1.0], [-1.0]])
+
+    def test_centred_matrix_is_bitwise_symmetric(self, monkeypatch):
+        # at this size row and column means round differently, so centring
+        # with both would leave b asymmetric in the last bits
+        n = 2 * _TILE + 1
+        rng = np.random.default_rng(4)
+        mats = []
+        for _ in range(2):
+            a = rng.integers(1, 6, size=(n, n))
+            m = np.triu(a, 1) + np.triu(a, 1).T
+            mats.append(SimilarityMatrix(m.astype(np.uint8)))
+        symmetric = []
+        real = selection._eig_topk_subset_in_place
+
+        def spy(b, k):
+            symmetric.append(np.array_equal(b, b.T))
+            return real(b, k)
+
+        monkeypatch.setattr(selection, "_eig_topk_subset_in_place", spy)
+        mds_embed(blend(mats, [0.3, 0.7]), 4)
+        assert symmetric == [True]
 
     @pytest.mark.parametrize(
         "m,d1,msg",
