@@ -77,7 +77,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         )
 
 
-def _build_config_from_args(args: argparse.Namespace) -> TransferConfig:
+def _build_config_from_args(args: argparse.Namespace, cell_keys: tuple = ()) -> TransferConfig:
+    """Defaults overlaid by the --config file, then by flags; setting a ``cell_keys`` key is a usage error."""
     file_overrides = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -88,6 +89,9 @@ def _build_config_from_args(args: argparse.Namespace) -> TransferConfig:
         for key in CONFIG_KEYS
         if hasattr(args, f"cfg_{key}")
     }
+    for key, owner in cell_keys:
+        if key in file_overrides or key in flag_overrides:
+            args.usage_error(f"sweep takes {key} from {owner}; do not set it by flag or config file")
     try:
         return build_config(file_overrides, flag_overrides)
     except GraftError as exc:  # a value out of range is a usage error, like a malformed flag
@@ -202,7 +206,9 @@ def _cmd_sweep(args) -> int:
         values = _split(args.values, "axis values", int if args.axis == "size" else float)
     except GraftError as exc:  # a malformed grid is a usage error, like a malformed flag
         args.usage_error(str(exc))
-    config_dict = _build_config_from_args(args).to_dict()
+    # each cell sets these (key, owner) itself, so a value given here would go unread
+    cell_keys = (("seed", "--seeds"), (_SWEEP_AXES[args.axis][0], f"the {args.axis} axis"))
+    config_dict = _build_config_from_args(args, cell_keys).to_dict()
     cells = [(args.axis, *key, config_dict) for key in sorted(product(values, methods, seeds))]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

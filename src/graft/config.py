@@ -43,7 +43,6 @@ class TransferConfig:
     z_edge: float = 1.96
     max_path_len: int = 3
     mu: float | None = None
-    construction_tol: float = 1e-6
     construction_max_iters: int = 500
     eta0: float = 0.01
     seed: int = 0
@@ -52,7 +51,7 @@ class TransferConfig:
         check_field_types(self)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise GraftError(f"lam must be nonnegative and finite, got {self.lam!r}")
-        for name in ("z_entity", "z_edge", "construction_tol", "eta0"):
+        for name in ("z_entity", "z_edge", "eta0"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise GraftError(f"{name} must be positive and finite, got {v!r}")

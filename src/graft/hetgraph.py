@@ -224,12 +224,6 @@ class HeteroGraph:
     def edge_count(self) -> int:
         return len(self._weights)
 
-    def edge_weight(self, a: str, b: str) -> float | None:
-        i, j = sorted((self.index_of(a), self.index_of(b)))
-        lo, hi = np.searchsorted(self._rows, [i, i + 1])
-        k = lo + int(np.searchsorted(self._cols[lo:hi], j))
-        return float(self._weights[k]) if k < hi and self._cols[k] == j else None
-
     def csr(self) -> sp.csr_matrix:
         """Symmetric sparse binary adjacency over the entity index, cached: callers must not modify it."""
         if self._csr is None:

@@ -52,9 +52,6 @@ class MetaPath:
     def is_palindrome(self) -> bool:
         return self.types == self.types[::-1]
 
-    def label(self) -> str:
-        return "-".join(self.types)
-
 
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
@@ -218,8 +215,8 @@ def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
 _BLEND_BLOCK_CELLS = 1 << 15
 
 
-def blend(mats: Iterable[SimilarityMatrix], weights: Iterable[float]) -> SimilarityMatrix:
-    """Weighted sum of similarity matrices; weights must be nonnegative.
+def blend(mats: Iterable[SimilarityMatrix], weights: Iterable[float]) -> np.ndarray:
+    """Weighted sum of similarity matrices as a float64 array; weights must be nonnegative.
 
     ``mats`` may be a generator; each matrix is added into the float64 sum as
     it arrives. Each cell sums w₀·M₀ + w₁·M₁ + … in matrix order.
@@ -246,4 +243,4 @@ def blend(mats: Iterable[SimilarityMatrix], weights: Iterable[float]) -> Similar
         raise GraftError("blend needs at least one matrix")
     if k + 1 != w.size:
         raise GraftError(f"got {k + 1} matrices but {w.size} weights")
-    return SimilarityMatrix(out, None)
+    return out

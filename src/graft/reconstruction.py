@@ -5,7 +5,8 @@ The reconstruction factors ``u`` (n x rank) score entity pairs by ``u @ u.T``.
 The objective balances fitting the observed target adjacency against keeping
 the discrepancy to the source adjacency at its observed level, plus ridge
 regularization. It is minimized by full-batch gradient descent with
-backtracking line search from a spectral initialization.
+backtracking line search from a spectral start until the relative objective
+change drops below ``CONSTRUCTION_TOL``.
 
 The objective and gradient are evaluated in factored form (Burer & Monteiro,
 Math. Prog. 2003): with ``G = u.T @ u``,
@@ -35,6 +36,7 @@ from .numerics import _row_zscores, sym_eig_topk
 
 log = logging.getLogger(__name__)
 
+CONSTRUCTION_TOL = 1e-6
 DIVERGENCE_LIMIT = 1e12
 INIT_NOISE = 1e-3
 MAX_BACKTRACKS = 60
@@ -141,15 +143,17 @@ class ReconstructionSolution:
     """Optimized factors plus the accepted-objective trace (entry 0 is the start).
 
     ``stop_reason`` and ``backtracks`` say why ``solve_reconstruction`` stopped
-    and how many step halvings it made; they stay empty for hand-built
-    solutions.
+    and how many step halvings it made.
     """
 
     factors: np.ndarray
     objective_trace: list[float]
-    iterations: int
-    stop_reason: str = ""
-    backtracks: int = 0
+    stop_reason: str
+    backtracks: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_trace) - 1
 
 
 def _check_diverged(value: float) -> float:
@@ -161,17 +165,15 @@ def _check_diverged(value: float) -> float:
     return value
 
 
-def solve_reconstruction(
-    prob: ReconstructionProblem, seed: int, config: TransferConfig | None = None
-) -> ReconstructionSolution:
+def solve_reconstruction(prob: ReconstructionProblem, config: TransferConfig | None = None) -> ReconstructionSolution:
     """Gradient descent with backtracking from a spectral start.
 
     The start point takes the top-rank eigenpairs of
     ``mu * A_T + (1 - mu) * A_S`` scaled by the square roots of the clipped
-    eigenvalues, plus a small seeded perturbation to break symmetry. Each
-    iteration resets the step to ``eta0`` and halves it until the objective
-    does not increase; the run stops when the relative objective change drops
-    below ``construction_tol``, when the iteration cap is reached, or when
+    eigenvalues, plus a small perturbation seeded by ``config.seed`` to break
+    symmetry. Each iteration resets the step to ``eta0`` and halves it until
+    the objective does not increase; the run stops when the relative change
+    drops below ``CONSTRUCTION_TOL``, at the iteration cap, or when
     ``MAX_BACKTRACKS`` halvings find no descent. Each accepted point is
     evaluated once: its gradient comes from the products of that evaluation.
     """
@@ -182,7 +184,7 @@ def solve_reconstruction(
     blended = (prob.mu * prob.target.csr() + (1.0 - prob.mu) * prob.source.csr()).toarray()
     values, vectors = sym_eig_topk(blended, rank)
     u = vectors * np.sqrt(np.clip(values, 0.0, None))[None, :]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     u = u + INIT_NOISE * rng.standard_normal(u.shape)
     current = _Evaluation(u, prob)
     obj = _check_diverged(current.objective)
@@ -203,10 +205,10 @@ def solve_reconstruction(
             break
         prev, current, obj = obj, trial, trial.value
         trace.append(obj)
-        if abs(obj - prev) / max(abs(prev), 1e-30) < config.construction_tol:
+        if abs(obj - prev) / max(abs(prev), 1e-30) < CONSTRUCTION_TOL:
             stop = "tolerance"
             break
-    solution = ReconstructionSolution(current.u, trace, len(trace) - 1, stop, backtracks)
+    solution = ReconstructionSolution(current.u, trace, stop, backtracks)
     log.info(
         "reconstruction stopped by %s after %d iteration(s), %d backtrack(s), objective %.6g",
         solution.stop_reason,
@@ -217,19 +219,18 @@ def solve_reconstruction(
     return solution
 
 
-def finalize_edges(solution: ReconstructionSolution, merged: HeteroGraph, z: float) -> HeteroGraph:
+def finalize_edges(u: np.ndarray, merged: HeteroGraph, z: float) -> HeteroGraph:
     """Threshold the reconstruction scores into edges, keeping all original edges.
 
-    The score matrix ``u @ u.T`` is standardized per row; pair (i, j) becomes
-    an edge when the larger of its two directed z-scores reaches ``z``. Edges
-    already present keep their original weights; new edges get the raw score,
-    clipped below at machine epsilon so weights stay positive. Rows with zero
-    variance propose nothing.
+    The score matrix ``u @ u.T`` of the n × rank factors ``u`` is standardized
+    per row; pair (i, j) becomes an edge when the larger of its two directed
+    z-scores reaches ``z``. Edges already present keep their original
+    weights; new edges get the raw score, clipped below at machine epsilon so
+    weights stay positive. Rows with zero variance propose nothing.
     """
     n = merged.n
-    u = solution.factors
     if u.shape[0] != n:
-        raise GraftError(f"solution has {u.shape[0]} rows but the graph has {n} entities")
+        raise GraftError(f"factors have {u.shape[0]} rows but the graph has {n} entities")
     scores = u @ u.T
     z_rows = _row_zscores(scores)
     decision = np.triu(np.maximum(z_rows, z_rows.T) >= z, k=1)

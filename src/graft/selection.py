@@ -3,12 +3,13 @@
 The selection model embeds the source graph with classical MDS of the
 uniform blend of its meta-path distance matrices in one streamed pass: each
 small-integer hop matrix is added into the float64 blend as it is computed,
-then dropped. MDS checks the blend once, read-only, double-centres it into
-one working copy that is bitwise symmetric, and lets LAPACK overwrite that
-copy while solving for the top d1 eigenpairs only, so the fit holds two
-n × n float64 arrays, the blend and that copy. The objective and
-``fit_weights`` (which the pipeline does not call) work over row blocks, so
-neither forms an n × n temporary or n(n−1)/2 × P design. Relevance between
+then dropped. MDS takes the blend as a plain array, checks it once,
+read-only, double-centres it into one working copy that is bitwise
+symmetric, and lets LAPACK overwrite that copy while solving for the top d1
+eigenpairs only, so the fit holds two n × n float64 arrays, the blend and
+that copy. The objective and ``fit_weights`` (which the pipeline does not
+call) work over row blocks, so neither forms an n × n temporary or
+n(n−1)/2 × P design. Relevance between
 entities is the inner product of their embeddings; source-only entities are
 selected when their relevance z-score against some shared entity clears a
 threshold, standardized over blocks of shared rows.
@@ -37,7 +38,7 @@ log = logging.getLogger(__name__)
 _FIT_BLOCK_CELLS = 1 << 14
 
 
-def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
+def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
     """Classical multidimensional scaling of a squared-dissimilarity matrix.
 
     Double-centers the matrix, solves for its top ``d1`` eigenpairs only,
@@ -48,7 +49,7 @@ def mds_embed(distances: SimilarityMatrix | np.ndarray, d1: int) -> np.ndarray:
     Returns an (n, d1) embedding whose pairwise squared distances approximate
     the input.
     """
-    m = np.asarray(distances.matrix if isinstance(distances, SimilarityMatrix) else distances, dtype=float)
+    m = np.asarray(distances, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraftError(f"distance matrix must be square, got shape {m.shape}")
     n = m.shape[0]
@@ -115,7 +116,7 @@ def selection_objective(
     lam: float,
 ) -> float:
     """Squared fit error between embedding distances and the weighted blend, plus regularization."""
-    return _blend_objective(embedding, blend(mats, weights).matrix, weights, lam)
+    return _blend_objective(embedding, blend(mats, weights), weights, lam)
 
 
 def _blend_objective(embedding: np.ndarray, blended: np.ndarray, weights: np.ndarray, lam: float) -> float:
@@ -185,7 +186,7 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     weights = uniform / uniform.sum()
     blended = blend(mats, weights)
     embedding = mds_embed(blended, min(config.d1, gs.n))
-    obj = _blend_objective(embedding, blended.matrix, weights, config.lam)
+    obj = _blend_objective(embedding, blended, weights, config.lam)
     log.info("selection model fitted over %d meta-path(s)", len(paths))
     return SelectionState(paths, weights, embedding, [obj])
 

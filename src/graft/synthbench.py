@@ -64,8 +64,10 @@ class SynthSpec:
         return dict(dataclasses.asdict(self), edge_prob=self.edge_prob_effective)
 
 
-def _entity_id(i: int) -> str:
-    return f"e{i:05d}"
+def _entity_ids(n: int) -> list[str]:
+    """Ids of n entities, zero-padded to one width of at least 5 digits so they sort in order."""
+    width = max(5, len(str(n - 1)))
+    return [f"e{i:0{width}d}" for i in range(n)]
 
 
 # source pairs drawn per rng.random call: 512 KiB of uniforms at a time
@@ -98,7 +100,7 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_source
-    ids = [_entity_id(i) for i in range(n)]
+    ids = _entity_ids(n)
     type_idx = rng.integers(0, spec.n_types, size=n)
     entities = [(ids[i], f"t{type_idx[i]}") for i in range(n)]
 
@@ -108,8 +110,7 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
         for start in range(0, total, _DRAW_CELLS)
     ]
     rows, cols = _pairs_at(_pair_starts(n), np.concatenate(hits))
-    # below 100000 entities the zero-padded ids sort in index order, so the
-    # pair indices are already entity indices
+    # the ids sort in index order, so the pair indices are already entity indices
     gs = HeteroGraph(entities)._with_edges(rows, cols, np.ones(len(rows)))
 
     survivors = np.sort(rng.choice(n, size=spec.n_target, replace=False))

@@ -123,8 +123,8 @@ def construct_dependencies(
         reg=config.lam,
         rank=config.d2,
     )
-    solution = solve_reconstruction(prob, config.seed, config)
-    graph = finalize_edges(solution, merged, config.z_edge)
+    solution = solve_reconstruction(prob, config)
+    graph = finalize_edges(solution.factors, merged, config.z_edge)
     return graph, solution, prob
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from graft import TransferConfig, read_graph
+from graft import TransferConfig, read_graph, synthbench
 from graft.cli import _make_parser, main
 
 
@@ -221,7 +221,8 @@ class TestTransferCommand:
         assert not (tmp_path / "est.graph").exists()
 
     def test_removed_selection_flag_exits_two(self, bench_dir, tmp_path):
-        for flag, value in [("--selection-tol", "1e-3"), ("--theta", "2"), ("--distance-cap", "3")]:
+        removed = [("--selection-tol", "1e-3"), ("--theta", "2"), ("--distance-cap", "3"), ("--construction-tol", "1e-2")]
+        for flag, value in removed:
             with pytest.raises(SystemExit) as exc:
                 main(
                     [
@@ -375,6 +376,33 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert lines[2].startswith("size,100,nt,0,,,,error:")
+
+    @pytest.mark.parametrize(
+        "axis,config,flags,msg",
+        [
+            ("dynfactor", "", ["--seed", "9"], "sweep takes seed from --seeds"),
+            ("dynfactor", "seed = 0\n", [], "sweep takes seed from --seeds"),
+            ("mu", "", ["--mu", "0.3"], "sweep takes mu from the mu axis"),
+            ("mu", "mu = auto\n", [], "sweep takes mu from the mu axis"),
+        ],
+        ids=["seed-flag", "seed-config-file", "mu-flag", "mu-config-file"],
+    )
+    def test_value_each_cell_sets_exits_two(self, tmp_path, capsys, monkeypatch, axis, config, flags, msg):
+        # each cell overwrites seed, and on the mu axis mu, so a value given here would go unread
+        monkeypatch.setattr(synthbench, "generate", lambda spec: pytest.fail("an instance was generated"))
+        cfg = tmp_path / "graft.cfg"
+        cfg.write_text(config)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", axis, "--values", "0.5", "--methods", "nt", "--seeds", "0",
+                  "--config", str(cfg), "--out", str(tmp_path / "s.csv"), *flags])
+        assert exc.value.code == 2
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_mu_off_the_mu_axis_is_accepted(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert self.run_sweep(out, values="0.1", methods="nt", extra=("--mu", "0.3")) == 0
+        assert out.read_text().splitlines()[2].endswith(",ok")
 
     @pytest.mark.parametrize(
         "extra,msg",

@@ -9,7 +9,7 @@ from graft.selection import fit_selection_model, metapath_distance_matrices, sel
 from graft.transfer import construct_dependencies
 
 # keys TransferConfig used to have; every door now rejects them
-REMOVED_KEYS = ("theta", "lam_selection", "lam_construction", "ridge", "distance_cap")
+REMOVED_KEYS = ("theta", "lam_selection", "lam_construction", "ridge", "distance_cap", "construction_tol")
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(TransferConfig)}
 
 

@@ -15,7 +15,7 @@ from graft import (
     score,
 )
 from graft import evalkit
-from testkit import dense_random_walk_scores, reference_score
+from testkit import dense_random_walk_scores, edge_weight, reference_score
 
 
 def graph_of(entities, edges=()):
@@ -160,9 +160,9 @@ class TestSimpleBaselines:
         out = baseline_dt(gs, gt)
         assert out.entity_ids == ("a", "b", "c", "d")
         assert out.type_of("c") == "u" and out.type_of("d") == "v"
-        assert out.edge_weight("a", "b") == 3.0
-        assert out.edge_weight("b", "c") == 5.0
-        assert out.edge_weight("a", "d") == 1.0
+        assert edge_weight(out, "a", "b") == 3.0
+        assert edge_weight(out, "b", "c") == 5.0
+        assert edge_weight(out, "a", "d") == 1.0
 
     def test_dt_entity_recall_is_total(self):
         gs, gt_truth, gt_hat = generate(SynthSpec(50, 25, seed=0))

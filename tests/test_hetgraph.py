@@ -9,7 +9,6 @@ from graft import (
     dynamic_factor,
     format_graph,
     MetaPath,
-    ReconstructionSolution,
     finalize_edges,
     induced_subgraph,
     merge_transferred_entities,
@@ -17,6 +16,7 @@ from graft import (
     project,
 )
 from graft.hetgraph import split_by_overlap
+from testkit import edge_weight
 
 
 def toy_graph():
@@ -37,8 +37,8 @@ class TestHeteroGraph:
         assert g.edge_count == 2
         assert g.type_of("p1") == "process"
         assert g.has_entity("f1") and not g.has_entity("nope")
-        assert g.edge_weight("f1", "p1") == 2.0
-        assert g.edge_weight("p1", "s1") == 1.0
+        assert edge_weight(g, "f1", "p1") == 2.0
+        assert edge_weight(g, "p1", "s1") == 1.0
 
     def test_edges_normalized_and_sorted(self):
         g = HeteroGraph([("a", "t"), ("b", "t"), ("c", "t")], [("c", "b"), ("b", "a")])
@@ -218,7 +218,7 @@ class TestEdgeWeightsArePythonFloats:
         u = np.array([[1.0], [0.5], [1.0], [0.25]])
         yield g
         yield project(g, MetaPath(("t", "u", "t")))
-        yield finalize_edges(ReconstructionSolution(u, [0.0], 0), g, 0.0)
+        yield finalize_edges(u, g, 0.0)
         yield induced_subgraph(g, ["a", "b", "c"])
         yield merge_transferred_entities(induced_subgraph(g, ["a", "b"]), g, ["c"])
 
@@ -361,7 +361,7 @@ class TestGraphFormat:
 
     def test_round_trip_preserves_weights_exactly(self):
         g = HeteroGraph([("a", "t"), ("b", "t")], [("a", "b", 0.12345678901234567)])
-        assert parse_graph(format_graph(g)).edge_weight("a", "b") == 0.12345678901234567
+        assert edge_weight(parse_graph(format_graph(g)), "a", "b") == 0.12345678901234567
 
     def test_header_required(self):
         with pytest.raises(GraphFormatError, match="line 1"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from graft import Event, GraftError, HeteroGraph, accumulate, format_graph, parse_events, snapshot_series
+from testkit import edge_weight
 
 
 def line(ts, attrs):
@@ -159,8 +160,8 @@ class TestAccumulate:
         )
         g = accumulate(evs)
         assert g.entity_ids == ("f1", "f2", "p1")
-        assert g.edge_weight("f1", "p1") == 2.0
-        assert g.edge_weight("f2", "p1") == 1.0
+        assert edge_weight(g, "f1", "p1") == 2.0
+        assert edge_weight(g, "f2", "p1") == 1.0
 
     def test_clique_expansion_per_event(self):
         g = accumulate([Event(1, {"a": "x", "b": "y", "c": "z"})])

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import tracemalloc
 
@@ -9,20 +10,21 @@ from graft import (
     GraftError,
     HeteroGraph,
     ReconstructionProblem,
-    ReconstructionSolution,
     TransferConfig,
     finalize_edges,
     solve_reconstruction,
 )
+from graft import reconstruction
 from graft.numerics import sym_eig_topk
 from graft.reconstruction import (
+    CONSTRUCTION_TOL,
     INIT_NOISE,
     MAX_BACKTRACKS,
     _check_diverged,
     reconstruction_gradient,
     reconstruction_objective,
 )
-from testkit import finite_diff_grad, graph_from_upper, soft_dynamic_factor
+from testkit import edge_weight, finite_diff_grad, graph_from_upper, soft_dynamic_factor
 
 
 def random_graph(seed, n=20, p=0.25, weighted=True):
@@ -60,7 +62,7 @@ def naive_objective(u, prob):
     return prob.mu * smooth + (1.0 - prob.mu) * (gap - prob.observed_gap) ** 2 + reg
 
 
-def reference_solve(prob, seed, config):
+def reference_solve(prob, config):
     """Descent loop that evaluates the objective and the gradient separately.
 
     Returns the factors, the accepted-objective trace and the number of step
@@ -70,7 +72,7 @@ def reference_solve(prob, seed, config):
     blended = prob.mu * prob.target.csr().toarray() + (1.0 - prob.mu) * prob.source.csr().toarray()
     values, vectors = sym_eig_topk(blended, rank)
     u = vectors * np.sqrt(np.clip(values, 0.0, None))[None, :]
-    u = u + INIT_NOISE * np.random.default_rng(seed).standard_normal(u.shape)
+    u = u + INIT_NOISE * np.random.default_rng(config.seed).standard_normal(u.shape)
     obj = _check_diverged(reconstruction_objective(u, prob))
     trace = [obj]
     halvings = 0
@@ -93,7 +95,7 @@ def reference_solve(prob, seed, config):
             break
         prev, u, obj = obj, candidate, _check_diverged(trial_obj)
         trace.append(obj)
-        if abs(obj - prev) / max(abs(prev), 1e-30) < config.construction_tol:
+        if abs(obj - prev) / max(abs(prev), 1e-30) < reconstruction.CONSTRUCTION_TOL:
             break
     return u, trace, halvings
 
@@ -275,15 +277,15 @@ class TestSolve:
     def test_self_transfer_reproduces_edges(self):
         g = random_graph(0, n=20)
         prob = ReconstructionProblem(g, g, 0.0, 1.0, 0.0, 20)
-        sol = solve_reconstruction(prob, seed=0, config=TransferConfig())
-        out = finalize_edges(sol, g, 1.96)
+        sol = solve_reconstruction(prob, TransferConfig(seed=0))
+        out = finalize_edges(sol.factors, g, 1.96)
         assert set(out.edges()) == set(g.edges())
 
     def test_mu_one_reaches_eigen_truncation_value(self):
         g = random_graph(0, n=20, weighted=False)
         rank = 4
         prob = ReconstructionProblem(g, g, 0.0, 1.0, 0.0, rank)
-        sol = solve_reconstruction(prob, seed=1, config=TransferConfig())
+        sol = solve_reconstruction(prob, TransferConfig(seed=1))
         a = g.csr().toarray()
         vals = np.linalg.eigvalsh(a)[::-1]
         kept = np.clip(vals[:rank], 0.0, None)
@@ -292,23 +294,29 @@ class TestSolve:
 
     def test_trace_monotone_and_starts_at_init(self):
         prob = make_problem(mu=0.5, reg=0.01, rank=8, n=15)
-        sol = solve_reconstruction(prob, seed=2, config=TransferConfig())
+        sol = solve_reconstruction(prob, TransferConfig(seed=2))
         t = sol.objective_trace
         assert len(t) == sol.iterations + 1
         assert all(b <= a for a, b in zip(t, t[1:]))
 
+    def test_iterations_read_off_the_trace(self):
+        sol = solve_reconstruction(make_problem(), TransferConfig(construction_max_iters=3))
+        assert sol.iterations == len(sol.objective_trace) - 1 == 3
+        with pytest.raises(AttributeError):
+            sol.iterations = 0
+
     def test_deterministic_per_seed(self):
         prob = make_problem()
-        s1 = solve_reconstruction(prob, seed=7, config=TransferConfig())
-        s2 = solve_reconstruction(prob, seed=7, config=TransferConfig())
-        s3 = solve_reconstruction(prob, seed=8, config=TransferConfig())
+        s1 = solve_reconstruction(prob, TransferConfig(seed=7))
+        s2 = solve_reconstruction(prob, TransferConfig(seed=7))
+        s3 = solve_reconstruction(prob, TransferConfig(seed=8))
         assert np.array_equal(s1.factors, s2.factors)
         assert s1.objective_trace == s2.objective_trace
         assert not np.array_equal(s1.factors, s3.factors)
 
     def test_rank_capped_by_n(self):
         prob = make_problem(n=6, rank=50)
-        sol = solve_reconstruction(prob, seed=0, config=TransferConfig())
+        sol = solve_reconstruction(prob, TransferConfig(seed=0))
         assert sol.factors.shape == (6, 6)
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
@@ -324,10 +332,11 @@ class TestSolve:
     )
     def test_bitwise_equal_to_reference_loop(self, mu, config):
         prob = make_problem(mu=mu, n=14, rank=5)
+        config = dataclasses.replace(config, seed=3)
         # the no-descent case overflows every trial objective on purpose
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_reconstruction(prob, seed=3, config=config)
-            factors, trace, halvings = reference_solve(prob, 3, config)
+            sol = solve_reconstruction(prob, config)
+            factors, trace, halvings = reference_solve(prob, config)
         assert np.array_equal(sol.factors, factors)
         assert sol.objective_trace == trace
         assert sol.iterations == len(trace) - 1
@@ -341,37 +350,39 @@ class TestSolve:
     def test_logs_iteration_cap_and_backtracks(self, caplog):
         prob = make_problem(mu=0.5, n=14, rank=5)
         config = TransferConfig(eta0=0.5, construction_max_iters=3)
-        _, _, halvings = reference_solve(prob, 0, config)
+        _, _, halvings = reference_solve(prob, config)
         assert halvings > 0
         with caplog.at_level(logging.INFO, logger="graft.reconstruction"):
-            solve_reconstruction(prob, seed=0, config=config)
+            solve_reconstruction(prob, config)
         assert (
             f"stopped by iteration cap after 3 iteration(s), {halvings} backtrack(s)" in caplog.text
         )
 
-    def test_logs_tolerance_stop(self, caplog):
+    def test_logs_tolerance_stop(self, caplog, monkeypatch):
         prob = make_problem(mu=0.5, n=14, rank=5)
-        config = TransferConfig(construction_tol=1e-2)
+        config = TransferConfig()
+        monkeypatch.setattr(reconstruction, "CONSTRUCTION_TOL", 1e-2)
         with caplog.at_level(logging.INFO, logger="graft.reconstruction"):
-            sol = solve_reconstruction(prob, seed=0, config=config)
+            sol = solve_reconstruction(prob, config)
         assert sol.iterations < config.construction_max_iters
         assert f"stopped by tolerance after {sol.iterations} iteration(s)" in caplog.text
 
     @pytest.mark.parametrize(
-        "config,reason",
+        "config,tol,reason",
         [
-            (TransferConfig(construction_tol=1e-2), "tolerance"),
-            (TransferConfig(eta0=0.5, construction_max_iters=3), "iteration cap"),
-            (TransferConfig(eta0=1e150), f"no descent after {MAX_BACKTRACKS} halvings"),
+            (TransferConfig(), 1e-2, "tolerance"),
+            (TransferConfig(eta0=0.5, construction_max_iters=3), CONSTRUCTION_TOL, "iteration cap"),
+            (TransferConfig(eta0=1e150), CONSTRUCTION_TOL, f"no descent after {MAX_BACKTRACKS} halvings"),
         ],
         ids=["tolerance", "cap", "no-descent"],
     )
-    def test_solution_records_stop_reason_and_backtracks(self, config, reason):
+    def test_solution_records_stop_reason_and_backtracks(self, config, tol, reason, monkeypatch):
         prob = make_problem(mu=0.5, n=14, rank=5)
+        monkeypatch.setattr(reconstruction, "CONSTRUCTION_TOL", tol)
         # the no-descent case overflows every trial objective on purpose
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_reconstruction(prob, seed=0, config=config)
-            _, trace, halvings = reference_solve(prob, 0, config)
+            sol = solve_reconstruction(prob, config)
+            _, trace, halvings = reference_solve(prob, config)
         assert sol.stop_reason == reason
         assert sol.backtracks == halvings
         assert sol.iterations == len(trace) - 1
@@ -385,39 +396,39 @@ class TestSolve:
     def test_divergent_setup_rejected(self):
         prob = make_problem(reg=1e20)
         with pytest.raises(GraftError, match="diverged"):
-            solve_reconstruction(prob, seed=0, config=TransferConfig())
+            solve_reconstruction(prob, TransferConfig())
 
 
 class TestFinalize:
     def test_huge_threshold_keeps_originals_only(self):
         g = random_graph(4, n=10)
-        sol = ReconstructionSolution(np.random.default_rng(0).standard_normal((10, 3)), [0.0], 0)
-        out = finalize_edges(sol, g, z=1e9)
+        u = np.random.default_rng(0).standard_normal((10, 3))
+        out = finalize_edges(u, g, z=1e9)
         assert out == g
 
     def test_proposes_high_score_pair_with_raw_weight(self):
         g = HeteroGraph([("a", "t"), ("b", "t"), ("c", "t"), ("d", "t")], [])
         u = np.array([[1.0], [1.0], [0.0], [0.0]])
         # row a scores [1, 1, 0, 0]: mean 0.5, std 0.5, so z(a, b) = 1
-        out = finalize_edges(ReconstructionSolution(u, [0.0], 0), g, z=0.9)
-        assert out.edge_weight("a", "b") == 1.0
+        out = finalize_edges(u, g, z=0.9)
+        assert edge_weight(out, "a", "b") == 1.0
         assert out.edge_count == 1
 
     def test_original_weights_preserved(self):
         g = HeteroGraph([("a", "t"), ("b", "t"), ("c", "t")], [("a", "b", 7.25)])
         u = np.array([[1.0], [1.0], [0.0]])
-        out = finalize_edges(ReconstructionSolution(u, [0.0], 0), g, z=-10.0)
-        assert out.edge_weight("a", "b") == 7.25
+        out = finalize_edges(u, g, z=-10.0)
+        assert edge_weight(out, "a", "b") == 7.25
 
     def test_zero_variance_rows_propose_nothing(self):
         g = HeteroGraph([("a", "t"), ("b", "t"), ("c", "t")], [])
-        out = finalize_edges(ReconstructionSolution(np.zeros((3, 2)), [0.0], 0), g, z=0.0)
+        out = finalize_edges(np.zeros((3, 2)), g, z=0.0)
         assert out.edge_count == 0
 
     def test_negative_scores_clipped_to_positive_weight(self):
         g = HeteroGraph([(f"e{i}", "t") for i in range(6)], [])
         u = np.random.default_rng(3).standard_normal((6, 2))
-        out = finalize_edges(ReconstructionSolution(u, [0.0], 0), g, z=-10.0)
+        out = finalize_edges(u, g, z=-10.0)
         # every pair is proposed; construction succeeds only if all weights
         # are positive, and clipped ones land at machine epsilon
         assert out.edge_count == 15
@@ -426,4 +437,4 @@ class TestFinalize:
     def test_row_mismatch_rejected(self):
         g = random_graph(1, n=5)
         with pytest.raises(GraftError, match="rows"):
-            finalize_edges(ReconstructionSolution(np.zeros((4, 2)), [0.0], 0), g, 1.0)
+            finalize_edges(np.zeros((4, 2)), g, 1.0)

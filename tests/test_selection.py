@@ -28,6 +28,7 @@ from graft.selection import (
     selection_objective,
     squared_row_distances,
 )
+from testkit import edge_weight
 
 # keeps the weight fit's normal equations solvable when hop-matrix columns are collinear
 RIDGE = 1e-6
@@ -79,11 +80,6 @@ class TestMdsEmbed:
         assert np.isfinite(emb).all()
         # the clipped direction contributes nothing
         assert np.allclose(np.linalg.norm(emb, axis=0).min(), 0.0)
-
-    def test_accepts_similarity_matrix(self):
-        m = np.array([[0.0, 4.0], [4.0, 0.0]])
-        emb = mds_embed(SimilarityMatrix(m), 1)
-        assert np.allclose(emb, [[1.0], [-1.0]])
 
     def test_centred_matrix_is_bitwise_symmetric(self, monkeypatch):
         # at this size row and column means round differently, so centring
@@ -337,6 +333,20 @@ class TestFitSelectionModel:
         assert np.array_equal(s1.weights, s2.weights)
         assert s1.objective_trace == s2.objective_trace
 
+    def test_checks_each_hop_matrix_and_not_the_blend(self, monkeypatch):
+        # MDS checks the blend itself, so wrapping it in a SimilarityMatrix
+        # would check it a second time
+        checked = []
+        real = SimilarityMatrix.__post_init__
+
+        def spy(self):
+            checked.append(self.provenance)
+            real(self)
+
+        monkeypatch.setattr(SimilarityMatrix, "__post_init__", spy)
+        state = fit_selection_model(typed_random_graph(7), TransferConfig())
+        assert checked == state.metapaths
+
     @pytest.mark.parametrize("max_path_len,n_paths", [(3, 24), (2, 6)])
     def test_bitwise_equal_to_one_sweep_reference(self, max_path_len, n_paths):
         g = typed_random_graph(7)
@@ -447,7 +457,7 @@ class TestMerge:
         gs = HeteroGraph([("a", "t"), ("b", "t"), ("c", "t")], [])
         gt_hat = HeteroGraph([("a", "t"), ("b", "t")], [("a", "b", 3.0)])
         merged = merge_transferred_entities(gt_hat, gs, {"c"})
-        assert merged.edge_weight("a", "b") == 3.0
+        assert edge_weight(merged, "a", "b") == 3.0
 
     def test_already_present_rejected(self):
         gs = HeteroGraph([("a", "t")], [])

@@ -105,6 +105,14 @@ class TestGenerate:
         assert stats["measured_entity_maturity"] == pytest.approx(0.5)
         assert abs(stats["measured_edge_maturity"] - 0.5) < 0.01
 
+    def test_ids_sort_in_generation_order_past_five_digits(self):
+        # five-digit padding would sort e100000 between e10000 and e10001
+        ids = synthbench._entity_ids(100_001)
+        assert ids == sorted(ids)
+        assert ids[0] == "e000000" and ids[-1] == "e100000"
+        # up to 100000 entities the ids keep their five digits
+        assert synthbench._entity_ids(100_000)[-1] == "e99999"
+
     def test_single_entity_partial_floor(self):
         # tiny maturity still keeps at least one entity
         _, _, gt_hat = generate(SynthSpec(20, 10, maturity=0.01, seed=9))

@@ -20,6 +20,7 @@ from graft import (
     write_report,
 )
 from graft.transfer import construct_dependencies
+from testkit import edge_weight
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,7 @@ class TestRunTransfer:
         est, report = run_transfer(gs, gt_hat)
         assert set(gt_hat.entity_ids) <= set(est.entity_ids)
         for a, b, w in gt_hat.edges():
-            assert est.edge_weight(a, b) == w
+            assert edge_weight(est, a, b) == w
         assert set(report.transferred_entities) == set(est.entity_ids) - set(gt_hat.entity_ids)
 
     def test_report_fields_consistent(self, small_instance):

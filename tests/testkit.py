@@ -1,7 +1,7 @@
-"""Helpers used only by the tests: a finite-difference gradient check, the
-differentiable dynamic factor of a low-rank factor, set-based scoring, a
-dense random walk with restart, a graph built from a boolean matrix, and the
-synthetic generator over triangle index arrays."""
+"""Helpers used only by the tests: an edge-weight lookup, a finite-difference
+gradient check, the differentiable dynamic factor of a low-rank factor,
+set-based scoring, a dense random walk with restart, a graph built from a
+boolean matrix, and the synthetic generator over triangle index arrays."""
 
 from typing import Callable
 
@@ -9,7 +9,11 @@ import numpy as np
 
 from graft import EvalResult, GraftError, HeteroGraph, SynthSpec, induced_subgraph
 from graft.evalkit import RESTART_PROB, WALK_MAX_ITERS, WALK_TOL, _prf
-from graft.synthbench import _entity_id
+
+
+def edge_weight(g: HeteroGraph, a: str, b: str) -> float | None:
+    """Weight of the edge between entities a and b of g, or None if there is none."""
+    return {(x, y): w for x, y, w in g.edges()}.get(tuple(sorted((a, b))))
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
@@ -91,14 +95,15 @@ def reference_generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, Heter
     ``rng.random`` draw for all source pairs and the target's dense adjacency."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n_source
-    ids = [_entity_id(i) for i in range(n)]
+    width = max(5, len(str(n - 1)))
+    ids = [f"e{i:0{width}d}" for i in range(n)]
     type_idx = rng.integers(0, spec.n_types, size=n)
     entities = [(ids[i], f"t{type_idx[i]}") for i in range(n)]
 
     rows, cols = np.triu_indices(n, k=1)
     mask = rng.random(rows.shape[0]) < spec.edge_prob_effective
-    # below 100000 entities the zero-padded ids sort in index order, so the
-    # pair indices are already entity indices
+    # ids padded to one width sort in index order, so the pair indices are
+    # already entity indices
     gs = HeteroGraph(entities)._with_edges(rows[mask], cols[mask], np.ones(np.count_nonzero(mask)))
 
     survivors = np.sort(rng.choice(n, size=spec.n_target, replace=False))
