@@ -51,7 +51,6 @@ from .selection import (
     merge_transferred_entities,
     metapath_distance_matrices,
     relevance_scores,
-    select_entities,
     selection_objective,
 )
 from .synthbench import SynthSpec, generate, measured_stats
@@ -108,7 +107,6 @@ __all__ = [
     "relevance_scores",
     "run_transfer",
     "score",
-    "select_entities",
     "selection_objective",
     "snapshot_series",
     "solve_reconstruction",

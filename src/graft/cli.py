@@ -149,11 +149,17 @@ def _estimate(method: str, source, target, config):
 
 
 def _cmd_baseline(args) -> int:
-    config = _build_config_from_args(args) if args.method == "rw" else None
-    target = read_graph(args.target)
     if args.method != "nt" and not args.source:
-        raise GraftError(f"method {args.method!r} requires --source")
-    source = None if args.method == "nt" else read_graph(args.source)
+        args.usage_error(f"method {args.method!r} requires --source")
+    if args.method == "nt" and args.source:
+        args.usage_error("method 'nt' reads no --source")
+    config = None
+    if args.method == "rw":
+        config = _build_config_from_args(args)
+    elif args.config or any(hasattr(args, f"cfg_{key}") for key in CONFIG_KEYS):
+        args.usage_error(f"method {args.method!r} reads no pipeline configuration; only rw takes --config or its flags")
+    target = read_graph(args.target)
+    source = read_graph(args.source) if args.source else None
     write_graph(_estimate(args.method, source, target, config), args.out)
     return 0
 

@@ -93,8 +93,9 @@ def _parse_value(name: str, raw: str):
 
 
 def parse_config_file(text: str) -> dict:
-    """Parse 'key = value' lines ('#' comments allowed) into config overrides."""
+    """Parse 'key = value' lines ('#' comments allowed) into config overrides; a key may appear once."""
     out: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -103,6 +104,9 @@ def parse_config_file(text: str) -> dict:
             raise GraftError(f"config line {lineno}: expected 'key = value', got {line!r}")
         name, _, value = line.partition("=")
         name = name.strip()
+        first = first_line.setdefault(name, lineno)
+        if first != lineno:
+            raise GraftError(f"config line {lineno}: key {name!r} is already set on line {first}")
         out[name] = _parse_value(name, value)
     return out
 

@@ -1,17 +1,17 @@
-"""Meta-path enumeration, projection graphs, and hop-count distance matrices.
+"""Meta-path enumeration, projections, and hop-count distance matrices.
 
 A meta-path is a sequence of entity types. Projecting a graph along a
-meta-path yields a homogeneous graph whose edge weights count the walks that
-realize the type sequence between two distinct endpoints. Distance matrices
-are hop counts on the projection, unreachable pairs one past the longest hop,
-held as small unsigned integers (one byte per pair below 255 hops).
-Both work on the cached sparse binary adjacency ``HeteroGraph.csr``: a
-projection's walk counts are a product of typed adjacency blocks, and its
-hop counts come from a multi-source BFS that keeps one bit per source, so a
-single sparse OR-gather advances every source by one hop. That costs
-O(nnz·k/64) words per hop over the k non-isolated entities, and one ``uint8``
-add of hop × the new bits records the hop, so no float matrix is made; the
-few sources still running after 32 hops finish with per-source Dijkstra.
+meta-path yields a symmetric sparse matrix over its entity index that counts
+the walks realizing the type sequence between two distinct endpoints: a
+product of typed blocks of the cached binary adjacency ``HeteroGraph.csr``.
+Distance matrices are hop counts on the projection, unreachable pairs one
+past the longest hop, held as small unsigned integers (one byte per pair
+below 255 hops). They come from a multi-source BFS over the projection's
+index arrays that keeps one bit per source, so a single sparse OR-gather
+advances every source by one hop. That costs O(nnz·k/64) words per hop over
+the k non-isolated entities, and one ``uint8`` add of hop × the new bits
+records the hop, so no float matrix is made; the few sources still running
+after 32 hops finish with per-source Dijkstra.
 Blending adds the weighted matrices one at a time (a generator will do) into
 the float64 sum, over blocks of rows through one reused buffer.
 """
@@ -106,16 +106,15 @@ def enumerate_metapaths(g: HeteroGraph, max_len: int = 3) -> list[MetaPath]:
     return sorted(found)
 
 
-def project(g: HeteroGraph, p: MetaPath) -> HeteroGraph:
-    """Homogeneous projection of ``g`` along ``p`` over the same entity set.
+def project(g: HeteroGraph, p: MetaPath) -> sp.csr_matrix:
+    """Walk-count projection of ``g`` along ``p`` over its entity index.
 
-    The weight of edge (u, v) counts the walk instances whose type sequence
-    matches ``p`` (in either orientation) with endpoints u != v. Entities
-    whose type matches neither endpoint of ``p`` are isolated. Weights of the
+    Entry (u, v) of the symmetric n × n matrix counts the walk instances whose
+    type sequence matches ``p`` (in either orientation) from u to v; the
+    diagonal is empty, and only positive counts are stored. Entities whose
+    type matches neither endpoint of ``p`` have empty rows. Weights of the
     original graph are ignored; counting is over binary adjacency.
     """
-    if g.n == 0:
-        return HeteroGraph()
     types = np.array(g.entity_types)
     adj = g.csr()
 
@@ -126,17 +125,16 @@ def project(g: HeteroGraph, p: MetaPath) -> HeteroGraph:
     for t in p.types[2:]:
         m = m @ adj @ mask(t)
     w = m if p.is_palindrome() else m + m.T
-    upper = sp.triu(w, k=1).tocoo()
-    keep = upper.data > 0
-    return g._with_edges(upper.row[keep], upper.col[keep], upper.data[keep])
+    return w - sp.diags(w.diagonal())  # the CSR difference drops the zeros it leaves
 
 
-def path_distance_matrix(gp: HeteroGraph, provenance: MetaPath | None = None) -> SimilarityMatrix:
-    """Pairwise hop-count distances on a projection graph.
+def path_distance_matrix(adj: sp.csr_matrix, provenance: MetaPath | None = None) -> SimilarityMatrix:
+    """Pairwise hop-count distances on a symmetric sparse adjacency, such as a projection.
 
-    Unreachable pairs (including isolated entities) get the cap, the longest
-    finite shortest path plus one, so they rank behind every reachable pair.
-    Edge weights are ignored: distance is the number of hops. The matrix has
+    Unreachable pairs (including entities with an empty row) get the cap, the
+    longest finite shortest path plus one, so they rank behind every reachable
+    pair. Stored values are ignored: distance is the number of hops, and every
+    stored entry is an edge. The matrix has
     the narrowest unsigned integer dtype that holds the cap (``uint8`` while
     the longest hop is below 255).
 
@@ -148,8 +146,7 @@ def path_distance_matrix(gp: HeteroGraph, provenance: MetaPath | None = None) ->
     chosen dtype. Hop counts are exact, so the result equals a per-source BFS
     bit for bit.
     """
-    n = gp.n
-    adj = gp.csr()
+    n = adj.shape[0]
     live = np.flatnonzero(np.diff(adj.indptr))
     hops, reach, todo, far = _hop_counts(adj[live][:, live])
     reached = np.isfinite(far)

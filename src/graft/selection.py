@@ -2,17 +2,20 @@
 
 The selection model embeds the source graph with classical MDS of the
 uniform blend of its meta-path distance matrices in one streamed pass: each
-small-integer hop matrix is added into the float64 blend as it is computed,
-then dropped. MDS takes the blend as a plain array, checks it once,
+meta-path's walk-count projection, a sparse matrix, feeds the BFS of its
+small-integer hop matrix, which is added into the float64 blend as it is
+computed, then dropped. MDS takes the blend as a plain array, checks it once,
 read-only, double-centres it into one working copy that is bitwise
 symmetric, and lets LAPACK overwrite that copy while solving for the top d1
 eigenpairs only, so the fit holds two n × n float64 arrays, the blend and
-that copy. The objective and ``fit_weights`` (which the pipeline does not
-call) work over row blocks, so neither forms an n × n temporary or
-n(n−1)/2 × P design. Relevance between
-entities is the inner product of their embeddings; source-only entities are
-selected when their relevance z-score against some shared entity clears a
-threshold, standardized over blocks of shared rows.
+that copy. The fitted ``SelectionState`` keeps the meta-paths, the embedding
+and a one-entry objective trace, the objective at the uniform weights. The
+objective and ``fit_weights`` (which the pipeline does not call) work over
+row blocks, so neither forms an n × n temporary or n(n−1)/2 × P design.
+Relevance between entities is the inner product of their embeddings;
+``relevance_scores`` gives each source-only entity its best relevance
+z-score against the shared entities, standardized over blocks of shared
+rows, and the pipeline transfers those whose score clears a threshold.
 """
 
 from __future__ import annotations
@@ -133,10 +136,9 @@ def _blend_objective(embedding: np.ndarray, blended: np.ndarray, weights: np.nda
 
 @dataclass
 class SelectionState:
-    """Fitted selection model: meta-paths, blend weights, embedding, objective trace."""
+    """Fitted selection model: meta-paths, embedding, objective trace."""
 
     metapaths: list[MetaPath]
-    weights: np.ndarray
     embedding: np.ndarray
     objective_trace: list[float]
 
@@ -163,7 +165,7 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     """Embed the uniform meta-path blend with MDS, in one streamed pass.
 
     Each hop matrix is added into the blend as it is computed, then dropped.
-    The state's weights are the uniform ones blended, and its trace holds
+    The blend weights are uniform, and the state's trace holds
     ``selection_objective`` at them; no weights are fitted.
 
     The fit holds two n × n float64 arrays at once, the blend and MDS's
@@ -188,7 +190,7 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     embedding = mds_embed(blended, min(config.d1, gs.n))
     obj = _blend_objective(embedding, blended, weights, config.lam)
     log.info("selection model fitted over %d meta-path(s)", len(paths))
-    return SelectionState(paths, weights, embedding, [obj])
+    return SelectionState(paths, embedding, [obj])
 
 
 def _physical_memory_bytes() -> int | None:
@@ -229,13 +231,6 @@ def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph
     if best[0] == -np.inf:  # every shared row has zero variance
         return {}
     return {gs.entity_ids[i]: float(s) for i, s in zip(only, best)}
-
-
-def select_entities(
-    state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph, z: float
-) -> dict[str, float]:
-    """Source-only entities whose best relevance z-score reaches ``z``, with that score."""
-    return {eid: s for eid, s in relevance_scores(state, gs, gt_hat).items() if s >= z}
 
 
 def merge_transferred_entities(

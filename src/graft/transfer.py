@@ -2,7 +2,10 @@
 target graph with them, and reconstruct the target dependencies.
 
 Given the same inputs, configuration, and seed the pipeline is fully
-deterministic, including the serialized report.
+deterministic, including the serialized report. The report (``report_v2``)
+lists the meta-paths blended, the transferred entities with their relevance
+scores, the mix weight used, the observed gap, the construction's objective
+trace and the configuration.
 """
 
 from __future__ import annotations
@@ -24,16 +27,11 @@ from .reconstruction import (
     finalize_edges,
     solve_reconstruction,
 )
-from .selection import (
-    SelectionState,
-    fit_selection_model,
-    merge_transferred_entities,
-    select_entities,
-)
+from .selection import fit_selection_model, merge_transferred_entities, relevance_scores
 
 log = logging.getLogger(__name__)
 
-REPORT_SCHEMA = "report_v1"
+REPORT_SCHEMA = "report_v2"
 
 
 @dataclass
@@ -45,12 +43,10 @@ class TransferReport:
     """
 
     metapaths: list[list[str]] = field(default_factory=list)
-    metapath_weights: list[float] = field(default_factory=list)
     transferred_entities: list[str] = field(default_factory=list)
     transferred_scores: dict[str, float] = field(default_factory=dict)
     mu_used: float = 0.0
     observed_gap: float = 0.0
-    selection_objective_trace: list[float] = field(default_factory=list)
     construction_objective_trace: list[float] = field(default_factory=list)
     config: dict = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
@@ -60,7 +56,6 @@ class TransferReport:
         del out["timings"]
         out.update(
             schema=REPORT_SCHEMA,
-            selection_objective_trace=[[i + 1, v] for i, v in enumerate(self.selection_objective_trace)],
             construction_objective_trace=[[i, v] for i, v in enumerate(self.construction_objective_trace)],
         )
         return out
@@ -133,9 +128,10 @@ def run_transfer(
 ) -> tuple[HeteroGraph, TransferReport]:
     """Full transfer pipeline from a source graph to a partial target graph.
 
-    Returns the estimated target graph and a report with the meta-path
-    weights blended, the transferred entities and their scores, the mix weight
-    actually used, and both objective traces.
+    Returns the estimated target graph and a report with the meta-paths
+    blended, the transferred entities and their scores (the source-only
+    entities whose relevance score reaches ``config.z_entity``), the mix
+    weight actually used, and the construction's objective trace.
     """
     config = config or TransferConfig()
     timings: dict[str, float] = {}
@@ -152,12 +148,10 @@ def run_transfer(
     with _stage("selection-model", timings):
         state = fit_selection_model(source, config)
         report.metapaths = [list(p.types) for p in state.metapaths]
-        report.metapath_weights = [float(w) for w in state.weights]
-        report.selection_objective_trace = [float(v) for v in state.objective_trace]
 
     with _stage("entity-selection", timings):
-        scores = select_entities(state, source, target_partial, config.z_entity)
-        selected = sorted(scores)
+        scores = relevance_scores(state, source, target_partial)
+        selected = sorted(eid for eid, s in scores.items() if s >= config.z_entity)
         report.transferred_entities = selected
         report.transferred_scores = {eid: scores[eid] for eid in selected}
 

@@ -359,7 +359,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     report = json.loads(first[5].read_text())
     _report(
         10,
-        all(same) and report["schema"] == "report_v1",
+        all(same) and report["schema"] == "report_v2",
         f"{sum(same)}/{len(same)} artifacts byte-identical across reruns "
         "(graphs, meta, report, sweep CSV)",
     )

@@ -9,6 +9,14 @@ from graft import TransferConfig, read_graph, synthbench
 from graft.cli import _make_parser, main
 
 
+def exit_code(argv):
+    """What ``main`` returns, or the code of the SystemExit a usage error raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture(scope="module")
 def bench_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench")
@@ -127,7 +135,7 @@ class TestTransferCommand:
         hat = read_graph(bench_dir / "target_partial.graph")
         assert set(hat.entity_ids) <= set(est.entity_ids)
         report = json.loads(report_path.read_text())
-        assert report["schema"] == "report_v1"
+        assert report["schema"] == "report_v2"
         assert report["config"]["mu"] is None
 
     def test_deterministic_output_bytes(self, bench_dir, tmp_path):
@@ -283,21 +291,43 @@ class TestBaselineCommand:
         est = read_graph(out)
         assert set(read_graph(bench_dir / "target_partial.graph").entity_ids) <= set(est.entity_ids)
 
-    def test_dt_without_source_exits_one(self, bench_dir, tmp_path, capsys):
-        rc = main(
-            ["baseline", "--method", "dt", "--target", str(bench_dir / "target_partial.graph"), "--out", str(tmp_path / "x")]
-        )
-        assert rc == 1
-        assert "requires --source" in capsys.readouterr().err
+    @pytest.mark.parametrize("method", ["dt", "rw"])
+    def test_without_source_exits_two(self, tmp_path, capsys, method):
+        # the target does not exist: the usage error is raised before it is read
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--method", method, "--target", str(tmp_path / "nope.graph"),
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"method '{method}' requires --source" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method,rc", [("nt", 0), ("rw", 1)])
+    @pytest.mark.parametrize("method,rc", [("nt", 2), ("rw", 1)])
     def test_only_rw_reads_the_config_file(self, bench_dir, tmp_path, method, rc):
         broken = tmp_path / "broken.cfg"
         broken.write_text("d1 = 8\nbogus\n")
-        args = ["baseline", "--method", method, "--source", str(bench_dir / "source.graph"),
+        source = [] if method == "nt" else ["--source", str(bench_dir / "source.graph")]
+        args = ["baseline", "--method", method, *source,
                 "--target", str(bench_dir / "target_partial.graph"), "--config", str(broken),
                 "--out", str(tmp_path / "est.graph")]
-        assert main(args) == rc
+        assert exit_code(args) == rc
+
+    @pytest.mark.parametrize("method", ["nt", "dt"])
+    @pytest.mark.parametrize("extra", [["--mu", "5", "--d1", "0"], ["--mu", "0.5"], ["--config", "unknown.cfg"]],
+                             ids=["out-of-range", "in-range", "config-file"])
+    def test_config_for_a_method_that_reads_none_exits_two(self, tmp_path, capsys, method, extra):
+        # no input exists: the usage error is raised before any file is read
+        source = [] if method == "nt" else ["--source", str(tmp_path / "s.graph")]
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--method", method, *source,
+                  "--target", str(tmp_path / "t.graph"), "--out", str(tmp_path / "x"), *extra])
+        assert exc.value.code == 2
+        assert f"method '{method}' reads no pipeline configuration" in capsys.readouterr().err
+
+    def test_nt_with_source_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--method", "nt", "--source", str(tmp_path / "s.graph"),
+                  "--target", str(tmp_path / "t.graph"), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "method 'nt' reads no --source" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -7,6 +7,7 @@ from graft import GraftError, SynthSpec, TransferConfig, generate
 from graft.config import CONFIG_KEYS, build_config, parse_config_file
 from graft.selection import fit_selection_model, metapath_distance_matrices, selection_objective
 from graft.transfer import construct_dependencies
+from testkit import uniform_weights
 
 # keys TransferConfig used to have; every door now rejects them
 REMOVED_KEYS = ("theta", "lam_selection", "lam_construction", "ridge", "distance_cap", "construction_tol")
@@ -70,7 +71,8 @@ class TestTransferConfig:
         cfg = TransferConfig(lam=0.5)
         state = fit_selection_model(gs, cfg)
         mats = metapath_distance_matrices(gs, cfg)
-        assert state.objective_trace == [selection_objective(state.embedding, mats, state.weights, 0.5)]
+        weights = uniform_weights(len(mats))
+        assert state.objective_trace == [selection_objective(state.embedding, mats, weights, 0.5)]
         _, _, prob = construct_dependencies(gs, gt_hat, gt_hat, None, cfg)
         assert prob.reg == 0.5
 
@@ -144,6 +146,12 @@ class TestParseConfigFile:
     def test_error_names_line_number(self):
         with pytest.raises(GraftError, match="line 3"):
             parse_config_file("mu = 0.5\n# ok\nbroken line\n")
+
+    @pytest.mark.parametrize("text", ["mu = 0.2\nmu = 0.9", "mu = 0.2\n# again\n  mu=auto\n"])
+    def test_repeated_key_rejected_naming_both_lines(self, text):
+        last = len(text.rstrip("\n").splitlines())
+        with pytest.raises(GraftError, match=f"^config line {last}: key 'mu' is already set on line 1$"):
+            parse_config_file(text)
 
 
 class TestBuildConfig:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graft import (
     GraftError,
@@ -14,7 +15,6 @@ from graft import (
     project,
 )
 from graft import metapath
-from testkit import edge_weight
 
 
 def tripartite():
@@ -96,9 +96,8 @@ class TestEnumerate:
                 assert (ta, tb) in pairs
 
 
-def naive_projection_weights(g, p):
-    """Dense masked chain product, counting both orientations for non-palindromes."""
-    n = g.n
+def naive_projection(g, p):
+    """Dense masked chain product, counting both orientations for non-palindromes, diagonal cleared."""
     adj = g.csr().toarray()
     types = np.array(g.entity_types)
 
@@ -110,13 +109,12 @@ def naive_projection_weights(g, p):
         m = m @ adj @ mask(t)
     if not p.is_palindrome():
         m = m + m.T
-    m = np.triu(m, k=1)
-    return {
-        (g.entity_ids[i], g.entity_ids[j]): m[i, j]
-        for i in range(n)
-        for j in range(i + 1, n)
-        if m[i, j] > 0
-    }
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def count(g, pp, a, b):
+    return pp[g.index_of(a), g.index_of(b)]
 
 
 class TestProject:
@@ -124,38 +122,54 @@ class TestProject:
         g = tripartite()
         pp = project(g, MetaPath(("process", "file", "process")))
         # p1-f1-p2 is the only process-file-process walk with distinct endpoints
-        assert edge_weight(pp, "p1", "p2") == 1.0
-        assert pp.edge_count == 1
-        assert pp.entity_ids == g.entity_ids
+        assert count(g, pp, "p1", "p2") == count(g, pp, "p2", "p1") == 1.0
+        assert pp.nnz == 2
+        assert pp.shape == (g.n, g.n)
 
     def test_direct_projection_ignores_weights(self):
         g = HeteroGraph([("a", "x"), ("b", "y")], [("a", "b", 7.5)])
         pp = project(g, MetaPath(("x", "y")))
-        assert edge_weight(pp, "a", "b") == 1.0
+        assert count(g, pp, "a", "b") == 1.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_naive_dense_oracle(self, seed):
+        # length 4 includes non-palindromes with equal end types, whose products have a diagonal
         rng = np.random.default_rng(seed)
         g = random_graph(rng)
-        for p in enumerate_metapaths(g, max_len=3):
+        for p in enumerate_metapaths(g, max_len=4):
             pp = project(g, p)
-            got = {(a, b): w for a, b, w in pp.edges()}
-            assert got == naive_projection_weights(g, p)
+            assert isinstance(pp, sp.csr_matrix)
+            assert np.array_equal(pp.toarray(), naive_projection(g, p))
+            # only positive walk counts are stored, none on the diagonal
+            rows = np.repeat(np.arange(g.n), np.diff(pp.indptr))
+            assert (pp.data > 0).all()
+            assert not (rows == pp.indices).any()
 
     def test_reversal_gives_identical_projection(self):
         g = tripartite()
-        assert project(g, MetaPath(("process", "file", "host"))) == project(
-            g, MetaPath(("host", "file", "process"))
-        )
+        a = project(g, MetaPath(("process", "file", "host")))
+        b = project(g, MetaPath(("host", "file", "process")))
+        assert a.nnz and (a != b).nnz == 0
 
     def test_empty_graph(self):
-        assert project(HeteroGraph(), MetaPath(("a", "b"))).n == 0
+        assert project(HeteroGraph(), MetaPath(("a", "b"))).shape == (0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hops_read_the_pattern_not_the_counts(self, seed):
+        g = random_graph(np.random.default_rng(seed), p=0.1)
+        for p in enumerate_metapaths(g, max_len=3):
+            links = naive_projection(g, p) > 0
+            got = path_distance_matrix(project(g, p), provenance=p)
+            assert got.provenance == p
+            assert np.array_equal(got.matrix, naive_hop_distances(sp.csr_matrix(links)))
 
 
-def naive_hop_distances(gp):
-    """BFS from every entity over binary adjacency; unreachable pairs get the longest hop plus one."""
-    n = gp.n
-    adj = gp.csr().toarray()
+def naive_hop_distances(graph):
+    """BFS from every entity over binary adjacency; unreachable pairs get the longest hop plus one.
+
+    ``graph`` is a HeteroGraph or a sparse adjacency."""
+    adj = (graph.csr() if isinstance(graph, HeteroGraph) else graph).toarray()
+    n = adj.shape[0]
     nbrs = [np.flatnonzero(adj[i] > 0) for i in range(n)]
     dist = np.full((n, n), np.inf)
     for s in range(n):
@@ -181,7 +195,7 @@ class TestPathDistance:
             [("a", "t"), ("b", "t"), ("c", "t"), ("d", "t")],
             [("a", "b", 1.0), ("b", "c", 1.0)],
         )
-        sim = path_distance_matrix(g)
+        sim = path_distance_matrix(g.csr())
         m = sim.matrix
         i = {e: k for k, e in enumerate(g.entity_ids)}
         assert m[i["a"], i["c"]] == 2.0
@@ -192,12 +206,12 @@ class TestPathDistance:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_naive_bfs_oracle(self, seed):
         g = random_graph(np.random.default_rng(seed), p=0.08)
-        got = path_distance_matrix(g).matrix
+        got = path_distance_matrix(g.csr()).matrix
         assert np.array_equal(got, naive_hop_distances(g))
 
     def test_triangle_inequality_on_reachable_pairs(self):
         g = random_graph(np.random.default_rng(4), p=0.3)
-        m = path_distance_matrix(g).matrix
+        m = path_distance_matrix(g.csr()).matrix
         n = g.n
         for i in range(n):
             for j in range(n):
@@ -206,11 +220,11 @@ class TestPathDistance:
 
     def test_provenance_recorded(self):
         p = MetaPath(("t", "t"))
-        sim = path_distance_matrix(HeteroGraph([("a", "t")], []), provenance=p)
+        sim = path_distance_matrix(HeteroGraph([("a", "t")], []).csr(), provenance=p)
         assert sim.provenance == p
 
     def test_empty_graph(self):
-        assert path_distance_matrix(HeteroGraph()).n == 0
+        assert path_distance_matrix(HeteroGraph().csr()).n == 0
 
 
 def graph_from_pairs(n, pairs, isolated=0):
@@ -250,25 +264,25 @@ class TestBitsetBfs:
         lonely = set(range(n)) - {v for p in pairs for v in p}
         pairs |= {tuple(sorted((v, (v + 1) % n))) for v in lonely if n > 1}
         g = graph_from_pairs(n, sorted(pairs))
-        got = path_distance_matrix(g).matrix
+        got = path_distance_matrix(g.csr()).matrix
         assert np.array_equal(got, naive_hop_distances(g))
 
     def test_components_and_isolated_entities(self):
         ring = [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
         clique = [(a, b) for a in range(12, 16) for b in range(a + 1, 16)]
         g = graph_from_pairs(16, path_pairs(0, 5) + ring + clique, isolated=6)
-        got = path_distance_matrix(g).matrix
+        got = path_distance_matrix(g.csr()).matrix
         assert np.array_equal(got, naive_hop_distances(g))
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_all_isolated(self, n):
-        got = path_distance_matrix(graph_from_pairs(0, [], isolated=n)).matrix
+        got = path_distance_matrix(graph_from_pairs(0, [], isolated=n).csr()).matrix
         assert np.array_equal(got, 1.0 - np.eye(n))
 
     def test_long_path_hands_off_every_source(self, monkeypatch):
         spy = HandOffSpy(monkeypatch)
         g = graph_from_pairs(100, path_pairs(0, 100), isolated=2)
-        got = path_distance_matrix(g).matrix
+        got = path_distance_matrix(g.csr()).matrix
         assert np.array_equal(got, naive_hop_distances(g))
         # every vertex of a 100-path has a vertex at least 50 hops away
         assert [s.tolist() for s in spy.sources] == [list(range(100))]
@@ -280,7 +294,7 @@ class TestBitsetBfs:
         # the tail hangs from its middle, so only the entities near that
         # point reach everything within the bitset hops
         g = graph_from_pairs(80, core + [(0, 50)] + path_pairs(20, 60), isolated=3)
-        got = path_distance_matrix(g).matrix
+        got = path_distance_matrix(g.csr()).matrix
         assert np.array_equal(got, naive_hop_distances(g))
         live = np.flatnonzero(np.diff(g.csr().indptr))
         eccentricity = naive_hop_distances(g)[np.ix_(live, live)].max(axis=1)
@@ -302,13 +316,14 @@ class TestCompactHops:
             g = random_graph(np.random.default_rng(5), p=0.08)
         else:
             g = graph_from_pairs(300, path_pairs(0, 300), isolated=1)
-        got = path_distance_matrix(g).matrix
+        got = path_distance_matrix(g.csr()).matrix
         assert got.dtype == dtype
         assert np.array_equal(got, naive_hop_distances(g))
 
     def test_blend_reads_the_same_values_as_float(self):
         g = random_graph(np.random.default_rng(6), p=0.1)
-        mats = [path_distance_matrix(g), path_distance_matrix(random_graph(np.random.default_rng(7), p=0.1))]
+        other = random_graph(np.random.default_rng(7), p=0.1)
+        mats = [path_distance_matrix(g.csr()), path_distance_matrix(other.csr())]
         floats = [SimilarityMatrix(m.matrix.astype(float)) for m in mats]
         w = [0.3, 0.7]
         assert mats[0].matrix.dtype == np.uint8
@@ -324,7 +339,7 @@ class TestIntegerHopCounts:
         pairs = {(a, b) for a, b in rng.integers(0, 150, (120, 2)).tolist() if a < b}
         g = graph_from_pairs(150, sorted(pairs), isolated=40)
         assert (np.diff(g.csr().indptr) == 0).sum() >= 40
-        got = path_distance_matrix(g).matrix
+        got = path_distance_matrix(g.csr()).matrix
         assert np.array_equal(got, naive_hop_distances(g))
 
     def test_hand_off_rows_need_uint16(self, monkeypatch):
@@ -333,7 +348,7 @@ class TestIntegerHopCounts:
         spy = HandOffSpy(monkeypatch)
         clique = [(a, b) for a in range(300, 310) for b in range(a + 1, 310)]
         g = graph_from_pairs(310, path_pairs(0, 300) + clique, isolated=2)
-        got = path_distance_matrix(g).matrix
+        got = path_distance_matrix(g.csr()).matrix
         assert got.dtype == np.uint16
         assert got.max() == 300
         assert np.array_equal(got, naive_hop_distances(g))
@@ -347,10 +362,10 @@ class TestIntegerHopCounts:
         g = graph_from_pairs(1000, sorted(pairs))
         k = int(np.count_nonzero(np.diff(g.csr().indptr)))
         assert k > 950
-        path_distance_matrix(g)
+        path_distance_matrix(g.csr())
         tracemalloc.start()
         try:
-            got = path_distance_matrix(g).matrix
+            got = path_distance_matrix(g.csr()).matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

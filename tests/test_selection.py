@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graft import selection
+from graft import selection, transfer
 from graft import (
     GraftError,
     HeteroGraph,
@@ -17,7 +17,7 @@ from graft import (
     merge_transferred_entities,
     mds_embed,
     relevance_scores,
-    select_entities,
+    run_transfer,
 )
 from graft.numerics import _TILE, ols_nonneg
 from graft.selection import (
@@ -28,7 +28,7 @@ from graft.selection import (
     selection_objective,
     squared_row_distances,
 )
-from testkit import edge_weight
+from testkit import edge_weight, uniform_weights
 
 # keeps the weight fit's normal equations solvable when hop-matrix columns are collinear
 RIDGE = 1e-6
@@ -286,8 +286,9 @@ class TestSelectionObjective:
         cfg = TransferConfig()
         state = fit_selection_model(g, cfg)
         mats = metapath_distance_matrices(g, cfg)
-        want = dense_objective_reference(state.embedding, mats, state.weights, cfg.lam)
-        got = selection_objective(state.embedding, mats, state.weights, cfg.lam)
+        weights = uniform_weights(len(mats))
+        want = dense_objective_reference(state.embedding, mats, weights, cfg.lam)
+        got = selection_objective(state.embedding, mats, weights, cfg.lam)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert state.objective_trace == [got]
 
@@ -317,7 +318,6 @@ class TestFitSelectionModel:
         cfg = TransferConfig(max_path_len=2)
         state = fit_selection_model(g, cfg)
         assert state.metapaths == [MetaPath(("x", "y"))]
-        assert state.weights.shape == (1,)
         assert len(state.objective_trace) <= 2
 
     def test_trace_is_the_objective_at_the_blended_weights_and_deterministic(self):
@@ -326,11 +326,9 @@ class TestFitSelectionModel:
         s1 = fit_selection_model(g, cfg)
         s2 = fit_selection_model(g, cfg)
         mats = metapath_distance_matrices(g, cfg)
-        assert np.allclose(s1.weights, 1.0 / len(mats), rtol=1e-15, atol=0.0)
-        objective = selection_objective(s1.embedding, mats, s1.weights, cfg.lam)
+        objective = selection_objective(s1.embedding, mats, uniform_weights(len(mats)), cfg.lam)
         assert s1.objective_trace == [objective]
         assert np.array_equal(s1.embedding, s2.embedding)
-        assert np.array_equal(s1.weights, s2.weights)
         assert s1.objective_trace == s2.objective_trace
 
     def test_checks_each_hop_matrix_and_not_the_blend(self, monkeypatch):
@@ -347,22 +345,27 @@ class TestFitSelectionModel:
         state = fit_selection_model(typed_random_graph(7), TransferConfig())
         assert checked == state.metapaths
 
+    def test_builds_no_graph(self, monkeypatch):
+        # each meta-path's projection is a sparse matrix read by the BFS, not a graph
+        g = typed_random_graph(7)
+        built, real = [], HeteroGraph._init
+        monkeypatch.setattr(HeteroGraph, "_init", lambda self, *a: built.append(a) or real(self, *a))
+        state = fit_selection_model(g, TransferConfig())
+        assert len(state.metapaths) == 24
+        assert built == []
+
     @pytest.mark.parametrize("max_path_len,n_paths", [(3, 24), (2, 6)])
     def test_bitwise_equal_to_one_sweep_reference(self, max_path_len, n_paths):
         g = typed_random_graph(7)
         cfg = TransferConfig(max_path_len=max_path_len)
         mats = metapath_distance_matrices(g, cfg)
         assert len(mats) == n_paths
-        # the uniform weights are normalized by their own sum, which for
-        # P = 6 differs from 1/P in the last bit
-        uniform = np.full(len(mats), 1.0 / len(mats))
-        weights = uniform / uniform.sum()
+        weights = uniform_weights(len(mats))
         embedding = mds_embed(blend(mats, weights), cfg.d1)
         obj = selection_objective(embedding, mats, weights, cfg.lam)
         state = fit_selection_model(g, cfg)
         assert state.metapaths == [m.provenance for m in mats]
         assert np.array_equal(state.embedding, embedding)
-        assert np.array_equal(state.weights, weights)
         assert state.objective_trace == [obj]
         assert len(state.objective_trace) == 1
 
@@ -372,11 +375,6 @@ class TestFitSelectionModel:
         )
         state = fit_selection_model(g, TransferConfig(d1=16, max_path_len=2))
         assert state.embedding.shape == (3, 3)
-
-    def test_weights_nonnegative(self):
-        state = fit_selection_model(typed_random_graph(9))
-        assert (state.weights >= 0).all()
-        assert state.embedding.shape[0] == 20
 
     def test_empty_source_rejected(self):
         with pytest.raises(GraftError, match="no entities"):
@@ -388,7 +386,7 @@ class TestFitSelectionModel:
 
 
 def state_from_embedding(gs, emb):
-    return SelectionState([MetaPath(("t", "t"))], np.array([1.0]), np.asarray(emb, float), [0.0])
+    return SelectionState([MetaPath(("t", "t"))], np.asarray(emb, float), [0.0])
 
 
 class TestRelevanceScores:
@@ -408,12 +406,14 @@ class TestRelevanceScores:
         assert scores["c"] == pytest.approx(1.0)
         assert scores["d"] == pytest.approx(np.sqrt(2.0))
 
-    def test_select_entities_thresholds(self):
-        assert select_entities(self.state, self.gs, self.gt_hat, 1.2).keys() == {"d"}
-        assert select_entities(self.state, self.gs, self.gt_hat, 0.9).keys() == {"c", "d"}
-        assert select_entities(self.state, self.gs, self.gt_hat, 5.0) == {}
+    def test_select_entities_thresholds(self, monkeypatch):
+        # the pipeline transfers the source-only entities whose score reaches z_entity
+        monkeypatch.setattr(transfer, "fit_selection_model", lambda *args: self.state)
         scores = relevance_scores(self.state, self.gs, self.gt_hat)
-        assert select_entities(self.state, self.gs, self.gt_hat, 0.9) == {e: scores[e] for e in "cd"}
+        for z, want in ((1.2, "d"), (0.9, "cd"), (scores["d"], "d"), (5.0, "")):
+            _, report = run_transfer(self.gs, self.gt_hat, TransferConfig(z_entity=z))
+            assert report.transferred_entities == list(want)
+            assert report.transferred_scores == {e: scores[e] for e in want}
 
     def test_zero_variance_rows_skipped(self):
         # shared entity 'a' has a zero embedding, so its relevance row is flat

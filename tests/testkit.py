@@ -16,6 +16,13 @@ def edge_weight(g: HeteroGraph, a: str, b: str) -> float | None:
     return {(x, y): w for x, y, w in g.edges()}.get(tuple(sorted((a, b))))
 
 
+def uniform_weights(count: int) -> np.ndarray:
+    """The blend weights of ``fit_selection_model``: 1/P normalized by its own
+    sum, which for P = 6 differs from 1/P in the last bit."""
+    uniform = np.full(count, 1.0 / count)
+    return uniform / uniform.sum()
+
+
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
     """Central-difference gradient of a scalar function, entry by entry."""
     if not h > 0:
