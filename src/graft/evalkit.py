@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .config import TransferConfig
 from .errors import GraftError
-from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
+from .hetgraph import HeteroGraph, align_union_entities, split_by_overlap
 from .numerics import _row_zscores
 from .selection import merge_transferred_entities
 from .transfer import construct_dependencies
@@ -87,13 +87,12 @@ def baseline_nt(gt_hat: HeteroGraph) -> HeteroGraph:
 
 def baseline_dt(gs: HeteroGraph, gt_hat: HeteroGraph) -> HeteroGraph:
     """Direct transfer: union of entities and edges, duplicate edge weight = max."""
-    check_shared_types(gs, gt_hat)
-    weights: dict[tuple[str, str], float] = {}
-    for g in (gs, gt_hat):
-        for a, b, w in g.edges():
-            weights[a, b] = max(weights.get((a, b), w), w)
-    types = dict(gs.entity_items()) | dict(gt_hat.entity_items())
-    return HeteroGraph(types.items(), ((a, b, w) for (a, b), w in weights.items()))
+    a, b = align_union_entities(gs, gt_hat)
+    rows, cols, weights = (np.concatenate(pair) for pair in zip(a.edge_arrays(), b.edge_arrays()))
+    key = rows * a.n + cols
+    order = np.lexsort((-weights, key))  # by pair, the largest weight first
+    keep = order[np.diff(key[order], prepend=-1) != 0]
+    return a._with_edges(rows[keep], cols[keep], weights[keep])
 
 
 def random_walk_scores(gs: HeteroGraph, restart_ids: list[str]) -> dict[str, float]:

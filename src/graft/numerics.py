@@ -1,17 +1,14 @@
-"""Deterministic numerical kernels: symmetric eigensolves, clamped ridge
+"""Deterministic numerical kernels: the symmetric eigensolve, clamped ridge
 regression, and per-row standardization.
 
-Two solves share one read-only check and one order and sign rule:
 ``sym_eig_topk`` solves for all eigenpairs with ``numpy.linalg.eigh`` (the
-construction's spectral start), and MDS's ``_eig_topk_subset_in_place`` asks
-LAPACK's MRRR routine through ``scipy.linalg.eigh`` for the top k only. numpy
-and scipy each ship their own OpenBLAS thread pool, and on a 2-core host the
-two pools contend, so the construction start, which runs once per μ, stays on
-numpy's. ``_check_symmetric`` walks tile pairs and writes nothing; both
-solves then read one triangle of the matrix as given, so ``sym_eig_topk``
-makes no copy of a float64 input and MDS holds one n × n array. All
-routines fix sign and ordering conventions so that identical inputs give
-bit-identical outputs on a given platform.
+construction's spectral start, and MDS on inputs too small for its Lanczos
+solve) and keeps the top k. ``_check_symmetric`` walks tile pairs and
+writes nothing, and ``eigh`` reads one triangle of the matrix as given, so
+``sym_eig_topk`` makes no copy of a float64 input; MDS runs the same check
+on the matrix it embeds and orders and orients its Lanczos eigenpairs with
+``_top_oriented``. All routines fix sign and ordering conventions so that
+identical inputs give bit-identical outputs on a given platform.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GraftError
 
@@ -48,21 +44,6 @@ def sym_eig_topk(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=float)
     _check_symmetric(m, k)
     values, vectors = np.linalg.eigh(m)
-    return _top_oriented(values, vectors, k)
-
-
-def _eig_topk_subset_in_place(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sym_eig_topk`` for the top k only, on a checked, C-ordered float64
-    buffer the caller gives up: ``scipy.linalg.eigh`` over eigenvalue indices
-    n−k..n−1 overwrites ``s`` while running LAPACK's MRRR routine ``dsyevr``
-    (Dhillon, Parlett & Vömel, ACM TOMS 2006), and holds no n × n array
-    besides ``s``. Agrees with ``sym_eig_topk`` to rounding."""
-    n = s.shape[0]
-    # sᵀ is the Fortran-ordered array LAPACK can overwrite without a copy; its
-    # lower triangle is s's upper one, which equals the lower for symmetric s
-    values, vectors = scipy.linalg.eigh(
-        s.T, subset_by_index=[n - k, n - 1], overwrite_a=True, check_finite=False
-    )
     return _top_oriented(values, vectors, k)
 
 

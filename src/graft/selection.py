@@ -5,11 +5,10 @@ uniform blend of its meta-path distance matrices in one streamed pass: each
 meta-path's walk-count projection, a sparse matrix, feeds the BFS of its
 small-integer hop matrix, which is added into the float64 blend as it is
 computed, then dropped. MDS takes the blend as a plain array, checks it once,
-read-only, double-centres it into one working copy that is bitwise
-symmetric, and lets LAPACK overwrite that copy while solving for the top d1
-eigenpairs only, so the fit holds two n × n float64 arrays, the blend and
-that copy. The fitted ``SelectionState`` keeps the meta-paths, the embedding
-and a one-entry objective trace, the objective at the uniform weights. The
+read-only, and solves for the top d1 eigenpairs of its double centring by
+Lanczos iteration, so the blend is the fit's one n × n float64 array. The
+fitted ``SelectionState`` keeps the meta-paths, the embedding and a
+one-entry objective trace, the objective at the uniform weights. The
 objective and ``fit_weights`` (which the pipeline does not call) work over
 row blocks, so neither forms an n × n temporary or n(n−1)/2 × P design.
 Relevance between entities is the inner product of their embeddings;
@@ -26,12 +25,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
-from .numerics import _check_symmetric, _eig_topk_subset_in_place, _row_zscores, solve_normal_nonneg
+from .numerics import _check_symmetric, _row_zscores, _top_oriented, solve_normal_nonneg, sym_eig_topk
 
 log = logging.getLogger(__name__)
 
@@ -44,10 +44,16 @@ _FIT_BLOCK_CELLS = 1 << 14
 def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
     """Classical multidimensional scaling of a squared-dissimilarity matrix.
 
-    Double-centers the matrix, solves for its top ``d1`` eigenpairs only,
+    Solves for the top ``d1`` eigenpairs of B = −½·J·D·J, J = I − 11ᵀ/n,
     clips negative eigenvalues to zero (non-Euclidean input loses those
     directions), and scales eigenvectors by the square roots of the
-    eigenvalues.
+    eigenvalues. B is never formed: ARPACK's Lanczos solve (``eigsh``;
+    Lehoucq, Sorensen & Yang, SIAM 1998) applies it to vectors as centre,
+    multiply by D, centre, so D, left unchanged, is the one n × n array. One
+    generator seeded with 0 draws the start vector ``v0`` and is the restart
+    ``rng``, so reruns are bitwise equal. Inputs with d1 >= n − 1, too small
+    for ARPACK, form B and solve it with ``sym_eig_topk``; an all-zero D
+    embeds at the origin. A failed Lanczos solve is a ``GraftError``.
 
     Returns an (n, d1) embedding whose pairwise squared distances approximate
     the input.
@@ -60,15 +66,24 @@ def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
         raise GraftError("cannot embed an empty distance matrix")
     if not (1 <= d1 <= n):
         raise GraftError(f"d1 must be in [1, {n}], got {d1}")
-    _check_symmetric(m, d1)  # before the means, so an inf/-inf mix is an error, not a nan
-    # J m J with J = I - 11ᵀ/n from one row-mean vector r: m_ij - r_i - r_j + mean(r);
-    # IEEE addition commutes, so b is bitwise symmetric wherever m is
-    r = m.mean(axis=1)
-    b = np.add.outer(r, r)
-    np.subtract(m, b, out=b)
-    b += r.mean()
-    b *= -0.5
-    values, vectors = _eig_topk_subset_in_place(b, d1)  # overwrites b
+    _check_symmetric(m, d1)  # before any mean, so an inf/-inf mix is an error, not a nan
+    if not m.any():  # every point coincides: B = 0, from which ARPACK cannot start
+        return np.zeros((n, d1))
+
+    def apply_b(x: np.ndarray) -> np.ndarray:
+        y = m @ (x - x.mean(axis=0))
+        return -0.5 * (y - y.mean(axis=0))
+
+    if d1 >= n - 1:
+        values, vectors = sym_eig_topk(apply_b(np.eye(n)), d1)
+    else:
+        rng = np.random.default_rng(0)
+        op = LinearOperator((n, n), matvec=apply_b, matmat=apply_b, dtype=float)
+        try:
+            values, vectors = eigsh(op, k=d1, which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+        except ArpackError as exc:  # ArpackNoConvergence among them
+            raise GraftError(f"MDS eigensolve failed: {exc}") from None
+        values, vectors = _top_oriented(values, vectors, d1)
     values = np.clip(values, 0.0, None)
     return vectors * np.sqrt(values)[None, :]
 
@@ -168,9 +183,10 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     The blend weights are uniform, and the state's trace holds
     ``selection_objective`` at them; no weights are fitted.
 
-    The fit holds two n × n float64 arrays at once, the blend and MDS's
-    working copy, so it raises ``GraftError`` before the first projection
-    when their 16·n² bytes exceed ``_physical_memory_bytes()``.
+    The blend is the fit's one n × n float64 array, but a hop matrix and
+    its BFS's working arrays sit beside it (the fit peaks near 1.5 such
+    arrays), so it raises ``GraftError`` before the first projection when
+    two n × n float64 arrays, 16·n² bytes, exceed ``_physical_memory_bytes()``.
     """
     config = config or TransferConfig()
     if gs.n == 0:

@@ -164,6 +164,25 @@ class TestSimpleBaselines:
         assert edge_weight(out, "b", "c") == 5.0
         assert edge_weight(out, "a", "d") == 1.0
 
+    def test_dt_matches_pairwise_max_reference(self):
+        # shared pairs whose larger weight is on either side, over overlapping id pools
+        rng = np.random.default_rng(4)
+        pool = [f"e{i:02d}" for i in range(40)]
+        for _ in range(20):
+            graphs = []
+            for _ in range(2):
+                ids = sorted(rng.choice(pool, size=int(rng.integers(2, 30)), replace=False))
+                pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < 0.4]
+                pairs = [(a, b, float(w)) for (a, b), w in zip(pairs, rng.integers(1, 4, len(pairs)))]
+                graphs.append(graph_of(ids, pairs))
+            weights = {}
+            for g in graphs:
+                for a, b, w in g.edges():
+                    weights[a, b] = max(weights.get((a, b), w), w)
+            ids = sorted(set(graphs[0].entity_ids) | set(graphs[1].entity_ids))
+            want = graph_of(ids, [(a, b, w) for (a, b), w in weights.items()])
+            assert baseline_dt(*graphs) == want and baseline_dt(*graphs[::-1]) == want
+
     def test_dt_entity_recall_is_total(self):
         gs, gt_truth, gt_hat = generate(SynthSpec(50, 25, seed=0))
         out = baseline_dt(gs, gt_hat)

@@ -8,7 +8,6 @@ from graft.numerics import (
     SYMMETRY_RTOL,
     _TILE,
     _check_symmetric,
-    _eig_topk_subset_in_place,
     _row_zscores,
     ols_nonneg,
     sym_eig_topk,
@@ -80,50 +79,69 @@ def random_symmetric(n, seed):
     return a + a.T
 
 
-def topk_subset(m, k):
-    """The top-k-only solve MDS runs, on a float64 copy of ``m``; it checks nothing itself."""
-    return _eig_topk_subset_in_place(np.array(m, dtype=float), k)
+def dense_mds(m, k):
+    """MDS through a full ``np.linalg.eigh`` of the explicitly centred B = −½·J·m·J."""
+    n = len(m)
+    j = np.eye(n) - 1.0 / n
+    values, vectors = full_eigh_top(-0.5 * j @ m @ j, k)
+    return vectors * np.sqrt(np.clip(values, 0.0, None))
+
+
+def squared_distances_of_points(n, dim, seed):
+    x = np.random.default_rng(seed).standard_normal((n, dim))
+    return ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
 
 
 class TestSymEigTopkSubset:
-    @pytest.mark.parametrize("n,k", [(40, 1), (40, 16), (40, 40), (1, 1), (200, 16)])
+    """MDS's top-d1-only solve (Lanczos, or the full solve for d1 >= n − 1) against a dense reference."""
+
+    # n = d1 and d1 + 1 take the full solve, d1 + 2 and up the Lanczos one
+    @pytest.mark.parametrize(
+        "n,k", [(40, 1), (40, 16), (40, 40), (1, 1), (200, 16), (16, 16), (17, 16), (18, 16)]
+    )
     def test_matches_full_eigh(self, n, k):
         m = random_symmetric(n, n + k)
-        vals, vecs = topk_subset(m, k)
-        want_vals, want_vecs = full_eigh_top(m, k)
+        got, want = mds_embed(m, k), dense_mds(m, k)
         scale = np.abs(m).max()
-        assert vals.shape == (k,) and vecs.shape == (n, k)
-        assert np.abs(vals - want_vals).max() <= 1e-12 * scale
-        assert np.allclose(vecs, want_vecs, rtol=0.0, atol=1e-10)
-        for col in vecs.T:
-            assert col[np.argmax(np.abs(col))] > 0
+        assert got.shape == (n, k)
+        assert np.allclose(got @ got.T, want @ want.T, rtol=0.0, atol=1e-10 * scale)
+        # clipped directions and the centring's null vector are zero up to the root of a rounding error
+        kept = (want * want).sum(axis=0) > 1e-8 * scale
+        assert np.allclose(got[:, kept], want[:, kept], rtol=0.0, atol=1e-8 * np.sqrt(scale))
 
     def test_repeated_eigenvalue_at_the_cut(self):
-        # eigenvalues 9, 7, 5, 5, 2, ...: the top 4 end on a pair, so only
-        # their span is fixed, not the two vectors
+        # B = −½·J·D·J with eigenvalues 9, 7, 5, 5, 2, ... on the centred
+        # vectors: the top 4 end on a pair, so only the pair's span is fixed
+        n = 30
         rng = np.random.default_rng(3)
-        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
-        spectrum = np.concatenate([[9.0, 7.0, 5.0, 5.0], np.linspace(2.0, -3.0, 26)])
-        m = (q * spectrum) @ q.T
-        m = (m + m.T) / 2.0
-        vals, vecs = topk_subset(m, 4)
-        _, want = full_eigh_top(m, 4)
-        assert np.abs(vals - spectrum[:4]).max() <= 1e-12 * np.abs(m).max()
-        assert np.allclose(vecs @ vecs.T, want @ want.T, atol=1e-10)
-        pair = vecs[:, 2:]
+        q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))
+        q = q[:, 1:]
+        spectrum = np.concatenate([[9.0, 7.0, 5.0, 5.0], np.linspace(2.0, -3.0, n - 5)])
+        b = (q * spectrum) @ q.T
+        d = np.diag(b)[:, None] + np.diag(b)[None, :] - 2.0 * b
+        d = (d + d.T) / 2.0
+        emb = mds_embed(d, 4)
+        assert np.allclose(emb.T @ emb, np.diag(spectrum[:4]), rtol=0.0, atol=1e-12 * np.abs(d).max())
+        assert np.allclose(emb @ emb.T, (q[:, :4] * spectrum[:4]) @ q[:, :4].T, atol=1e-10)
+        pair = emb[:, 2:] / np.sqrt(5.0)
         assert np.allclose(pair @ pair.T, q[:, 2:4] @ q[:, 2:4].T, atol=1e-10)
-        assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-12)
 
     def test_deterministic(self):
-        m = random_symmetric(120, 9)
-        v1 = topk_subset(m, 16)
-        v2 = topk_subset(m.copy(), 16)
-        assert np.array_equal(v1[0], v2[0]) and np.array_equal(v1[1], v2[1])
+        # 40 points in R³ give a B of rank 3, so 13 of the 16 directions are
+        # null; 4 clusters of 10 coincident points give B the eigenvalue 20
+        # three times, and Lanczos restarts from random vectors to find it
+        clusters = np.arange(40) % 4
+        for m in (
+            random_symmetric(120, 9),
+            squared_distances_of_points(40, 3, 0),
+            4.0 * (clusters[:, None] != clusters[None, :]),
+        ):
+            assert np.array_equal(mds_embed(m, 16), mds_embed(m.copy(), 16))
 
     @pytest.mark.parametrize("m,k,msg", INVALID_EIG_INPUTS)
     def test_invalid_rejected(self, m, k, msg):
-        # the subset solve checks nothing; MDS, its caller, rejects these
-        # before it centres (TestSymEigTopk runs them through the full solve)
+        # MDS rejects these before it forms or applies B (TestSymEigTopk
+        # runs them through the full solve)
         with pytest.raises(GraftError, match=msg.replace("k must", "d1 must")):
             mds_embed(m, k)
 
@@ -137,13 +155,14 @@ class TestSymEigTopkSubset:
                 mds_embed(m, 1)
 
     def test_input_left_unchanged(self):
-        # the full solve reads m as given, and MDS hands the subset solve a centred copy
-        m = random_symmetric(20, 1)
-        m[0, 1] += 1e-12  # so writing (m + mᵀ)/2 back would change it
-        before = m.copy()
-        sym_eig_topk(m, 3)
-        mds_embed(m, 3)
-        assert np.array_equal(m, before)
+        # 4 entities take the full solve of a formed B, 20 the Lanczos solve
+        for n in (4, 20):
+            m = random_symmetric(n, 1)
+            m[0, 1] += 1e-12  # so writing (m + mᵀ)/2 back would change it
+            before = m.copy()
+            sym_eig_topk(m, 3)
+            mds_embed(m, 3)
+            assert np.array_equal(m, before)
 
 
 # one tile short, exactly one, one over, and two tiles and one row
