@@ -11,9 +11,13 @@ index arrays that keeps one bit per source, so a single sparse OR-gather
 advances every source by one hop. That costs O(nnz·k/64) words per hop over
 the k non-isolated entities, and one ``uint8`` add of hop × the new bits
 records the hop, so no float matrix is made; the few sources still running
-after 32 hops finish with per-source Dijkstra.
-Blending adds the weighted matrices one at a time (a generator will do) into
-the float64 sum, over blocks of rows through one reused buffer.
+after 32 hops finish with per-source Dijkstra. The live block is scattered
+into the n × n matrix by rows and then by columns, and pairs the bitsets
+never reached are read off as hop count 0 off the diagonal.
+Blending sums the matrices one at a time (a generator will do): each run of
+equal weights exactly, in a ``uint32`` accumulator for unsigned matrices,
+then scaled once into the float64 result over blocks of rows through one
+reused buffer.
 """
 
 from __future__ import annotations
@@ -64,14 +68,15 @@ class SimilarityMatrix:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GraftError(f"similarity matrix must be square, got shape {m.shape}")
+        unsigned = m.dtype.kind == "u"  # finite and nonnegative by type
         if m.size:
-            if not np.isfinite(m).all():
+            if not unsigned and not np.isfinite(m).all():
                 raise GraftError("similarity matrix must be finite")
             if not all(np.array_equal(a, b.T) for a, b in _tile_pairs(m)):
                 raise GraftError("similarity matrix must be symmetric")
             if np.diagonal(m).any():
                 raise GraftError("similarity matrix must have a zero diagonal")
-            if (m < 0).any():
+            if not unsigned and (m < 0).any():
                 raise GraftError("similarity matrix entries must be nonnegative")
 
     @property
@@ -148,14 +153,19 @@ def path_distance_matrix(adj: sp.csr_matrix, provenance: MetaPath | None = None)
     """
     n = adj.shape[0]
     live = np.flatnonzero(np.diff(adj.indptr))
-    hops, reach, todo, far = _hop_counts(adj[live][:, live])
+    hops, todo, far = _hop_counts(adj[live][:, live])
     reached = np.isfinite(far)
     cap = int(max(hops.max(initial=0), far[reached].max(initial=0.0))) + 1
     dtype = np.min_scalar_type(cap)
-    block = np.where(_unpack(reach, len(live)).view(bool), hops, dtype.type(cap))
+    # a hop count of 0 off the diagonal is a pair the bitsets never reached
+    block = hops.astype(dtype, copy=False)
+    block[hops == 0] = cap
     block[todo] = np.where(reached, far, cap)
+    # the block's columns into a strip of whole rows, then its rows: faster than one np.ix_ scatter
+    rows = np.full((len(live), n), cap, dtype=dtype)
+    rows[:, live] = block
     dist = np.full((n, n), cap, dtype=dtype)
-    dist[np.ix_(live, live)] = block
+    dist[live] = rows
     np.fill_diagonal(dist, 0)
     return SimilarityMatrix(dist, provenance)
 
@@ -167,7 +177,7 @@ def path_distance_matrix(adj: sp.csr_matrix, provenance: MetaPath | None = None)
 _BITSET_HOPS = 32
 
 
-def _hop_counts(adj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _hop_counts(adj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All-pairs hop counts on a graph with no isolated vertex.
 
     Multi-source BFS with one bit per source (Then et al., VLDB 2015): row v
@@ -176,8 +186,8 @@ def _hop_counts(adj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     one ``uint8`` add of ``hop`` × the new bits records it.
 
     Returns the k × k ``uint8`` hop counts of the pairs the bitsets reached
-    (0 elsewhere), the packed bits of those pairs, the sources still running
-    after ``_BITSET_HOPS`` hops, and their Dijkstra rows (float64, inf where
+    (0 elsewhere, and on the diagonal), the sources still running after
+    ``_BITSET_HOPS`` hops, and their Dijkstra rows (float64, inf where
     unreachable).
     """
     k = adj.shape[0]
@@ -192,7 +202,7 @@ def _hop_counts(adj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         frontier = np.bitwise_or.reduceat(frontier[adj.indices], starts, axis=0)
         frontier &= ~reach
         if not frontier.any():
-            return hops, reach, src[:0], np.empty((0, k))
+            return hops, src[:0], np.empty((0, k))
         reach |= frontier
         new = _unpack(frontier, k)
         new *= np.uint8(hop)
@@ -200,7 +210,7 @@ def _hop_counts(adj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     todo = np.flatnonzero(_unpack(np.bitwise_or.reduce(frontier, axis=0, keepdims=True), k)[0])
     # a pair still open is more than _BITSET_HOPS apart, so both of its
     # entities are in todo and their rows close it
-    return hops, reach, todo, shortest_path(adj, method="D", directed=False, unweighted=True, indices=todo)
+    return hops, todo, shortest_path(adj, method="D", directed=False, unweighted=True, indices=todo)
 
 
 def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
@@ -210,34 +220,62 @@ def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
 
 # matrix cells in one block of the blend, so its float64 buffer (256 KiB) stays in cache
 _BLEND_BLOCK_CELLS = 1 << 15
+# the largest sum a run's uint32 accumulator holds
+_RUN_LIMIT = int(np.iinfo(np.uint32).max)
 
 
 def blend(mats: Iterable[SimilarityMatrix], weights: Iterable[float]) -> np.ndarray:
     """Weighted sum of similarity matrices as a float64 array; weights must be nonnegative.
 
-    ``mats`` may be a generator; each matrix is added into the float64 sum as
-    it arrives. Each cell sums w₀·M₀ + w₁·M₁ + … in matrix order.
+    ``mats`` may be a generator; each matrix is summed as it arrives. A run
+    of consecutive unsigned integer matrices with equal weights is summed
+    exactly in a ``uint32`` accumulator and scaled once; any other matrix is
+    a run of its own. Each cell sums w₀·(M₀ + … + Mⱼ) + wⱼ₊₁·(…) + … over
+    the runs in matrix order, so distinct weights give the sequential sum
+    w₀·M₀ + w₁·M₁ + … bit for bit, and the uniform blend costs one integer
+    add per matrix. A run that could overflow the accumulator (past 16M
+    ``uint8`` matrices) is split.
     """
     w = np.asarray(list(weights), dtype=float)
     if not np.isfinite(w).all() or (w < 0).any():
         raise GraftError("blend weights must be finite and nonnegative")
-    out = None
+    out = run = None
     for k, m in enumerate(mats):
         if k == w.size:
             raise GraftError(f"got more than {w.size} matrices for {w.size} weights")
-        if out is None:
-            out = np.zeros(m.matrix.shape)
-            rows = max(1, _BLEND_BLOCK_CELLS // max(out.shape[1], 1))
-            buf = np.empty((min(rows, out.shape[0]), out.shape[1]))
-        elif m.matrix.shape != out.shape:
-            raise GraftError(f"matrix shape mismatch: {m.matrix.shape} vs {out.shape}")
-        for start in range(0, out.shape[0], rows):
-            acc = out[start : start + rows]
-            term = buf[: len(acc)]
-            np.multiply(m.matrix[start : start + rows], w[k], out=term)
-            acc += term
-    if out is None:
+        m = m.matrix
+        if run is not None and m.shape != run.shape:
+            raise GraftError(f"matrix shape mismatch: {m.shape} vs {run.shape}")
+        top = int(np.iinfo(m.dtype).max) if m.dtype.kind == "u" else np.inf
+        if run is not None and w[k] == w[k - 1] and run_top + top <= _RUN_LIMIT:
+            if run is first:  # read in place until a second matrix joins it
+                run = np.add(run, m, dtype=np.uint32)
+            else:
+                run += m
+            run_top += top
+            continue
+        if run is not None:
+            out = _add_scaled(out, run, w[k - 1])
+        run = first = m
+        run_top = top
+    if run is None:
         raise GraftError("blend needs at least one matrix")
     if k + 1 != w.size:
         raise GraftError(f"got {k + 1} matrices but {w.size} weights")
+    del m, first  # a streamed last matrix is freed before the float64 result is made
+    return _add_scaled(out, run, w[k])
+
+
+def _add_scaled(out: np.ndarray | None, run: np.ndarray, weight: float) -> np.ndarray:
+    """``out + weight·run`` in float64, in place over blocks of rows through one
+    small buffer; with no ``out`` yet, ``weight·run`` itself."""
+    if out is None:
+        return np.multiply(run, weight, dtype=float)
+    rows = max(1, _BLEND_BLOCK_CELLS // max(out.shape[1], 1))
+    buf = np.empty((min(rows, out.shape[0]), out.shape[1]))
+    for start in range(0, out.shape[0], rows):
+        acc = out[start : start + rows]
+        term = buf[: len(acc)]
+        np.multiply(run[start : start + rows], weight, out=term)
+        acc += term
     return out

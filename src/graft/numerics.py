@@ -1,21 +1,32 @@
-"""Deterministic numerical kernels: the symmetric eigensolve, clamped ridge
-regression, and per-row standardization.
+"""Deterministic numerical kernels: the symmetric eigensolves, the threaded
+dense product, clamped ridge regression, and per-row standardization.
 
-``sym_eig_topk`` solves for all eigenpairs with ``numpy.linalg.eigh`` (the
-construction's spectral start, and MDS on inputs too small for its Lanczos
-solve) and keeps the top k. ``_check_symmetric`` walks tile pairs and
-writes nothing, and ``eigh`` reads one triangle of the matrix as given, so
-``sym_eig_topk`` makes no copy of a float64 input; MDS runs the same check
-on the matrix it embeds and orders and orients its Lanczos eigenpairs with
-``_top_oriented``. All routines fix sign and ordering conventions so that
-identical inputs give bit-identical outputs on a given platform.
+``_lanczos_topk`` is the one top-k eigensolve of the pipeline: ARPACK's
+Lanczos iteration on a symmetric operator given as a function (MDS's double
+centring and the construction's sparse spectral start), with a fixed start
+vector and restart generator. Inputs too small for ARPACK go to
+``sym_eig_topk``, which solves for all eigenpairs with ``numpy.linalg.eigh``
+and keeps the top k. ``_check_symmetric`` walks tile pairs and writes
+nothing, and ``eigh`` reads one triangle of the matrix as given, so
+``sym_eig_topk`` makes no copy of a float64 input.
+
+numpy and scipy each load their own OpenBLAS with its own thread pool.
+ARPACK's BLAS calls run in scipy's pool; a threaded numpy product between
+them runs in numpy's, and the two pools' idle workers spin against each other
+(README, "One BLAS pool"). So the dense products beside the eigensolves go
+through ``_matmul``, which calls ``scipy.linalg.blas`` the way numpy's ``@``
+calls its own. All routines fix sign and ordering conventions so that
+identical inputs give bit-identical outputs on a given platform and BLAS
+thread count.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
+from scipy.linalg import blas
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import GraftError
 
@@ -45,6 +56,58 @@ def sym_eig_topk(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     _check_symmetric(m, k)
     values, vectors = np.linalg.eigh(m)
     return _top_oriented(values, vectors, k)
+
+
+def _lanczos_topk(
+    apply: Callable[[np.ndarray], np.ndarray], n: int, k: int, what: str, tol: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k eigenpairs of the symmetric n × n operator ``apply``, as ``sym_eig_topk`` returns them.
+
+    ``apply`` maps an (n,) vector or an (n, j) block to its product with the
+    operator. ARPACK's Lanczos iteration (``eigsh``; Lehoucq, Sorensen & Yang,
+    SIAM 1998) runs to the residual tolerance ``tol`` (0 is machine
+    precision). One generator seeded with 0 draws the start vector ``v0`` and
+    is the restart ``rng``, so reruns are bitwise equal. With k >= n − 1, too
+    many for ARPACK, the operator is applied to the identity and solved by
+    ``sym_eig_topk``. ARPACK cannot start on a zero operator; callers handle
+    that case. A failed solve is a ``GraftError`` naming ``what``.
+    """
+    if k >= n - 1:
+        return sym_eig_topk(apply(np.eye(n)), k)
+    rng = np.random.default_rng(0)
+    op = LinearOperator((n, n), matvec=apply, matmat=apply, dtype=float)
+    try:
+        values, vectors = eigsh(op, k=k, which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng, tol=tol)
+    except ArpackError as exc:  # ArpackNoConvergence among them
+        raise GraftError(f"{what} eigensolve failed: {exc}") from None
+    return _top_oriented(values, vectors, k)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-d float64 ``a`` and a 1-d or 2-d ``b``, through scipy's BLAS.
+
+    It makes the calls numpy's row-major ``@`` makes: ``dgemv`` for one
+    column, ``dsyrk`` with the upper triangle mirrored for ``a @ a.T``, and
+    ``dgemm`` otherwise, each on the transposes, which are Fortran-contiguous
+    views of C-contiguous inputs, so nothing is copied (other layouts are
+    copied by the wrapper on every call, so make a reused input contiguous
+    once). ``dgemv``, ``dsyrk`` and a square ``a``'s ``dgemm`` give numpy's
+    result bit for bit; any other ``dgemm`` does so at one BLAS thread, while
+    at more the two OpenBLAS builds may split the work differently.
+    """
+    if b.ndim == 1:
+        return blas.dgemv(1.0, a.T, b, trans=1)
+    if b.shape[1] == 1:
+        return blas.dgemv(1.0, a.T, b[:, 0], trans=1)[:, None]
+    if a.shape == b.shape[::-1] and a.strides == b.strides[::-1] and a.ctypes.data == b.ctypes.data:
+        out = blas.dsyrk(1.0, a.T, trans=1, lower=1).T  # only its upper triangle is set
+        for i in range(0, len(out), _TILE):  # mirror it: a diagonal tile, then the strip below
+            tile = out[i : i + _TILE, i : i + _TILE]
+            below = np.tril_indices(len(tile), -1)
+            tile[below] = tile.T[below]
+            out[i + _TILE :, i : i + _TILE] = out[i : i + _TILE, i + _TILE :].T
+        return out
+    return blas.dgemm(1.0, b.T, a.T).T
 
 
 def _check_symmetric(m: np.ndarray, k: int) -> None:

@@ -15,11 +15,11 @@ Math. Prog. 2003): with ``G = u.T @ u``,
 cached CSR, so one evaluation costs O(nnz * rank + n * rank^2) and the descent
 loop never forms an n x n array.
 
-The one n x n step left in the solve is the spectral start: it densifies the
-blend ``mu * A_T + (1 - mu) * A_S`` and takes numpy's full ``eigh``. numpy and
-scipy each load their own OpenBLAS, and on few cores their thread pools
-contend, so a top-rank solve through scipy measured slower than the full dense
-solve. ``finalize_edges`` scores every pair densely after the solve.
+The spectral start is Lanczos on the sparse blend ``mu * A_T + (1 - mu) * A_S``
+through ``numerics._lanczos_topk``, the solve MDS uses, to the residual
+tolerance ``START_TOL``, so the solve forms no n x n array.
+``finalize_edges`` scores every pair densely after the solve, with its product
+in the BLAS pool that ARPACK uses (``numerics._matmul``).
 """
 
 from __future__ import annotations
@@ -32,13 +32,16 @@ import numpy as np
 from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph
-from .numerics import _row_zscores, sym_eig_topk
+from .numerics import _lanczos_topk, _matmul, _row_zscores
 
 log = logging.getLogger(__name__)
 
 CONSTRUCTION_TOL = 1e-6
 DIVERGENCE_LIMIT = 1e12
 INIT_NOISE = 1e-3
+# residual tolerance of the spectral start's Lanczos solve: far below
+# INIT_NOISE, the perturbation added to the start right after it
+START_TOL = 1e-8
 MAX_BACKTRACKS = 60
 
 
@@ -168,25 +171,17 @@ def _check_diverged(value: float) -> float:
 def solve_reconstruction(prob: ReconstructionProblem, config: TransferConfig | None = None) -> ReconstructionSolution:
     """Gradient descent with backtracking from a spectral start.
 
-    The start point takes the top-rank eigenpairs of
-    ``mu * A_T + (1 - mu) * A_S`` scaled by the square roots of the clipped
-    eigenvalues, plus a small perturbation seeded by ``config.seed`` to break
-    symmetry. Each iteration resets the step to ``eta0`` and halves it until
-    the objective does not increase; the run stops when the relative change
-    drops below ``CONSTRUCTION_TOL``, at the iteration cap, or when
-    ``MAX_BACKTRACKS`` halvings find no descent. Each accepted point is
+    The start point (``_spectral_start``) takes the top-rank eigenpairs of
+    ``mu * A_T + (1 - mu) * A_S`` by Lanczos, scaled by the square roots of
+    the clipped eigenvalues, plus a small perturbation seeded by
+    ``config.seed`` to break symmetry. Each iteration resets the step to
+    ``eta0`` and halves it until the objective does not increase; the run
+    stops when the relative change drops below ``CONSTRUCTION_TOL``, at the
+    iteration cap, or when ``MAX_BACKTRACKS`` halvings find no descent. Each accepted point is
     evaluated once: its gradient comes from the products of that evaluation.
     """
     config = config or TransferConfig()
-    n = prob.n
-    rank = min(prob.rank, n)
-    # the solve's one n x n array (module docstring)
-    blended = (prob.mu * prob.target.csr() + (1.0 - prob.mu) * prob.source.csr()).toarray()
-    values, vectors = sym_eig_topk(blended, rank)
-    u = vectors * np.sqrt(np.clip(values, 0.0, None))[None, :]
-    rng = np.random.default_rng(config.seed)
-    u = u + INIT_NOISE * rng.standard_normal(u.shape)
-    current = _Evaluation(u, prob)
+    current = _Evaluation(_spectral_start(prob, config.seed), prob)
     obj = _check_diverged(current.objective)
     trace = [obj]
     backtracks = 0
@@ -219,6 +214,21 @@ def solve_reconstruction(prob: ReconstructionProblem, config: TransferConfig | N
     return solution
 
 
+def _spectral_start(prob: ReconstructionProblem, seed: int) -> np.ndarray:
+    """Top-rank eigenvectors of ``mu * A_T + (1 - mu) * A_S`` scaled by the
+    square roots of their clipped eigenvalues, plus ``INIT_NOISE`` times a
+    normal draw seeded by ``seed``."""
+    n = prob.n
+    rank = min(prob.rank, n)
+    blended = prob.mu * prob.target.csr() + (1.0 - prob.mu) * prob.source.csr()
+    if blended.nnz == 0:  # every eigenvalue is 0, and ARPACK cannot start on a zero operator
+        u = np.zeros((n, rank))
+    else:
+        values, vectors = _lanczos_topk(blended.dot, n, rank, "spectral start", START_TOL)
+        u = vectors * np.sqrt(np.clip(values, 0.0, None))[None, :]
+    return u + INIT_NOISE * np.random.default_rng(seed).standard_normal(u.shape)
+
+
 def finalize_edges(u: np.ndarray, merged: HeteroGraph, z: float) -> HeteroGraph:
     """Threshold the reconstruction scores into edges, keeping all original edges.
 
@@ -231,7 +241,7 @@ def finalize_edges(u: np.ndarray, merged: HeteroGraph, z: float) -> HeteroGraph:
     n = merged.n
     if u.shape[0] != n:
         raise GraftError(f"factors have {u.shape[0]} rows but the graph has {n} entities")
-    scores = u @ u.T
+    scores = _matmul(u, u.T)
     z_rows = _row_zscores(scores)
     decision = np.triu(np.maximum(z_rows, z_rows.T) >= z, k=1)
     rows, cols, weights = merged.edge_arrays()

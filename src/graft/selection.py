@@ -3,12 +3,13 @@
 The selection model embeds the source graph with classical MDS of the
 uniform blend of its meta-path distance matrices in one streamed pass: each
 meta-path's walk-count projection, a sparse matrix, feeds the BFS of its
-small-integer hop matrix, which is added into the float64 blend as it is
-computed, then dropped. MDS takes the blend as a plain array, checks it once,
-read-only, and solves for the top d1 eigenpairs of its double centring by
-Lanczos iteration, so the blend is the fit's one n × n float64 array. The
-fitted ``SelectionState`` keeps the meta-paths, the embedding and a
-one-entry objective trace, the objective at the uniform weights. The
+small-integer hop matrix, which is added into the blend's exact integer sum
+as it is computed, then dropped; the sum is scaled into the float64 blend
+once. MDS takes the blend as a plain array, checks it once, read-only, and
+solves for the top d1 eigenpairs of its double centring by Lanczos iteration
+(``numerics._lanczos_topk``), so the blend is the fit's one n × n float64
+array. The fitted ``SelectionState`` keeps the meta-paths, the embedding and
+a one-entry objective trace, the objective at the uniform weights. The
 objective and ``fit_weights`` (which the pipeline does not call) work over
 row blocks, so neither forms an n × n temporary or n(n−1)/2 × P design.
 Relevance between entities is the inner product of their embeddings;
@@ -25,13 +26,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
-from .numerics import _check_symmetric, _row_zscores, _top_oriented, solve_normal_nonneg, sym_eig_topk
+from .numerics import _check_symmetric, _lanczos_topk, _matmul, _row_zscores, solve_normal_nonneg
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +39,8 @@ log = logging.getLogger(__name__)
 # copy of the P hop matrices stays at P × 128 KiB), of the objective and of
 # the relevance z-scores
 _FIT_BLOCK_CELLS = 1 << 14
+# the memory limit of the process's cgroup (v2), where one is mounted
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 
 def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
@@ -47,18 +49,18 @@ def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
     Solves for the top ``d1`` eigenpairs of B = −½·J·D·J, J = I − 11ᵀ/n,
     clips negative eigenvalues to zero (non-Euclidean input loses those
     directions), and scales eigenvectors by the square roots of the
-    eigenvalues. B is never formed: ARPACK's Lanczos solve (``eigsh``;
-    Lehoucq, Sorensen & Yang, SIAM 1998) applies it to vectors as centre,
-    multiply by D, centre, so D, left unchanged, is the one n × n array. One
-    generator seeded with 0 draws the start vector ``v0`` and is the restart
-    ``rng``, so reruns are bitwise equal. Inputs with d1 >= n − 1, too small
-    for ARPACK, form B and solve it with ``sym_eig_topk``; an all-zero D
-    embeds at the origin. A failed Lanczos solve is a ``GraftError``.
+    eigenvalues. B is never formed: ``numerics._lanczos_topk`` applies it to
+    vectors as centre, multiply by D, centre, so D, left unchanged (and
+    copied only when it is not a C-contiguous float64 array), is the one
+    n × n array. The product with D goes through ``numerics._matmul``, in the
+    BLAS pool that ARPACK's own calls use. Inputs with d1 >= n − 1 form B
+    and solve it densely; an all-zero D embeds at the origin. A failed
+    Lanczos solve is a ``GraftError``.
 
     Returns an (n, d1) embedding whose pairwise squared distances approximate
     the input.
     """
-    m = np.asarray(distances, dtype=float)
+    m = np.ascontiguousarray(distances, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraftError(f"distance matrix must be square, got shape {m.shape}")
     n = m.shape[0]
@@ -71,19 +73,10 @@ def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
         return np.zeros((n, d1))
 
     def apply_b(x: np.ndarray) -> np.ndarray:
-        y = m @ (x - x.mean(axis=0))
+        y = _matmul(m, x - x.mean(axis=0))
         return -0.5 * (y - y.mean(axis=0))
 
-    if d1 >= n - 1:
-        values, vectors = sym_eig_topk(apply_b(np.eye(n)), d1)
-    else:
-        rng = np.random.default_rng(0)
-        op = LinearOperator((n, n), matvec=apply_b, matmat=apply_b, dtype=float)
-        try:
-            values, vectors = eigsh(op, k=d1, which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng)
-        except ArpackError as exc:  # ArpackNoConvergence among them
-            raise GraftError(f"MDS eigensolve failed: {exc}") from None
-        values, vectors = _top_oriented(values, vectors, d1)
+    values, vectors = _lanczos_topk(apply_b, n, d1, "MDS")
     values = np.clip(values, 0.0, None)
     return vectors * np.sqrt(values)[None, :]
 
@@ -184,9 +177,10 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     ``selection_objective`` at them; no weights are fitted.
 
     The blend is the fit's one n × n float64 array, but a hop matrix and
-    its BFS's working arrays sit beside it (the fit peaks near 1.5 such
-    arrays), so it raises ``GraftError`` before the first projection when
-    two n × n float64 arrays, 16·n² bytes, exceed ``_physical_memory_bytes()``.
+    its BFS's working arrays sit beside the blend's ``uint32`` sum, and the
+    sum beside the blend it is scaled into (the fit peaks near 1.5 float64
+    n × n arrays), so it raises ``GraftError`` before the first projection
+    when two of them, 16·n² bytes, exceed ``_physical_memory_bytes()``.
     """
     config = config or TransferConfig()
     if gs.n == 0:
@@ -195,7 +189,7 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     if budget is not None and need > budget:
         raise GraftError(
             f"selection over {gs.n} entities needs {need} bytes for two n × n float64 "
-            f"arrays, more than the {budget} bytes of physical memory"
+            f"arrays, more than the {budget} bytes of physical memory or cgroup limit"
         )
     paths, mats = _path_distances(gs, config)
     # renormalized by its own sum, which for some path counts (6, 7, ...)
@@ -210,14 +204,23 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
 
 
 def _physical_memory_bytes() -> int | None:
-    """Physical memory, as ``os.sysconf`` page size × page count, or None
-    where sysconf does not report it. Cgroup and other process limits are
-    not read, so a container can run out below this figure."""
+    """Memory the process may use: the smaller of physical memory (``os.sysconf``
+    page size × page count) and the cgroup v2 limit in ``_CGROUP_MEMORY_MAX``,
+    either where it is known; None where neither is. A limit of ``max``, or a
+    file that is missing or unreadable, sets no limit."""
     try:
         size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        return None
-    return size * pages if size > 0 and pages > 0 else None
+        size = pages = 0
+    figures = [size * pages] if size > 0 and pages > 0 else []
+    try:
+        with open(_CGROUP_MEMORY_MAX) as f:
+            limit = f.read().strip()
+    except OSError:
+        limit = "max"
+    if limit.isdigit():
+        figures.append(int(limit))
+    return min(figures, default=None)
 
 
 def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph) -> dict[str, float]:
@@ -230,11 +233,12 @@ def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph
 
     The shared rows are standardized in blocks against a running maximum, so
     no |shared| × n temporary is made; per-row z-scores and the maximum are
-    the same bit for bit. The relevance itself stays the full E Eᵀ: numpy
-    forms it with BLAS ``syrk``, and row-block products E[rows] Eᵀ differ
-    from it in the last bits.
+    the same bit for bit. The relevance itself stays the full E Eᵀ, formed
+    by BLAS ``syrk`` (``numerics._matmul``, in ARPACK's pool) as numpy's
+    ``@`` forms it; row-block products E[rows] Eᵀ differ from it in the
+    last bits.
     """
-    r = state.embedding @ state.embedding.T
+    r = _matmul(state.embedding, state.embedding.T)
     if r.shape[0] != gs.n:
         raise GraftError(f"embedding rows {r.shape[0]} do not match source entities {gs.n}")
     shared, only = split_by_overlap(gs, gt_hat)

@@ -451,6 +451,65 @@ class TestBlend:
             expect += wi * m.matrix
         assert np.array_equal(blend(mats, w), expect)
 
+    @staticmethod
+    def hop_like(count, n=11, seed=3, high=12):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(count):
+            m = np.triu(rng.integers(1, high, (n, n)), k=1)
+            mats.append(SimilarityMatrix((m + m.T).astype(np.uint8)))
+        return mats
+
+    @pytest.mark.parametrize("count", [1, 2, 6, 24])
+    def test_equal_unsigned_weights_scale_the_exact_sum(self, count):
+        mats = self.hop_like(count)
+        uniform = np.full(count, 1.0 / count)
+        w = uniform / uniform.sum()
+        total = sum(m.matrix.astype(np.int64) for m in mats)
+        assert np.array_equal(blend(mats, w), total * w[0])
+
+    def test_many_full_matrices_do_not_wrap(self):
+        full = np.full((5, 5), 255, dtype=np.uint8)
+        np.fill_diagonal(full, 0)
+        out = blend([SimilarityMatrix(full)] * 300, np.full(300, 0.5))
+        assert np.array_equal(out, (full.astype(np.int64) * 300) * 0.5)
+
+    @pytest.mark.parametrize("block_cells", [1, 40, metapath._BLEND_BLOCK_CELLS])
+    def test_runs_of_equal_weights_match_run_by_run_sum(self, monkeypatch, block_cells):
+        monkeypatch.setattr(metapath, "_BLEND_BLOCK_CELLS", block_cells)
+        m = [x.matrix for x in self.hop_like(4)]
+        w, v = 0.3, 0.7
+        expect = (m[0].astype(np.int64) + m[1]) * w
+        expect += m[2] * v
+        expect += m[3] * w
+        assert np.array_equal(blend([SimilarityMatrix(x) for x in m], [w, w, v, w]), expect)
+
+    def test_run_split_before_the_accumulator_overflows(self, monkeypatch):
+        # with room for two matrices of 255 a run, five equal weights are three runs
+        monkeypatch.setattr(metapath, "_RUN_LIMIT", 600)
+        m = [x.matrix for x in self.hop_like(5)]
+        expect = (m[0].astype(np.int64) + m[1]) * 0.25
+        expect += (m[2].astype(np.int64) + m[3]) * 0.25
+        expect += m[4] * 0.25
+        assert np.array_equal(blend([SimilarityMatrix(x) for x in m], np.full(5, 0.25)), expect)
+
+    def test_equal_float_weights_stay_sequential(self):
+        rng = np.random.default_rng(4)
+        mats = []
+        for _ in range(5):
+            m = np.triu(rng.random((9, 9)), k=1)
+            mats.append(SimilarityMatrix(m + m.T))
+        expect = np.zeros((9, 9))
+        for m in mats:
+            expect += 0.2 * m.matrix
+        assert np.array_equal(blend(mats, np.full(5, 0.2)), expect)
+
+    def test_inputs_left_unchanged(self):
+        mats = self.hop_like(3)
+        before = [m.matrix.copy() for m in mats]
+        blend(mats, [0.5, 0.5, 0.5])
+        assert all(np.array_equal(m.matrix, b) for m, b in zip(mats, before))
+
     @pytest.mark.parametrize(
         "mats,w,msg",
         [

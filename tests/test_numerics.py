@@ -1,18 +1,27 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from graft import GraftError, mds_embed
+from graft import GraftError, mds_embed, numerics
 from graft.numerics import (
     SYMMETRY_RTOL,
     _TILE,
     _check_symmetric,
+    _lanczos_topk,
+    _matmul,
     _row_zscores,
     ols_nonneg,
     sym_eig_topk,
 )
 from testkit import finite_diff_grad
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 INVALID_EIG_INPUTS = [
@@ -163,6 +172,81 @@ class TestSymEigTopkSubset:
             sym_eig_topk(m, 3)
             mds_embed(m, 3)
             assert np.array_equal(m, before)
+
+
+class TestMatmul:
+    """``_matmul`` runs in scipy's BLAS pool and must give numpy's ``@`` bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 1200])
+    @pytest.mark.parametrize("k", [None, 1, 2, 16])
+    def test_square_times_block(self, n, k):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal(n if k is None else (n, k))
+        got = _matmul(a, b)
+        assert got.shape == (a @ b).shape
+        assert np.array_equal(got, a @ b)
+
+    @pytest.mark.parametrize("n", [1, 9, 255, 256, 257, 300, 528, 1200])
+    @pytest.mark.parametrize("r", [3, 16])
+    def test_gram_rows(self, n, r):
+        u = np.random.default_rng(n + r).standard_normal((n, r))
+        got = _matmul(u, u.T)
+        assert np.array_equal(got, u @ u.T)
+        assert np.array_equal(got, got.T)
+
+    def test_tall_times_wide_at_one_thread(self):
+        # at more threads numpy's and scipy's OpenBLAS builds may split a
+        # non-square dgemm differently, so its bits are pinned at one thread
+        code = (
+            "import numpy as np\n"
+            "from graft.numerics import _matmul\n"
+            "for n, r in ((9, 3), (300, 16), (600, 16), (1200, 16)):\n"
+            "    rng = np.random.default_rng(n)\n"
+            "    u, v = rng.standard_normal((n, r)), rng.standard_normal((r, n))\n"
+            "    assert np.array_equal(_matmul(u, v), u @ v), (n, r)\n"
+            "    assert np.array_equal(_matmul(v, u), v @ u), (n, r)\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": SRC}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(5)
+        big = rng.standard_normal((400, 400))
+        a, b, x = big[::2, ::2], big[:200, 1::2][:, :16], big[1::2, 3]
+        assert not (a.flags.c_contiguous or b.flags.c_contiguous or x.flags.c_contiguous)
+        c = a.copy()
+        for right, same in ((b, b.copy()), (x, x.copy()), (a.T, c.T)):
+            got = _matmul(a, right)
+            assert np.array_equal(got, _matmul(c, same))
+            assert np.array_equal(got, c @ same)
+        assert np.array_equal(_matmul(np.asfortranarray(a), b), c @ b.copy())
+
+
+class TestLanczosTopk:
+    def test_dense_branch_is_the_full_solve(self):
+        m = random_symmetric(12, 4)
+        for k in (11, 12):
+            got = _lanczos_topk(lambda x: m @ x, 12, k, "test")
+            want = sym_eig_topk(m, k)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_matches_full_solve_and_reruns_bitwise(self):
+        m = random_symmetric(80, 2)
+        values, vectors = _lanczos_topk(lambda x: m @ x, 80, 5, "test")
+        want_values, want_vectors = sym_eig_topk(m, 5)
+        assert np.allclose(values, want_values, rtol=0.0, atol=1e-10)
+        assert np.allclose(vectors, want_vectors, rtol=0.0, atol=1e-8)
+        again = _lanczos_topk(lambda x: m.copy() @ x, 80, 5, "test")
+        assert np.array_equal(again[0], values) and np.array_equal(again[1], vectors)
+
+    def test_failure_names_the_solve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("No convergence", [], [])
+
+        monkeypatch.setattr(numerics, "eigsh", fail)
+        with pytest.raises(GraftError, match="^start eigensolve failed: ARPACK error -1: No convergence"):
+            _lanczos_topk(lambda x: x, 30, 3, "start")
 
 
 # one tile short, exactly one, one over, and two tiles and one row

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import subspace_angles
 
 from graft import (
     GraftError,
@@ -21,6 +22,7 @@ from graft.reconstruction import (
     INIT_NOISE,
     MAX_BACKTRACKS,
     _check_diverged,
+    _spectral_start,
     reconstruction_gradient,
     reconstruction_objective,
 )
@@ -65,14 +67,11 @@ def naive_objective(u, prob):
 def reference_solve(prob, config):
     """Descent loop that evaluates the objective and the gradient separately.
 
-    Returns the factors, the accepted-objective trace and the number of step
-    halvings, for comparison with ``solve_reconstruction``.
+    It starts where the solver does, so it pins the descent loop, not the
+    eigensolve. Returns the factors, the accepted-objective trace and the
+    number of step halvings, for comparison with ``solve_reconstruction``.
     """
-    rank = min(prob.rank, prob.n)
-    blended = prob.mu * prob.target.csr().toarray() + (1.0 - prob.mu) * prob.source.csr().toarray()
-    values, vectors = sym_eig_topk(blended, rank)
-    u = vectors * np.sqrt(np.clip(values, 0.0, None))[None, :]
-    u = u + INIT_NOISE * np.random.default_rng(config.seed).standard_normal(u.shape)
+    u = _spectral_start(prob, config.seed)  # the start is pinned by TestSpectralStart
     obj = _check_diverged(reconstruction_objective(u, prob))
     trace = [obj]
     halvings = 0
@@ -397,6 +396,74 @@ class TestSolve:
         prob = make_problem(reg=1e20)
         with pytest.raises(GraftError, match="diverged"):
             solve_reconstruction(prob, TransferConfig())
+
+
+class TestSpectralStart:
+    """The start is Lanczos on the sparse blend; the dense solve is its reference."""
+
+    @staticmethod
+    def sparse_problem(seed, n, mu, rank):
+        gt = random_graph(seed, n=n, p=0.08, weighted=False)
+        gs = random_graph(seed + 50, n=n, p=0.08, weighted=False)
+        return ReconstructionProblem(gt, HeteroGraph(gt.entity_items(), gs.edges()), 0.1, mu, 0.01, rank)
+
+    @staticmethod
+    def noise(seed, shape):
+        return INIT_NOISE * np.random.default_rng(seed).standard_normal(shape)
+
+    @staticmethod
+    def dense_blend(prob):
+        return prob.mu * prob.target.csr().toarray() + (1.0 - prob.mu) * prob.source.csr().toarray()
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spans_the_dense_top_eigenspace(self, mu, seed):
+        prob = self.sparse_problem(seed, 90, mu, 6)
+        values, vectors = sym_eig_topk(self.dense_blend(prob), 7)
+        assert values[5] > 0.0 and values[5] - values[6] > 1e-3  # the top 6 are a well-separated subspace
+        u = _spectral_start(prob, seed) - self.noise(seed, (90, 6))
+        assert subspace_angles(u, vectors[:, :6]).max() <= 1e-6
+        assert np.allclose(np.linalg.norm(u, axis=0), np.sqrt(values[:6]), rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("rank", [11, 12, 50])
+    def test_rank_from_n_minus_one_takes_the_dense_solve(self, rank):
+        prob = self.sparse_problem(3, 12, 0.5, rank)
+        values, vectors = sym_eig_topk(self.dense_blend(prob), min(rank, 12))
+        want = vectors * np.sqrt(np.clip(values, 0.0, None))[None, :] + self.noise(4, vectors.shape)
+        assert np.array_equal(_spectral_start(prob, 4), want)
+
+    def test_reruns_are_bitwise_equal(self):
+        first = _spectral_start(self.sparse_problem(5, 90, 0.3, 6), 8)
+        assert np.array_equal(first, _spectral_start(self.sparse_problem(5, 90, 0.3, 6), 8))
+        assert not np.array_equal(first, _spectral_start(self.sparse_problem(5, 90, 0.3, 6), 9))
+
+    def test_no_edges_start_at_the_noise(self):
+        g = HeteroGraph([(f"e{i}", "t") for i in range(30)], [])
+        prob = ReconstructionProblem(g, g, 0.0, 0.5, 0.0, 4)
+        assert np.array_equal(_spectral_start(prob, 2), self.noise(2, (30, 4)))
+
+    def test_makes_no_n_by_n_array(self):
+        # mean degree about 8 in each graph, as in the synthetic benchmark; the
+        # start holds O(nnz + n·rank) (Lanczos basis, factors, noise), so even
+        # a one-byte n × n array would break the bound
+        n = 2000
+        rng = np.random.default_rng(6)
+        entities = [(f"e{i:04d}", "t") for i in range(n)]
+
+        def sparse_graph():
+            pairs = {tuple(sorted(p)) for p in rng.integers(0, n, (4 * n, 2)).tolist() if p[0] != p[1]}
+            return HeteroGraph(entities, [(entities[i][0], entities[j][0], 1.0) for i, j in sorted(pairs)])
+
+        prob = ReconstructionProblem(sparse_graph(), sparse_graph(), 0.1, 0.5, 0.01, 16)
+        prob.target.csr(), prob.source.csr()  # cached before tracing
+        _spectral_start(prob, 0)
+        tracemalloc.start()
+        try:
+            _spectral_start(prob, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * n * n
 
 
 class TestFinalize:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from graft import selection, transfer
+from graft import numerics, selection, transfer
 from graft import (
     GraftError,
     HeteroGraph,
@@ -90,7 +90,7 @@ class TestMdsEmbed:
         def fail(*args, **kwargs):
             raise ArpackNoConvergence("No convergence (400 iterations, 3/16 eigenvectors converged)", [], [])
 
-        monkeypatch.setattr(selection, "eigsh", fail)
+        monkeypatch.setattr(numerics, "eigsh", fail)
         gs, _, gt_hat = generate(SynthSpec(60, 30, dynamic_factor=0.1, maturity=0.5, seed=0))
         with pytest.raises(GraftError, match="^selection-model: MDS eigensolve failed: ARPACK error -1: No convergence"):
             run_transfer(gs, gt_hat)
@@ -248,7 +248,8 @@ class TestSelectionMemory:
         fit_selection_model(g)
         assert projected
 
-    def test_physical_memory_from_sysconf(self, monkeypatch):
+    def test_physical_memory_from_sysconf(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(selection, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
         answers = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
         monkeypatch.setattr(selection.os, "sysconf", answers.__getitem__)
         assert selection._physical_memory_bytes() == 4096 * 1000
@@ -256,6 +257,29 @@ class TestSelectionMemory:
         assert selection._physical_memory_bytes() is None
         monkeypatch.delattr(selection.os, "sysconf")  # as on Windows
         assert selection._physical_memory_bytes() is None
+
+
+    @pytest.mark.parametrize(
+        "limit,expect",
+        [("3000000\n", 3_000_000), ("9000000\n", 4_096_000), ("max\n", 4_096_000), (None, 4_096_000)],
+        ids=["below-physical", "above-physical", "max", "missing"],
+    )
+    def test_cgroup_limit_caps_physical_memory(self, monkeypatch, tmp_path, limit, expect):
+        path = tmp_path / "memory.max"
+        if limit is not None:
+            path.write_text(limit)
+        monkeypatch.setattr(selection, "_CGROUP_MEMORY_MAX", str(path))
+        monkeypatch.setattr(selection.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}.__getitem__)
+        assert selection._physical_memory_bytes() == expect
+        monkeypatch.delattr(selection.os, "sysconf")  # physical memory unknown: the limit alone
+        assert selection._physical_memory_bytes() == (None if limit in (None, "max\n") else int(limit))
+
+    def test_unreadable_cgroup_limit_sets_none(self, monkeypatch, tmp_path):
+        # a directory in the file's place: open() raises IsADirectoryError, as it
+        # raises PermissionError on an unreadable file, whatever user runs the test
+        monkeypatch.setattr(selection, "_CGROUP_MEMORY_MAX", str(tmp_path))
+        monkeypatch.setattr(selection.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}.__getitem__)
+        assert selection._physical_memory_bytes() == 4_096_000
 
 
 def dense_objective_reference(embedding, mats, weights, lam):
