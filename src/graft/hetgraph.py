@@ -356,7 +356,7 @@ def read_graph(path: str | Path) -> HeteroGraph:
     path = Path(path)
     try:
         return parse_graph(path.read_text(encoding="utf-8"))
-    except GraphFormatError as exc:
+    except (GraphFormatError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
 
 

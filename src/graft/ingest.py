@@ -88,8 +88,11 @@ def parse_events(lines: Iterable[str]) -> list[Event]:
 
 
 def read_events(path: str | Path) -> list[Event]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_events(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_events(fh)
+    except UnicodeDecodeError as exc:
+        raise GraftError(f"{path}: {exc}") from None
 
 
 def _prefix_graphs(events: list[Event], cuts: Iterable[int]) -> list[HeteroGraph]:

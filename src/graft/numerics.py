@@ -14,10 +14,9 @@ numpy and scipy each load their own OpenBLAS with its own thread pool.
 ARPACK's BLAS calls run in scipy's pool; a threaded numpy product between
 them runs in numpy's, and the two pools' idle workers spin against each other
 (README, "One BLAS pool"). So the dense products beside the eigensolves go
-through ``_matmul``, which calls ``scipy.linalg.blas`` the way numpy's ``@``
-calls its own. All routines fix sign and ordering conventions so that
-identical inputs give bit-identical outputs on a given platform and BLAS
-thread count.
+through ``_matmul``, which calls ``scipy.linalg.blas`` directly. All routines
+fix sign and ordering conventions so that identical inputs give
+bit-identical outputs on a given platform and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -86,27 +85,15 @@ def _lanczos_topk(
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for a 2-d float64 ``a`` and a 1-d or 2-d ``b``, through scipy's BLAS.
 
-    It makes the calls numpy's row-major ``@`` makes: ``dgemv`` for one
-    column, ``dsyrk`` with the upper triangle mirrored for ``a @ a.T``, and
-    ``dgemm`` otherwise, each on the transposes, which are Fortran-contiguous
-    views of C-contiguous inputs, so nothing is copied (other layouts are
-    copied by the wrapper on every call, so make a reused input contiguous
-    once). ``dgemv``, ``dsyrk`` and a square ``a``'s ``dgemm`` give numpy's
-    result bit for bit; any other ``dgemm`` does so at one BLAS thread, while
-    at more the two OpenBLAS builds may split the work differently.
+    One call: ``dgemv`` for a 1-d ``b``, else ``dgemm`` on the transposes.
+    The transposes of C-contiguous inputs are Fortran-contiguous views, so
+    nothing is copied; other layouts are copied by the wrapper on every call
+    (for ``a @ a.T``, the n × k ``a``), so make a large reused input
+    C-contiguous once. The result agrees with numpy's ``@`` to rounding, not
+    bit for bit, and ``a @ a.T`` need not be exactly symmetric.
     """
     if b.ndim == 1:
         return blas.dgemv(1.0, a.T, b, trans=1)
-    if b.shape[1] == 1:
-        return blas.dgemv(1.0, a.T, b[:, 0], trans=1)[:, None]
-    if a.shape == b.shape[::-1] and a.strides == b.strides[::-1] and a.ctypes.data == b.ctypes.data:
-        out = blas.dsyrk(1.0, a.T, trans=1, lower=1).T  # only its upper triangle is set
-        for i in range(0, len(out), _TILE):  # mirror it: a diagonal tile, then the strip below
-            tile = out[i : i + _TILE, i : i + _TILE]
-            below = np.tril_indices(len(tile), -1)
-            tile[below] = tile.T[below]
-            out[i + _TILE :, i : i + _TILE] = out[i : i + _TILE, i + _TILE :].T
-        return out
     return blas.dgemm(1.0, b.T, a.T).T
 
 

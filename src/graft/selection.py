@@ -173,8 +173,8 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     """Embed the uniform meta-path blend with MDS, in one streamed pass.
 
     Each hop matrix is added into the blend as it is computed, then dropped.
-    The blend weights are uniform, and the state's trace holds
-    ``selection_objective`` at them; no weights are fitted.
+    The blend weights are uniform, 1/P for P meta-paths, and the state's
+    trace holds ``selection_objective`` at them; no weights are fitted.
 
     The blend is the fit's one n × n float64 array, but a hop matrix and
     its BFS's working arrays sit beside the blend's ``uint32`` sum, and the
@@ -192,10 +192,7 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
             f"arrays, more than the {budget} bytes of physical memory or cgroup limit"
         )
     paths, mats = _path_distances(gs, config)
-    # renormalized by its own sum, which for some path counts (6, 7, ...)
-    # differs from 1/P in the last bit; fitted outputs are pinned to this form
-    uniform = np.full(len(paths), 1.0 / len(paths))
-    weights = uniform / uniform.sum()
+    weights = np.full(len(paths), 1.0 / len(paths))
     blended = blend(mats, weights)
     embedding = mds_embed(blended, min(config.d1, gs.n))
     obj = _blend_objective(embedding, blended, weights, config.lam)
@@ -233,10 +230,9 @@ def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph
 
     The shared rows are standardized in blocks against a running maximum, so
     no |shared| × n temporary is made; per-row z-scores and the maximum are
-    the same bit for bit. The relevance itself stays the full E Eᵀ, formed
-    by BLAS ``syrk`` (``numerics._matmul``, in ARPACK's pool) as numpy's
-    ``@`` forms it; row-block products E[rows] Eᵀ differ from it in the
-    last bits.
+    the same bit for bit. The relevance itself is the full E Eᵀ, one
+    ``dgemm`` (``numerics._matmul``, in ARPACK's pool); row-block products
+    E[rows] Eᵀ, one small ``dgemm`` per block, measured slower.
     """
     r = _matmul(state.embedding, state.embedding.T)
     if r.shape[0] != gs.n:

@@ -478,3 +478,22 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command", ["transfer-source", "eval-estimate", "ingest-events", "config"])
+    def test_exits_one_naming_the_file(self, bench_dir, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe not utf-8\n")
+        source, target = str(bench_dir / "source.graph"), str(bench_dir / "target_partial.graph")
+        out = str(tmp_path / "out")
+        argv = {
+            "transfer-source": ["transfer", "--source", str(bad), "--target", target, "--out", out],
+            "eval-estimate": ["eval", "--estimate", str(bad), "--truth", target],
+            "ingest-events": ["ingest", "--events", str(bad), "--out", out],
+            "config": ["transfer", "--source", source, "--target", target, "--config", str(bad), "--out", out],
+        }[command]
+        proc = subprocess.run([sys.executable, "-m", "graft", *argv], capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: {bad}: ")
+        assert "Traceback" not in proc.stderr

@@ -1,7 +1,12 @@
 import re
+import tomllib
+from importlib.metadata import metadata
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def quick_start_block() -> str:
@@ -21,3 +26,17 @@ def test_quick_start_runs(capsys):
     mu, transferred = report_line.split()
     assert 0.0 <= float(mu) <= 1.0
     assert int(transferred) >= 0
+
+
+def python_floor(spec: str) -> tuple[int, int]:
+    """The (major, minor) of a ``>=X.Y`` Python requirement."""
+    match = re.search(r">=\s*(\d+)\.(\d+)", spec)
+    assert match, f"no >= floor in {spec!r}"
+    return int(match.group(1)), int(match.group(2))
+
+
+@pytest.mark.parametrize("dependency", ["numpy", "scipy"])
+def test_python_floor_covers_dependencies(dependency):
+    declared = python_floor(tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"])
+    assert declared >= python_floor(metadata(dependency)["Requires-Python"])
+    assert f"Requires Python {declared[0]}.{declared[1]}+" in README.read_text(encoding="utf-8")

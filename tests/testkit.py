@@ -17,10 +17,8 @@ def edge_weight(g: HeteroGraph, a: str, b: str) -> float | None:
 
 
 def uniform_weights(count: int) -> np.ndarray:
-    """The blend weights of ``fit_selection_model``: 1/P normalized by its own
-    sum, which for P = 6 differs from 1/P in the last bit."""
-    uniform = np.full(count, 1.0 / count)
-    return uniform / uniform.sum()
+    """The blend weights of ``fit_selection_model``: 1/P for each of P meta-paths."""
+    return np.full(count, 1.0 / count)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
