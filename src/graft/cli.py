@@ -84,10 +84,9 @@ def _build_config_from_args(args: argparse.Namespace, cell_keys: tuple = ()) -> 
     if config_path:
         # a file that cannot be read, decoded or parsed is bad input (exit 1)
         try:
-            text = Path(config_path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
+            file_overrides = parse_config_file(Path(config_path).read_text(encoding="utf-8"))
+        except (GraftError, UnicodeDecodeError) as exc:
             raise GraftError(f"{config_path}: {exc}") from None
-        file_overrides = parse_config_file(text)
     flag_overrides = {
         key: getattr(args, f"cfg_{key}")
         for key in CONFIG_KEYS

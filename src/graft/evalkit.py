@@ -17,7 +17,6 @@ import scipy.sparse as sp
 from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph, align_union_entities, split_by_overlap
-from .numerics import _row_zscores
 from .selection import merge_transferred_entities
 from .transfer import construct_dependencies
 
@@ -132,8 +131,10 @@ def _rw_select(gs: HeteroGraph, gt_hat: HeteroGraph, config: TransferConfig) -> 
         return []
     ids = gs.entity_ids
     scores = random_walk_scores(gs, [ids[i] for i in shared])
-    z = _row_zscores(np.array([[scores[ids[i]] for i in only]]))[0]
-    return [ids[i] for i, zi in zip(only, z) if zi >= config.z_entity]
+    p = np.array([scores[ids[i]] for i in only])
+    if (std := p.std()) == 0.0:  # all scores equal: none stands out
+        return []
+    return [ids[i] for i, zi in zip(only, (p - p.mean()) / std) if zi >= config.z_entity]
 
 
 def baseline_random_walk(

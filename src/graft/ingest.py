@@ -91,7 +91,7 @@ def read_events(path: str | Path) -> list[Event]:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_events(fh)
-    except UnicodeDecodeError as exc:
+    except (GraftError, UnicodeDecodeError) as exc:
         raise GraftError(f"{path}: {exc}") from None
 
 

@@ -1,5 +1,5 @@
 """Deterministic numerical kernels: the symmetric eigensolves, the threaded
-dense product, clamped ridge regression, and per-row standardization.
+dense product, clamped ridge regression, and the row moments of x xᵀ.
 
 ``_lanczos_topk`` is the one top-k eigensolve of the pipeline: ARPACK's
 Lanczos iteration on a symmetric operator given as a function (MDS's double
@@ -179,8 +179,14 @@ def solve_normal_nonneg(gram: np.ndarray, moment: np.ndarray, rows: int, ridge: 
     return w
 
 
-def _row_zscores(m: np.ndarray) -> np.ndarray:
-    """Per-row z-scores (population std); a row with zero variance is all -inf,
-    so it clears no threshold and never wins a max."""
-    stds = m.std(axis=1, keepdims=True)
-    return np.divide(m - m.mean(axis=1, keepdims=True), stds, out=np.full(m.shape, -np.inf), where=stds > 0.0)
+def _gram_row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of every row of ``x @ x.T``, without forming it.
+
+    Row i has mean x_i·s/n (s the sum of x's n rows) and second moment
+    x_i·(G x_i)/n (G = xᵀx), from ``_matmul`` products of n × k at most; std =
+    √max(second − mean², 0) is exactly 0 for a zero row of x, about √ε·|mean|
+    (cancellation) for a constant row of x xᵀ.
+    """
+    mean = _matmul(x, x.sum(axis=0)) / len(x)
+    second = np.einsum("ij,ij->i", _matmul(x, _matmul(x.T, x)), x) / len(x)
+    return mean, np.sqrt(np.maximum(second - mean * mean, 0.0))

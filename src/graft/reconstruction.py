@@ -18,8 +18,8 @@ loop never forms an n x n array.
 The spectral start is Lanczos on the sparse blend ``mu * A_T + (1 - mu) * A_S``
 through ``numerics._lanczos_topk``, the solve MDS uses, to the residual
 tolerance ``START_TOL``, so the solve forms no n x n array.
-``finalize_edges`` scores every pair densely after the solve, with its product
-in the BLAS pool that ARPACK uses (``numerics._matmul``).
+``finalize_edges`` scores every pair densely (``numerics._matmul``, in ARPACK's BLAS
+pool) and z-scores rows by moments of ``u.T @ u``: the scores are its one n x n array.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph
-from .numerics import _lanczos_topk, _matmul, _row_zscores
+from .numerics import _gram_row_moments, _lanczos_topk, _matmul
 
 log = logging.getLogger(__name__)
 
@@ -233,17 +233,18 @@ def finalize_edges(u: np.ndarray, merged: HeteroGraph, z: float) -> HeteroGraph:
     """Threshold the reconstruction scores into edges, keeping all original edges.
 
     The score matrix ``u @ u.T`` of the n × rank factors ``u`` is standardized
-    per row; pair (i, j) becomes an edge when the larger of its two directed
-    z-scores reaches ``z``. Edges already present keep their original
-    weights; new edges get the raw score, clipped below at machine epsilon so
-    weights stay positive. Rows with zero variance propose nothing.
+    per row by moments of uᵀu; pair (i, j) becomes an edge when the larger of
+    its two directed z-scores reaches ``z``. Edges already present keep their
+    original weights; new edges get the raw score, clipped below at machine
+    epsilon so weights stay positive. Rows with zero variance propose nothing.
     """
     n = merged.n
     if u.shape[0] != n:
         raise GraftError(f"factors have {u.shape[0]} rows but the graph has {n} entities")
     scores = _matmul(u, u.T)
-    z_rows = _row_zscores(scores)
-    decision = np.triu(np.maximum(z_rows, z_rows.T) >= z, k=1)
+    mean, std = _gram_row_moments(u)
+    hit = scores >= np.where(std > 0.0, mean + z * std, np.inf)[:, None]
+    decision = np.triu(hit | hit.T, k=1)
     rows, cols, weights = merged.edge_arrays()
     decision[rows, cols] = False
     new_rows, new_cols = np.nonzero(decision)

@@ -14,8 +14,8 @@ objective and ``fit_weights`` (which the pipeline does not call) work over
 row blocks, so neither forms an n × n temporary or n(n−1)/2 × P design.
 Relevance between entities is the inner product of their embeddings;
 ``relevance_scores`` gives each source-only entity its best relevance
-z-score against the shared entities, standardized over blocks of shared
-rows, and the pipeline transfers those whose score clears a threshold.
+z-score against the shared entities, standardized by row moments taken from
+EᵀE, and the pipeline transfers those whose score clears a threshold.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
-from .numerics import _check_symmetric, _lanczos_topk, _matmul, _row_zscores, solve_normal_nonneg
+from .numerics import _check_symmetric, _gram_row_moments, _lanczos_topk, _matmul, solve_normal_nonneg
 
 log = logging.getLogger(__name__)
 
 # matrix cells in one row block of the weight fit (per path, so its float64
-# copy of the P hop matrices stays at P × 128 KiB), of the objective and of
-# the relevance z-scores
+# copy of the P hop matrices stays at P × 128 KiB) and of the objective
 _FIT_BLOCK_CELLS = 1 << 14
 # the memory limit of the process's cgroup (v2), where one is mounted
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
@@ -223,30 +222,23 @@ def _physical_memory_bytes() -> int | None:
 def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph) -> dict[str, float]:
     """Max relevance z-score of each source-only entity against the shared entities.
 
-    Each shared entity's relevance row over all source entities is
-    standardized (population std); a source-only entity's score is its best
-    standardized relevance over the shared rows. Rows with zero variance are
-    skipped. No shared entities is an error.
-
-    The shared rows are standardized in blocks against a running maximum, so
-    no |shared| × n temporary is made; per-row z-scores and the maximum are
-    the same bit for bit. The relevance itself is the full E Eᵀ, one
-    ``dgemm`` (``numerics._matmul``, in ARPACK's pool); row-block products
-    E[rows] Eᵀ, one small ``dgemm`` per block, measured slower.
+    Each shared entity's row of E Eᵀ (E the embedding) is standardized
+    (population std) by moments of EᵀE (``numerics._gram_row_moments``); a
+    source-only entity's score is its best z-score over the shared rows, and
+    rows with zero variance are skipped. Only the shared × source-only block
+    of E Eᵀ is formed, one ``dgemm`` (``numerics._matmul``, in ARPACK's
+    pool). No shared entities is an error.
     """
-    r = _matmul(state.embedding, state.embedding.T)
-    if r.shape[0] != gs.n:
-        raise GraftError(f"embedding rows {r.shape[0]} do not match source entities {gs.n}")
+    e = state.embedding
+    if e.shape[0] != gs.n:
+        raise GraftError(f"embedding rows {e.shape[0]} do not match source entities {gs.n}")
     shared, only = split_by_overlap(gs, gt_hat)
-    if not only:
+    mean, std = _gram_row_moments(e)
+    rows = [i for i in shared if std[i] > 0.0]
+    if not (only and rows):  # no source-only entity, or every shared row is flat
         return {}
-    best = np.full(len(only), -np.inf)
-    rows = max(1, _FIT_BLOCK_CELLS // gs.n)
-    for start in range(0, len(shared), rows):
-        np.maximum(best, _row_zscores(r[shared[start : start + rows]])[:, only].max(axis=0), out=best)
-    if best[0] == -np.inf:  # every shared row has zero variance
-        return {}
-    return {gs.entity_ids[i]: float(s) for i, s in zip(only, best)}
+    z = (_matmul(e[rows], e[only].T) - mean[rows, None]) / std[rows, None]
+    return {gs.entity_ids[i]: float(s) for i, s in zip(only, z.max(axis=0))}
 
 
 def merge_transferred_entities(

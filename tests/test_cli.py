@@ -497,3 +497,21 @@ class TestNonUtf8Input:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith(f"error: {bad}: ")
         assert "Traceback" not in proc.stderr
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command,text,msg", [
+        ("ingest-events", '{"ts": 0}\n', "record 1: "),
+        ("config", "mu = 0.5\nbogus\n", "config line 2: "),
+    ], ids=["ingest-events", "config"])
+    def test_exits_one_naming_the_file(self, bench_dir, tmp_path, capsys, command, text, msg):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        source, target = str(bench_dir / "source.graph"), str(bench_dir / "target_partial.graph")
+        out = str(tmp_path / "out")
+        argv = {
+            "ingest-events": ["ingest", "--events", str(bad), "--out", out],
+            "config": ["transfer", "--source", source, "--target", target, "--config", str(bad), "--out", out],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {msg}")

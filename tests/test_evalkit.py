@@ -288,6 +288,16 @@ class TestRandomWalkBaseline:
         assert sparse.n > gt_hat.n
         assert sparse.entity_ids == dense.entity_ids
 
+    @pytest.mark.filterwarnings("error")  # no 0/0 standardising a flat vector
+    @pytest.mark.parametrize("only", ["c", "cd"])
+    def test_flat_scores_select_nothing(self, only):
+        # c and d hang off a alike, so their walk scores are equal, as one entity's score is to itself
+        gs = graph_of("ab" + only, [("a", "b", 1.0)] + [("a", e, 1.0) for e in only])
+        gt_hat = graph_of("ab", [("a", "b", 1.0)])
+        scores = random_walk_scores(gs, ["a", "b"])
+        assert len({scores[e] for e in only}) == 1
+        assert evalkit._rw_select(gs, gt_hat, TransferConfig(z_entity=1e-9)) == []
+
     def test_deterministic(self):
         gs, _, gt_hat = generate(SynthSpec(40, 20, seed=4))
         assert baseline_random_walk(gs, gt_hat) == baseline_random_walk(gs, gt_hat)

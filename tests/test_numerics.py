@@ -9,9 +9,9 @@ from graft.numerics import (
     SYMMETRY_RTOL,
     _TILE,
     _check_symmetric,
+    _gram_row_moments,
     _lanczos_topk,
     _matmul,
-    _row_zscores,
     ols_nonneg,
     sym_eig_topk,
 )
@@ -343,11 +343,28 @@ class TestFiniteDiffGrad:
             finite_diff_grad(lambda v: float("nan"), np.zeros(1), h=1e-4)
 
 
-class TestRowZscores:
-    def test_zero_variance_rows_are_minus_infinity(self):
-        m = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0], [0.0, 0.0, 4.0]])
-        z = _row_zscores(m)
-        s = np.sqrt(2.0 / 3.0)
-        assert np.array_equal(z[1], [-np.inf] * 3)
-        assert np.allclose(z[0], [-1.0 / s, 0.0, 1.0 / s])
-        assert np.allclose(z[2], [-np.sqrt(0.5), -np.sqrt(0.5), np.sqrt(2.0)])
+class TestGramRowMoments:
+    @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (9, 3), (300, 16), (528, 16)])
+    def test_matches_dense_rows(self, n, k):
+        x = np.random.default_rng(n + k).standard_normal((n, k)) + 0.5
+        dense = x @ x.T
+        mean, std = _gram_row_moments(x)
+        assert mean.shape == std.shape == (n,)
+        assert np.allclose(mean, dense.mean(axis=1), rtol=1e-12, atol=1e-12)
+        # second − mean² cancels: a constant row (every row when n = 1) reads about √ε·|mean|, not 0
+        assert np.allclose(std, dense.std(axis=1), rtol=1e-10, atol=1e-7 * np.abs(mean).max())
+
+    def test_hand_computed_rows(self):
+        # x xᵀ rows: [1, 0, 1, 2], [0, 1, 1, 0], [1, 1, 2, 2], [2, 0, 2, 4]
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+        mean, std = _gram_row_moments(x)
+        assert np.allclose(mean, [1.0, 0.5, 1.5, 2.0])
+        assert np.allclose(std, [np.sqrt(0.5), 0.5, 0.5, np.sqrt(2.0)])
+
+    def test_zero_row_has_std_exactly_zero(self):
+        x = np.random.default_rng(2).standard_normal((6, 3))
+        x[[1, 4]] = 0.0
+        mean, std = _gram_row_moments(x)
+        assert mean[1] == mean[4] == 0.0
+        assert std[1] == std[4] == 0.0
+        assert (std[[0, 2, 3, 5]] > 0.0).all()

@@ -1,6 +1,6 @@
 import re
 import tomllib
-from importlib.metadata import metadata
+from importlib.metadata import metadata, requires
 from pathlib import Path
 
 import pytest
@@ -28,15 +28,28 @@ def test_quick_start_runs(capsys):
     assert int(transferred) >= 0
 
 
-def python_floor(spec: str) -> tuple[int, int]:
-    """The (major, minor) of a ``>=X.Y`` Python requirement."""
-    match = re.search(r">=\s*(\d+)\.(\d+)", spec)
+def version_floor(spec: str) -> tuple[int, ...]:
+    """The release numbers of the ``>=`` floor in a requirement, ``>=1.26.4`` read as (1, 26, 4)."""
+    match = re.search(r">=\s*(\d+(?:\.\d+)*)", spec)
     assert match, f"no >= floor in {spec!r}"
-    return int(match.group(1)), int(match.group(2))
+    return tuple(int(part) for part in match.group(1).split("."))
+
+
+def pyproject() -> dict:
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 
 @pytest.mark.parametrize("dependency", ["numpy", "scipy"])
 def test_python_floor_covers_dependencies(dependency):
-    declared = python_floor(tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"])
-    assert declared >= python_floor(metadata(dependency)["Requires-Python"])
+    declared = version_floor(pyproject()["requires-python"])
+    assert declared >= version_floor(metadata(dependency)["Requires-Python"])
     assert f"Requires Python {declared[0]}.{declared[1]}+" in README.read_text(encoding="utf-8")
+
+
+def test_numpy_floor_covers_scipys():
+    def numpy_floor(requirements):
+        # the unconditional numpy requirement; extras and markers follow a ';'
+        (spec,) = [r for r in requirements if re.match(r"numpy\b", r) and ";" not in r]
+        return version_floor(spec)
+
+    assert numpy_floor(pyproject()["dependencies"]) >= numpy_floor(requires("scipy"))

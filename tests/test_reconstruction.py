@@ -11,11 +11,14 @@ from graft import (
     GraftError,
     HeteroGraph,
     ReconstructionProblem,
+    SynthSpec,
     TransferConfig,
     finalize_edges,
+    generate,
+    run_transfer,
     solve_reconstruction,
 )
-from graft import reconstruction
+from graft import reconstruction, transfer
 from graft.numerics import sym_eig_topk
 from graft.reconstruction import (
     CONSTRUCTION_TOL,
@@ -505,3 +508,35 @@ class TestFinalize:
         g = random_graph(1, n=5)
         with pytest.raises(GraftError, match="rows"):
             finalize_edges(np.zeros((4, 2)), g, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("z", [-0.5, 0.5, 1.96])
+    def test_edges_follow_the_dense_rule(self, seed, z):
+        # pair (i, j) is an edge when max(z_ij, z_ji) >= z, z-scores taken per row of u uᵀ
+        n = 60
+        g = HeteroGraph([(f"e{i:02d}", "t") for i in range(n)], [])
+        u = np.random.default_rng(seed).standard_normal((n, 4)) + 0.3
+        scores = u @ u.T
+        zs = (scores - scores.mean(axis=1, keepdims=True)) / scores.std(axis=1, keepdims=True)
+        want = set(zip(*np.nonzero(np.triu(np.maximum(zs, zs.T) >= z, k=1))))
+        out = finalize_edges(u, g, z)
+        assert {(g.index_of(a), g.index_of(b)) for a, b, _ in out.edges()} == want
+        assert 0 < len(want) < n * (n - 1) // 2
+
+    def test_peaks_below_two_dense_matrices(self, monkeypatch):
+        # the score matrix and three boolean n × n arrays; a float z-score
+        # matrix and its max with its transpose beside the scores read 3.13
+        gs, _, gt_hat = generate(SynthSpec(1200, 600, dynamic_factor=0.2, maturity=0.5, seed=0))
+        calls = []
+        monkeypatch.setattr(transfer, "finalize_edges", lambda *args: calls.append(args) or finalize_edges(*args))
+        run_transfer(gs, gt_hat)
+        u, merged, z = calls[0]
+        want = finalize_edges(u, merged, z)
+        tracemalloc.start()
+        try:
+            got = finalize_edges(u, merged, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2 * 8 * merged.n * merged.n

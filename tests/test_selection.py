@@ -219,8 +219,9 @@ class TestSelectionMemory:
             tracemalloc.stop()
         assert peak < 1.75 * 8 * gs.n * gs.n
 
-    def test_relevance_peaks_below_one_and_a_quarter_dense_matrices(self):
-        # the relevance matrix itself; z-scoring every shared row at once read 1.76
+    def test_relevance_peaks_below_half_a_dense_matrix(self):
+        # only the shared × source-only block of E Eᵀ; the full E Eᵀ with
+        # blocked z-scores read 1.04, z-scoring every shared row at once 1.76
         gs, _, gt_hat = generate(SynthSpec(1200, 600, dynamic_factor=0.2, maturity=0.5, seed=0))
         state = fit_selection_model(gs)
         want = relevance_scores(state, gs, gt_hat)
@@ -231,7 +232,7 @@ class TestSelectionMemory:
         finally:
             tracemalloc.stop()
         assert got == want
-        assert peak < 1.25 * 8 * gs.n * gs.n
+        assert peak < 0.5 * 8 * gs.n * gs.n
 
     def test_fit_refused_when_two_dense_matrices_exceed_physical_memory(self, monkeypatch):
         g = typed_random_graph(0, n=40, p=0.2)
@@ -431,6 +432,23 @@ class TestRelevanceScores:
             _, report = run_transfer(self.gs, self.gt_hat, TransferConfig(z_entity=z))
             assert report.transferred_entities == list(want)
             assert report.transferred_scores == {e: scores[e] for e in want}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_dense_reference(self, seed):
+        # per-row z-scores of the full E Eᵀ, then the max over the shared rows;
+        # one shared entity has a zero embedding, so its flat row is skipped
+        gs, _, gt_hat = generate(SynthSpec(300, 150, dynamic_factor=0.2, maturity=0.5, seed=seed))
+        emb = fit_selection_model(gs).embedding.copy()
+        flat = gs.index_of(gt_hat.entity_ids[0])
+        emb[flat] = 0.0
+        shared = [i for i, e in enumerate(gs.entity_ids) if gt_hat.has_entity(e) and i != flat]
+        only = [i for i, e in enumerate(gs.entity_ids) if not gt_hat.has_entity(e)]
+        r = emb[shared] @ emb.T
+        z = (r - r.mean(axis=1, keepdims=True)) / r.std(axis=1, keepdims=True)
+        want = z[:, only].max(axis=0)
+        got = relevance_scores(state_from_embedding(gs, emb), gs, gt_hat)
+        assert list(got) == [gs.entity_ids[i] for i in only]
+        assert np.allclose(list(got.values()), want, rtol=0.0, atol=1e-12)
 
     def test_zero_variance_rows_skipped(self):
         # shared entity 'a' has a zero embedding, so its relevance row is flat
