@@ -14,10 +14,9 @@ records the hop, so no float matrix is made; the few sources still running
 after 32 hops finish with per-source Dijkstra. The live block is scattered
 into the n × n matrix by rows and then by columns, and pairs the bitsets
 never reached are read off as hop count 0 off the diagonal.
-Blending sums the matrices one at a time (a generator will do): each run of
-equal weights exactly, in a ``uint32`` accumulator for unsigned matrices,
-then scaled once into the float64 result over blocks of rows through one
-reused buffer.
+Blending averages the matrices with equal weights, one at a time (a
+generator will do): unsigned matrices are summed exactly in a ``uint32``
+accumulator, and the sum is scaled by 1/P once into the float64 result.
 """
 
 from __future__ import annotations
@@ -218,64 +217,36 @@ def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
     return np.unpackbits(bits.view(np.uint8), axis=1, count=k, bitorder="little")
 
 
-# matrix cells in one block of the blend, so its float64 buffer (256 KiB) stays in cache
-_BLEND_BLOCK_CELLS = 1 << 15
-# the largest sum a run's uint32 accumulator holds
-_RUN_LIMIT = int(np.iinfo(np.uint32).max)
+# the largest sum the blend's uint32 accumulator holds
+_SUM_LIMIT = int(np.iinfo(np.uint32).max)
 
 
-def blend(mats: Iterable[SimilarityMatrix], weights: Iterable[float]) -> np.ndarray:
-    """Weighted sum of similarity matrices as a float64 array; weights must be nonnegative.
+def blend(mats: Iterable[SimilarityMatrix]) -> np.ndarray:
+    """Uniform mean ΣM/P of P similarity matrices as a float64 array.
 
-    ``mats`` may be a generator; each matrix is summed as it arrives. A run
-    of consecutive unsigned integer matrices with equal weights is summed
-    exactly in a ``uint32`` accumulator and scaled once; any other matrix is
-    a run of its own. Each cell sums w₀·(M₀ + … + Mⱼ) + wⱼ₊₁·(…) + … over
-    the runs in matrix order, so distinct weights give the sequential sum
-    w₀·M₀ + w₁·M₁ + … bit for bit, and the uniform blend costs one integer
-    add per matrix. A run that could overflow the accumulator (past 16M
-    ``uint8`` matrices) is split.
+    ``mats`` may be a generator; each matrix is added as it arrives.
+    Unsigned integer matrices are summed exactly in a ``uint32``
+    accumulator, the first read in place until a second joins it. The
+    accumulator becomes float64, once, when a matrix that is not unsigned
+    arrives or when the sum's bound (P × the dtype maximum) would pass
+    2³² − 1. The sum is scaled by 1.0/P once at the end.
     """
-    w = np.asarray(list(weights), dtype=float)
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise GraftError("blend weights must be finite and nonnegative")
-    out = run = None
+    total = None
     for k, m in enumerate(mats):
-        if k == w.size:
-            raise GraftError(f"got more than {w.size} matrices for {w.size} weights")
         m = m.matrix
-        if run is not None and m.shape != run.shape:
-            raise GraftError(f"matrix shape mismatch: {m.shape} vs {run.shape}")
         top = int(np.iinfo(m.dtype).max) if m.dtype.kind == "u" else np.inf
-        if run is not None and w[k] == w[k - 1] and run_top + top <= _RUN_LIMIT:
-            if run is first:  # read in place until a second matrix joins it
-                run = np.add(run, m, dtype=np.uint32)
-            else:
-                run += m
-            run_top += top
+        if total is None:
+            total, bound = m, top
             continue
-        if run is not None:
-            out = _add_scaled(out, run, w[k - 1])
-        run = first = m
-        run_top = top
-    if run is None:
+        if m.shape != total.shape:
+            raise GraftError(f"matrix shape mismatch: {m.shape} vs {total.shape}")
+        bound += top
+        dtype = np.uint32 if bound <= _SUM_LIMIT else np.float64
+        if k == 1 or total.dtype != dtype:  # the first matrix is read in place; a wider sum is a new array
+            total = np.add(total, m, dtype=dtype)
+        else:
+            total += m
+    if total is None:
         raise GraftError("blend needs at least one matrix")
-    if k + 1 != w.size:
-        raise GraftError(f"got {k + 1} matrices but {w.size} weights")
-    del m, first  # a streamed last matrix is freed before the float64 result is made
-    return _add_scaled(out, run, w[k])
-
-
-def _add_scaled(out: np.ndarray | None, run: np.ndarray, weight: float) -> np.ndarray:
-    """``out + weight·run`` in float64, in place over blocks of rows through one
-    small buffer; with no ``out`` yet, ``weight·run`` itself."""
-    if out is None:
-        return np.multiply(run, weight, dtype=float)
-    rows = max(1, _BLEND_BLOCK_CELLS // max(out.shape[1], 1))
-    buf = np.empty((min(rows, out.shape[0]), out.shape[1]))
-    for start in range(0, out.shape[0], rows):
-        acc = out[start : start + rows]
-        term = buf[: len(acc)]
-        np.multiply(run[start : start + rows], weight, out=term)
-        acc += term
-    return out
+    del m  # a streamed last matrix is freed before the float64 result is made
+    return np.multiply(total, 1.0 / (k + 1), dtype=float)

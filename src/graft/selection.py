@@ -38,8 +38,10 @@ log = logging.getLogger(__name__)
 # matrix cells in one row block of the weight fit (per path, so its float64
 # copy of the P hop matrices stays at P × 128 KiB) and of the objective
 _FIT_BLOCK_CELLS = 1 << 14
-# the memory limit of the process's cgroup (v2), where one is mounted
-_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+# the process's cgroups, and the mount roots of the cgroup v2 and v1 memory hierarchies
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_V2_ROOT = "/sys/fs/cgroup"
+_CGROUP_V1_MEMORY_ROOT = "/sys/fs/cgroup/memory"
 
 
 def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
@@ -119,26 +121,22 @@ def fit_weights(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], ridge: 
     return solve_normal_nonneg(gram / 2.0, moment / 2.0, n * (n - 1) // 2, ridge)
 
 
-def selection_objective(
-    embedding: np.ndarray,
-    mats: Sequence[SimilarityMatrix],
-    weights: np.ndarray,
-    lam: float,
-) -> float:
-    """Squared fit error between embedding distances and the weighted blend, plus regularization."""
-    return _blend_objective(embedding, blend(mats, weights), weights, lam)
+def selection_objective(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], lam: float) -> float:
+    """Squared fit error between embedding distances and the uniform blend, plus regularization."""
+    return _blend_objective(embedding, blend(mats), len(mats), lam)
 
 
-def _blend_objective(embedding: np.ndarray, blended: np.ndarray, weights: np.ndarray, lam: float) -> float:
-    """``selection_objective`` against a formed blend, over row blocks, with no n × n temporary."""
+def _blend_objective(embedding: np.ndarray, blended: np.ndarray, n_paths: int, lam: float) -> float:
+    """``selection_objective`` against a formed blend of ``n_paths`` matrices, over
+    row blocks, with no n × n temporary. The regularizer's weight term is that of
+    the uniform weights, P·(1/P)² = 1/P."""
     n = embedding.shape[0]
     rows = max(1, _FIT_BLOCK_CELLS // max(n, 1))
     fit = 0.0
     for start in range(0, n, rows):
         diff = squared_row_distances(embedding, start, start + rows) - blended[start : start + rows]
         fit += float((diff * diff).sum())
-    reg = lam * (float((embedding * embedding).sum()) + float((np.asarray(weights) ** 2).sum()))
-    return fit + reg
+    return fit + lam * (float((embedding * embedding).sum()) + 1.0 / n_paths)
 
 
 @dataclass
@@ -191,31 +189,51 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
             f"arrays, more than the {budget} bytes of physical memory or cgroup limit"
         )
     paths, mats = _path_distances(gs, config)
-    weights = np.full(len(paths), 1.0 / len(paths))
-    blended = blend(mats, weights)
+    blended = blend(mats)
     embedding = mds_embed(blended, min(config.d1, gs.n))
-    obj = _blend_objective(embedding, blended, weights, config.lam)
+    obj = _blend_objective(embedding, blended, len(paths), config.lam)
     log.info("selection model fitted over %d meta-path(s)", len(paths))
     return SelectionState(paths, embedding, [obj])
 
 
 def _physical_memory_bytes() -> int | None:
-    """Memory the process may use: the smaller of physical memory (``os.sysconf``
-    page size × page count) and the cgroup v2 limit in ``_CGROUP_MEMORY_MAX``,
-    either where it is known; None where neither is. A limit of ``max``, or a
-    file that is missing or unreadable, sets no limit."""
+    """Memory the process may use: the smallest of physical memory (``os.sysconf``
+    page size × page count) and the memory limits of the process's cgroups,
+    those known; None where none is.
+
+    The cgroup of the v2 line (``0::``) of ``_PROC_CGROUP``, and of a v1 line
+    that names ``memory``, is read with each of its ancestors up to the mount
+    root: ``memory.max`` under ``_CGROUP_V2_ROOT``, ``memory.limit_in_bytes``
+    under ``_CGROUP_V1_MEMORY_ROOT``. A file that holds ``max``, is missing or
+    cannot be read sets no limit."""
     try:
         size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         size = pages = 0
     figures = [size * pages] if size > 0 and pages > 0 else []
     try:
-        with open(_CGROUP_MEMORY_MAX) as f:
-            limit = f.read().strip()
+        with open(_PROC_CGROUP) as f:
+            lines = f.read().splitlines()
     except OSError:
-        limit = "max"
-    if limit.isdigit():
-        figures.append(int(limit))
+        lines = []
+    for line in lines:
+        hierarchy, _, rest = line.partition(":")
+        controllers, _, path = rest.partition(":")
+        if hierarchy == "0" and not controllers:
+            root, name = _CGROUP_V2_ROOT, "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = _CGROUP_V1_MEMORY_ROOT, "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [p for p in path.split("/") if p]
+        for depth in range(len(parts) + 1):
+            try:
+                with open(os.path.join(root, *parts[:depth], name)) as f:
+                    limit = f.read().strip()
+            except OSError:
+                continue
+            if limit.isdigit():
+                figures.append(int(limit))
     return min(figures, default=None)
 
 

@@ -7,7 +7,6 @@ from graft import GraftError, SynthSpec, TransferConfig, generate
 from graft.config import CONFIG_KEYS, build_config, parse_config_file
 from graft.selection import fit_selection_model, metapath_distance_matrices, selection_objective
 from graft.transfer import construct_dependencies
-from testkit import uniform_weights
 
 # keys TransferConfig used to have; every door now rejects them
 REMOVED_KEYS = ("theta", "lam_selection", "lam_construction", "ridge", "distance_cap", "construction_tol")
@@ -71,8 +70,7 @@ class TestTransferConfig:
         cfg = TransferConfig(lam=0.5)
         state = fit_selection_model(gs, cfg)
         mats = metapath_distance_matrices(gs, cfg)
-        weights = uniform_weights(len(mats))
-        assert state.objective_trace == [selection_objective(state.embedding, mats, weights, 0.5)]
+        assert state.objective_trace == [selection_objective(state.embedding, mats, 0.5)]
         _, _, prob = construct_dependencies(gs, gt_hat, gt_hat, None, cfg)
         assert prob.reg == 0.5
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -325,9 +326,8 @@ class TestCompactHops:
         other = random_graph(np.random.default_rng(7), p=0.1)
         mats = [path_distance_matrix(g.csr()), path_distance_matrix(other.csr())]
         floats = [SimilarityMatrix(m.matrix.astype(float)) for m in mats]
-        w = [0.3, 0.7]
         assert mats[0].matrix.dtype == np.uint8
-        assert np.array_equal(blend(mats, w), blend(floats, w))
+        assert np.array_equal(blend(mats), blend(floats))
 
 
 class TestIntegerHopCounts:
@@ -418,12 +418,14 @@ class TestTiledSymmetryCheck:
 
 
 class TestBlend:
+    """``blend`` is the uniform mean ΣM/P, each matrix weighing 1/P."""
+
     def test_weighted_sum(self):
         a = SimilarityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         b = SimilarityMatrix(np.array([[0.0, 4.0], [4.0, 0.0]]))
-        out = blend([a, b], [0.5, 0.25])
+        out = blend([a, b])
         assert out.dtype == np.float64
-        assert np.allclose(out, [[0.0, 1.5], [1.5, 0.0]])
+        assert np.array_equal(out, [[0.0, 2.5], [2.5, 0.0]])
 
     def test_matches_naive_sum(self):
         rng = np.random.default_rng(7)
@@ -431,25 +433,8 @@ class TestBlend:
         for _ in range(4):
             m = np.triu(rng.random((6, 6)), k=1)
             mats.append(SimilarityMatrix(m + m.T))
-        w = rng.random(4)
-        expect = sum(wi * m.matrix for wi, m in zip(w, mats))
-        assert np.allclose(blend(mats, w), expect)
-
-    @pytest.mark.parametrize("block_cells", [1, 40, metapath._BLEND_BLOCK_CELLS])
-    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
-    def test_bitwise_equal_to_sequential_sum(self, monkeypatch, dtype, block_cells):
-        # 13 columns: 40 cells make 3-row blocks and a short last one
-        monkeypatch.setattr(metapath, "_BLEND_BLOCK_CELLS", block_cells)
-        rng = np.random.default_rng(8)
-        mats = []
-        for _ in range(5):
-            m = np.triu(rng.integers(1, 12, (13, 13)) if dtype == np.uint8 else rng.random((13, 13)), k=1)
-            mats.append(SimilarityMatrix((m + m.T).astype(dtype)))
-        w = rng.random(5) * np.array([1.0, 1e-3, 7.0, 0.0, 0.1])
-        expect = np.zeros((13, 13))
-        for wi, m in zip(w, mats):
-            expect += wi * m.matrix
-        assert np.array_equal(blend(mats, w), expect)
+        expect = sum(m.matrix for m in mats) / 4
+        assert np.allclose(blend(mats), expect, rtol=1e-15, atol=0.0)
 
     @staticmethod
     def hop_like(count, n=11, seed=3, high=12):
@@ -463,69 +448,62 @@ class TestBlend:
     @pytest.mark.parametrize("count", [1, 2, 6, 24])
     def test_equal_unsigned_weights_scale_the_exact_sum(self, count):
         mats = self.hop_like(count)
-        uniform = np.full(count, 1.0 / count)
-        w = uniform / uniform.sum()
         total = sum(m.matrix.astype(np.int64) for m in mats)
-        assert np.array_equal(blend(mats, w), total * w[0])
+        out = blend(mats)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, total * (1.0 / count))
+        if count == 1:  # the one matrix, read in place, times 1.0
+            assert np.array_equal(out, mats[0].matrix * 1.0)
 
     def test_many_full_matrices_do_not_wrap(self):
         full = np.full((5, 5), 255, dtype=np.uint8)
         np.fill_diagonal(full, 0)
-        out = blend([SimilarityMatrix(full)] * 300, np.full(300, 0.5))
-        assert np.array_equal(out, (full.astype(np.int64) * 300) * 0.5)
+        out = blend([SimilarityMatrix(full)] * 300)
+        assert np.array_equal(out, (full.astype(np.int64) * 300) * (1.0 / 300))
 
-    @pytest.mark.parametrize("block_cells", [1, 40, metapath._BLEND_BLOCK_CELLS])
-    def test_runs_of_equal_weights_match_run_by_run_sum(self, monkeypatch, block_cells):
-        monkeypatch.setattr(metapath, "_BLEND_BLOCK_CELLS", block_cells)
-        m = [x.matrix for x in self.hop_like(4)]
-        w, v = 0.3, 0.7
-        expect = (m[0].astype(np.int64) + m[1]) * w
-        expect += m[2] * v
-        expect += m[3] * w
-        assert np.array_equal(blend([SimilarityMatrix(x) for x in m], [w, w, v, w]), expect)
+    # with room for 1, 2 or 3 matrices of 255, the sum widens after the 1st, 2nd or 3rd
+    @pytest.mark.parametrize("limit", [300, 600, 800])
+    def test_widens_before_the_accumulator_overflows(self, monkeypatch, limit):
+        monkeypatch.setattr(metapath, "_SUM_LIMIT", limit)
+        mats = self.hop_like(5, high=256)
+        total = sum(m.matrix.astype(np.int64) for m in mats)
+        assert total.max() > limit
+        assert np.array_equal(blend(mats), total * 0.2)
 
-    def test_run_split_before_the_accumulator_overflows(self, monkeypatch):
-        # with room for two matrices of 255 a run, five equal weights are three runs
-        monkeypatch.setattr(metapath, "_RUN_LIMIT", 600)
-        m = [x.matrix for x in self.hop_like(5)]
-        expect = (m[0].astype(np.int64) + m[1]) * 0.25
-        expect += (m[2].astype(np.int64) + m[3]) * 0.25
-        expect += m[4] * 0.25
-        assert np.array_equal(blend([SimilarityMatrix(x) for x in m], np.full(5, 0.25)), expect)
+    def test_uint32_matrices_widen_instead_of_wrapping(self):
+        big = np.full((4, 4), 4_000_000_000, dtype=np.uint32)
+        np.fill_diagonal(big, 0)
+        assert np.array_equal(blend([SimilarityMatrix(big)] * 3), big.astype(np.int64) * 3 * (1.0 / 3))
 
-    def test_equal_float_weights_stay_sequential(self):
-        rng = np.random.default_rng(4)
-        mats = []
-        for _ in range(5):
-            m = np.triu(rng.random((9, 9)), k=1)
-            mats.append(SimilarityMatrix(m + m.T))
-        expect = np.zeros((9, 9))
-        for m in mats:
-            expect += 0.2 * m.matrix
-        assert np.array_equal(blend(mats, np.full(5, 0.2)), expect)
+    # integer-valued floats plus halves, so every order of the float sum is exact
+    @pytest.mark.parametrize("at", [0, 2, 3])
+    def test_float_matrix_widens_the_sum(self, at):
+        mats = self.hop_like(4)
+        m = mats[at].matrix + 0.5
+        np.fill_diagonal(m, 0.0)
+        mats[at] = SimilarityMatrix(m)
+        total = sum(x.matrix.astype(np.float64) for x in mats)
+        assert np.array_equal(blend(mats), total * 0.25)
 
     def test_inputs_left_unchanged(self):
         mats = self.hop_like(3)
+        mats.insert(1, SimilarityMatrix(mats[0].matrix.astype(float)))
         before = [m.matrix.copy() for m in mats]
-        blend(mats, [0.5, 0.5, 0.5])
+        for head in (mats, mats[1:], mats[1:2], mats[:1]):
+            out = blend(head)
+            assert not any(np.shares_memory(out, m.matrix) for m in head)
         assert all(np.array_equal(m.matrix, b) for m, b in zip(mats, before))
 
     @pytest.mark.parametrize(
-        "mats,w,msg",
+        "mats,msg",
         [
-            ([], [], "at least one"),
-            ([SimilarityMatrix(np.zeros((2, 2)))], [1.0, 2.0], "weights"),
-            ([SimilarityMatrix(np.zeros((2, 2)))], [-1.0], "nonnegative"),
-            (
-                [SimilarityMatrix(np.zeros((2, 2))), SimilarityMatrix(np.zeros((3, 3)))],
-                [1.0, 1.0],
-                "mismatch",
-            ),
+            ([], "at least one"),
+            ([SimilarityMatrix(np.zeros((2, 2))), SimilarityMatrix(np.zeros((3, 3)))], "mismatch"),
         ],
     )
-    def test_invalid_rejected(self, mats, w, msg):
+    def test_invalid_rejected(self, mats, msg):
         with pytest.raises(GraftError, match=msg):
-            blend(mats, w)
+            blend(mats)
 
 
 class TestStreamedBlend:
@@ -540,16 +518,27 @@ class TestStreamedBlend:
             out.append(SimilarityMatrix((m + m.T).astype(np.uint8)))
         return out
 
-    @pytest.mark.parametrize("block_cells", [1, 40, metapath._BLEND_BLOCK_CELLS])
-    def test_generator_bitwise_equal_to_list(self, monkeypatch, block_cells):
-        monkeypatch.setattr(metapath, "_BLEND_BLOCK_CELLS", block_cells)
+    def test_generator_bitwise_equal_to_list(self):
         mats = self.mats()
-        w = np.random.default_rng(1).random(len(mats))
-        assert np.array_equal(blend((m for m in mats), w), blend(mats, w))
+        assert np.array_equal(blend(m for m in mats), blend(mats))
 
-    def test_too_few_matrices(self):
-        with pytest.raises(GraftError, match="got 4 matrices but 5 weights"):
-            blend((m for m in self.mats(count=4)), np.ones(5))
+    def test_generator_consumed_one_matrix_at_a_time(self):
+        # each matrix is made on demand and held only by the blend, which has
+        # let go of matrix k − 2 by the time it asks for matrix k
+        arrays = [m.matrix for m in self.mats(count=6)]
+        alive = []
+
+        def stream():
+            for k, a in enumerate(arrays):
+                if k >= 2:
+                    assert alive[k - 2]() is None
+                m = SimilarityMatrix(a.copy())
+                alive.append(weakref.ref(m.matrix))
+                yield m
+
+        total = sum(a.astype(np.int64) for a in arrays)
+        assert np.array_equal(blend(stream()), total * (1.0 / 6))
+        assert len(alive) == 6
 
     @staticmethod
     def counted(mats, pulled):
@@ -557,16 +546,10 @@ class TestStreamedBlend:
             pulled.append(m)
             yield m
 
-    def test_too_many_matrices_stop_the_stream(self):
-        pulled = []
-        with pytest.raises(GraftError, match="more than 5 matrices"):
-            blend(self.counted(self.mats(count=6), pulled), np.ones(5))
-        assert len(pulled) == 6
-
     def test_wrong_shape_mid_stream_stops_it(self):
         mats = self.mats(count=5)
         mats[2] = self.mats(n=8, count=1)[0]
         pulled = []
         with pytest.raises(GraftError, match="mismatch"):
-            blend(self.counted(mats, pulled), np.ones(5))
+            blend(self.counted(mats, pulled))
         assert len(pulled) == 3

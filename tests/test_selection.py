@@ -170,7 +170,7 @@ class TestFitWeightsOnHopMatrices:
         g = typed_random_graph(7)
         mats = metapath_distance_matrices(g, TransferConfig())
         assert {m.matrix.dtype for m in mats} == {np.dtype(np.uint8)}
-        embedding = mds_embed(blend(mats, np.full(len(mats), 1.0 / len(mats))), 4)
+        embedding = mds_embed(blend(mats), 4)
         got = fit_weights(embedding, mats, RIDGE)
         want = dense_fit_reference(embedding, mats, RIDGE)
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
@@ -249,8 +249,22 @@ class TestSelectionMemory:
         fit_selection_model(g)
         assert projected
 
+    @staticmethod
+    def cgroups(monkeypatch, tmp_path, lines, files):
+        """A fake ``/proc/self/cgroup`` of ``lines`` and memory hierarchies under
+        ``tmp_path``: v2 at ``v2/``, v1 at ``v1/``, with ``files`` (path: text) in them."""
+        proc = tmp_path / "proc-self-cgroup"
+        proc.write_text("".join(f"{line}\n" for line in lines))
+        monkeypatch.setattr(selection, "_PROC_CGROUP", str(proc))
+        monkeypatch.setattr(selection, "_CGROUP_V2_ROOT", str(tmp_path / "v2"))
+        monkeypatch.setattr(selection, "_CGROUP_V1_MEMORY_ROOT", str(tmp_path / "v1"))
+        for rel, text in files.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text)
+        monkeypatch.setattr(selection.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}.__getitem__)
+
     def test_physical_memory_from_sysconf(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(selection, "_CGROUP_MEMORY_MAX", str(tmp_path / "missing"))
+        monkeypatch.setattr(selection, "_PROC_CGROUP", str(tmp_path / "missing"))
         answers = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
         monkeypatch.setattr(selection.os, "sysconf", answers.__getitem__)
         assert selection._physical_memory_bytes() == 4096 * 1000
@@ -259,18 +273,14 @@ class TestSelectionMemory:
         monkeypatch.delattr(selection.os, "sysconf")  # as on Windows
         assert selection._physical_memory_bytes() is None
 
-
     @pytest.mark.parametrize(
         "limit,expect",
         [("3000000\n", 3_000_000), ("9000000\n", 4_096_000), ("max\n", 4_096_000), (None, 4_096_000)],
         ids=["below-physical", "above-physical", "max", "missing"],
     )
     def test_cgroup_limit_caps_physical_memory(self, monkeypatch, tmp_path, limit, expect):
-        path = tmp_path / "memory.max"
-        if limit is not None:
-            path.write_text(limit)
-        monkeypatch.setattr(selection, "_CGROUP_MEMORY_MAX", str(path))
-        monkeypatch.setattr(selection.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}.__getitem__)
+        # a cgroup namespace puts the process at the root of the v2 hierarchy
+        self.cgroups(monkeypatch, tmp_path, ["0::/"], {} if limit is None else {"v2/memory.max": limit})
         assert selection._physical_memory_bytes() == expect
         monkeypatch.delattr(selection.os, "sysconf")  # physical memory unknown: the limit alone
         assert selection._physical_memory_bytes() == (None if limit in (None, "max\n") else int(limit))
@@ -278,9 +288,35 @@ class TestSelectionMemory:
     def test_unreadable_cgroup_limit_sets_none(self, monkeypatch, tmp_path):
         # a directory in the file's place: open() raises IsADirectoryError, as it
         # raises PermissionError on an unreadable file, whatever user runs the test
-        monkeypatch.setattr(selection, "_CGROUP_MEMORY_MAX", str(tmp_path))
-        monkeypatch.setattr(selection.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}.__getitem__)
+        self.cgroups(monkeypatch, tmp_path, ["0::/app"], {"v2/app/memory.max/x": ""})
         assert selection._physical_memory_bytes() == 4_096_000
+        monkeypatch.setattr(selection, "_PROC_CGROUP", str(tmp_path))
+        assert selection._physical_memory_bytes() == 4_096_000
+
+    def test_smallest_limit_on_the_v2_path(self, monkeypatch, tmp_path):
+        # a MemoryMax= on a systemd slice limits every cgroup below it
+        files = {
+            "v2/memory.max": "5000000\n",
+            "v2/user.slice/memory.max": "2000000\n",
+            "v2/user.slice/run.scope/memory.max": "max\n",
+            "v2/other.slice/memory.max": "1000000\n",  # not on the process's path
+        }
+        self.cgroups(monkeypatch, tmp_path, ["0::/user.slice/run.scope"], files)
+        assert selection._physical_memory_bytes() == 2_000_000
+
+    def test_v1_memory_limit(self, monkeypatch, tmp_path):
+        files = {
+            "v1/memory.limit_in_bytes": "9223372036854771712\n",  # v1's "no limit"
+            "v1/jobs/memory.limit_in_bytes": "9223372036854771712\n",
+            "v1/jobs/a1/memory.limit_in_bytes": "3000000\n",
+            "v1/low/memory.limit_in_bytes": "1000000\n",  # only a cpu line names it
+        }
+        lines = ["9:name=systemd:/", "4:memory:/jobs/a1", "2:cpu,cpuacct:/low", "0::/"]
+        self.cgroups(monkeypatch, tmp_path, lines, files)
+        assert selection._physical_memory_bytes() == 3_000_000
+        # a v1 line that names memory beside other controllers
+        self.cgroups(monkeypatch, tmp_path, ["3:cpuset,memory:/low"], {})
+        assert selection._physical_memory_bytes() == 1_000_000
 
 
 def dense_objective_reference(embedding, mats, weights, lam):
@@ -306,7 +342,7 @@ class TestSelectionObjective:
         mats = metapath_distance_matrices(g, cfg)
         weights = uniform_weights(len(mats))
         want = dense_objective_reference(state.embedding, mats, weights, cfg.lam)
-        got = selection_objective(state.embedding, mats, weights, cfg.lam)
+        got = selection_objective(state.embedding, mats, cfg.lam)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert state.objective_trace == [got]
 
@@ -314,8 +350,7 @@ class TestSelectionObjective:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((6, 2))
         mats = [SimilarityMatrix(squared_row_distances(x))]
-        w = np.array([1.0])
-        obj = selection_objective(x, mats, w, lam=0.5)
+        obj = selection_objective(x, mats, lam=0.5)
         expect = 0.5 * (float((x * x).sum()) + 1.0)
         assert obj == pytest.approx(expect, rel=1e-12)
 
@@ -323,7 +358,7 @@ class TestSelectionObjective:
         x = np.array([[0.0], [1.0]])  # squared distance 1
         mats = [SimilarityMatrix(np.array([[0.0, 3.0], [3.0, 0.0]]))]
         # off-diagonal residual is -2 in both triangles
-        assert selection_objective(x, mats, np.array([1.0]), lam=0.0) == pytest.approx(8.0)
+        assert selection_objective(x, mats, lam=0.0) == pytest.approx(8.0)
 
 
 
@@ -344,7 +379,7 @@ class TestFitSelectionModel:
         s1 = fit_selection_model(g, cfg)
         s2 = fit_selection_model(g, cfg)
         mats = metapath_distance_matrices(g, cfg)
-        objective = selection_objective(s1.embedding, mats, uniform_weights(len(mats)), cfg.lam)
+        objective = selection_objective(s1.embedding, mats, cfg.lam)
         assert s1.objective_trace == [objective]
         assert np.array_equal(s1.embedding, s2.embedding)
         assert s1.objective_trace == s2.objective_trace
@@ -378,9 +413,10 @@ class TestFitSelectionModel:
         cfg = TransferConfig(max_path_len=max_path_len)
         mats = metapath_distance_matrices(g, cfg)
         assert len(mats) == n_paths
-        weights = uniform_weights(len(mats))
-        embedding = mds_embed(blend(mats, weights), cfg.d1)
-        obj = selection_objective(embedding, mats, weights, cfg.lam)
+        # the blend's oracle: the exact int64 sum of the hop matrices, scaled by 1/P
+        total = sum(m.matrix.astype(np.int64) for m in mats)
+        embedding = mds_embed(total * (1.0 / n_paths), cfg.d1)
+        obj = selection_objective(embedding, mats, cfg.lam)
         state = fit_selection_model(g, cfg)
         assert state.metapaths == [m.provenance for m in mats]
         assert np.array_equal(state.embedding, embedding)
