@@ -518,8 +518,11 @@ class TestStreamedBlend:
             out.append(SimilarityMatrix((m + m.T).astype(np.uint8)))
         return out
 
-    def test_generator_bitwise_equal_to_list(self):
-        mats = self.mats()
+    @pytest.mark.parametrize("count", [1, 40, 32768])
+    def test_generator_bitwise_equal_to_list(self, count):
+        # one matrix read in place, a short exact sum, and a stream long
+        # enough that its uint8 sum would overflow a uint16 accumulator
+        mats = self.mats(n=4, count=count)
         assert np.array_equal(blend(m for m in mats), blend(mats))
 
     def test_generator_consumed_one_matrix_at_a_time(self):
