@@ -2,8 +2,9 @@
 
 Scoring compares an estimated graph to a ground-truth graph: entities match by
 id, edges match by unordered id pair over the global id space (counted as
-integer keys over the truth's index), and weights are ignored. Baselines share
-the construction stage with the main pipeline where they have one.
+integer keys over the truth's index, searched among the truth's sorted keys),
+and weights are ignored. Baselines share the construction stage with the main
+pipeline where they have one.
 """
 
 from __future__ import annotations
@@ -56,17 +57,19 @@ def score(estimate: HeteroGraph, truth: HeteroGraph) -> EvalResult:
     maps to its truth index (-1 where the truth lacks it), and an edge whose
     endpoints both map keys as ``pos[row] * truth.n + pos[col]``. Both graphs
     index their ids in sorted order, so the map keeps row < col and the key is
-    the one the truth gives the same pair, ``rows * n + cols``.
+    the one the truth gives the same pair, ``rows * n + cols``. The truth's
+    edges are sorted by (row, col), so are its keys: each is found by bisection.
     """
     pos = np.fromiter(map(truth._index.get, estimate.entity_ids, repeat(-1)), np.intp, estimate.n)
     n_shared = int(np.count_nonzero(pos >= 0))
     ep, er, ef1, eflag = _prf(n_shared, estimate.n, truth.n)
     rows, cols, _ = estimate.edge_arrays()
     a, b = pos[rows], pos[cols]
-    keys = a * truth.n + b
+    keys = (a * truth.n + b)[(a >= 0) & (b >= 0)]
     true_rows, true_cols, _ = truth.edge_arrays()
-    hits = np.isin(keys[(a >= 0) & (b >= 0)], true_rows * truth.n + true_cols)
-    dp, dr, df1, dflag = _prf(int(np.count_nonzero(hits)), estimate.edge_count, truth.edge_count)
+    true_keys = np.append(true_rows * truth.n + true_cols, truth.n * truth.n)  # a sentinel above every key
+    hits = np.count_nonzero(true_keys[np.searchsorted(true_keys, keys)] == keys)
+    dp, dr, df1, dflag = _prf(int(hits), estimate.edge_count, truth.edge_count)
     return EvalResult(
         entity_precision=ep,
         entity_recall=er,

@@ -10,10 +10,13 @@ change drops below ``CONSTRUCTION_TOL``.
 
 The objective and gradient are evaluated in factored form (Burer & Monteiro,
 Math. Prog. 2003): with ``G = u.T @ u``,
-``||u u^T - A||_F^2 = ||G||_F^2 - 2 sum(u * (A @ u)) + ||A||_F^2`` and
-``(u u^T - A) @ u = u @ G - A @ u``. Both adjacencies are read as the graphs'
-cached CSR, so one evaluation costs O(nnz * rank + n * rank^2) and the descent
-loop never forms an n x n array.
+``||u u^T - A||_F^2 = ||G||_F^2 - 2 <u, A @ u> + ||A||_F^2`` and
+``(u u^T - A) @ u = u @ G - A @ u``. One evaluation forms ``G`` once and one
+sparse product ``A @ u`` per term of nonzero weight (none for the smoothness
+term at mu = 0, none for the consistency term at mu = 1), on the graphs' cached
+CSR; every scalar is a dot product (``||u||_F^2`` is ``trace(G)``), and the
+gradient is assembled in the ``u @ G`` buffer. So an evaluation costs
+O(nnz * rank + n * rank^2) and the descent loop never forms an n x n array.
 
 The spectral start is Lanczos on the sparse blend ``mu * A_T + (1 - mu) * A_S``
 through ``numerics._lanczos_topk``, the solve MDS uses, to the residual
@@ -85,9 +88,9 @@ class ReconstructionProblem:
 class _Evaluation:
     """The objective at ``u`` with the products its gradient reuses.
 
-    ``G = u.T @ u`` and both ``A @ u`` are formed once here, so a descent step
-    that accepts a trial point takes the gradient there without forming them
-    again.
+    ``G = u.T @ u`` and the ``A @ u`` of each term of nonzero weight are formed
+    once here, so a descent step that accepts a trial point takes the gradient
+    there without forming them again.
     """
 
     def __init__(self, u: np.ndarray, prob: ReconstructionProblem):
@@ -95,21 +98,21 @@ class _Evaluation:
         n = prob.n
         if u.shape[0] != n:
             raise GraftError(f"u has {u.shape[0]} rows but the problem has {n} entities")
-        a_t, a_s = prob.target.csr(), prob.source.csr()
-        sq_t, sq_s = float(a_t.nnz), float(a_s.nnz)  # squared norms of 0/1 matrices
+        a_t, a_s = prob.target.csr(), prob.source.csr()  # nnz is the squared norm of a 0/1 matrix
         self.u = u
         self.prob = prob
         self.gram = u.T @ u
-        self.au_t = a_t @ u
-        self.au_s = a_s @ u
         self.pairs = n * (n - 1)
-        gram_sq = float((self.gram * self.gram).sum())
-        smooth = gram_sq - 2.0 * float((u * self.au_t).sum()) + sq_t
-        self.gap = (gram_sq - 2.0 * float((u * self.au_s).sum()) + sq_s) / self.pairs
-        self.value = (
+        gram_sq = np.vdot(self.gram, self.gram)
+        self.au_t = a_t @ u if prob.mu > 0.0 else None  # at mu = 0 or 1 one term weighs nothing
+        self.au_s = a_s @ u if prob.mu < 1.0 else None
+        smooth = 0.0 if self.au_t is None else gram_sq - 2.0 * np.vdot(u, self.au_t) + a_t.nnz
+        self.gap = prob.observed_gap if self.au_s is None else (
+            gram_sq - 2.0 * np.vdot(u, self.au_s) + a_s.nnz) / self.pairs
+        self.value = float(
             prob.mu * smooth
             + (1.0 - prob.mu) * (self.gap - prob.observed_gap) ** 2
-            + prob.reg * float((u * u).sum())
+            + prob.reg * np.trace(self.gram)
         )
 
     @property
@@ -119,13 +122,17 @@ class _Evaluation:
         return self.value
 
     def gradient(self) -> np.ndarray:
-        prob, u = self.prob, self.u
-        ug = u @ self.gram
-        grad = (
-            4.0 * prob.mu * (ug - self.au_t)
-            + (1.0 - prob.mu) * 2.0 * (self.gap - prob.observed_gap) * (4.0 / self.pairs) * (ug - self.au_s)
-            + 2.0 * prob.reg * u
-        )
+        """``u G (4 mu + c) - 4 mu A_T u - c A_S u + 2 reg u``, assembled in the
+        ``u G`` buffer, with ``c = (1 - mu) 2 (gap - observed_gap) 4 / (n (n - 1))``."""
+        prob = self.prob
+        c = (1.0 - prob.mu) * 2.0 * (self.gap - prob.observed_gap) * (4.0 / self.pairs)
+        grad = self.u @ self.gram
+        grad *= 4.0 * prob.mu + c
+        if self.au_t is not None:
+            grad -= 4.0 * prob.mu * self.au_t
+        if self.au_s is not None:
+            grad -= c * self.au_s
+        grad += 2.0 * prob.reg * self.u
         if not np.isfinite(grad).all():
             raise GraftError("reconstruction gradient is not finite")
         return grad

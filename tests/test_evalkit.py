@@ -91,6 +91,12 @@ class TestScore:
         }
 
 
+def random_pairs_graph(rng, ids, p=0.3):
+    """The ids, each pair of them an edge with probability p."""
+    ids = sorted(ids)
+    return graph_of(ids, [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < p])
+
+
 def exactly_equal(a: EvalResult, b: EvalResult) -> bool:
     """Field by field, floats compared bit for bit."""
     fa, fb = a.to_dict(), b.to_dict()
@@ -136,12 +142,23 @@ class TestScoreOracle:
         rng = np.random.default_rng(5)
         pool = [f"e{i:02d}" for i in range(40)]
         for _ in range(30):
-            graphs = []
-            for _ in range(2):
-                ids = sorted(rng.choice(pool, size=int(rng.integers(2, 30)), replace=False))
-                pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < 0.3]
-                graphs.append(graph_of(ids, pairs))
+            graphs = [random_pairs_graph(rng, rng.choice(pool, size=int(rng.integers(2, 30)), replace=False))
+                      for _ in range(2)]
             assert exactly_equal(score(*graphs), reference_score(*graphs))
+
+    @pytest.mark.parametrize("kind", ["disjoint", "no-estimate-edges", "no-truth-edges", "identical"])
+    def test_random_graph_pairs(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            ids = [f"e{i:02d}" for i in rng.permutation(40)]
+            n_est, n_truth = (int(k) for k in rng.integers(2, 20, size=2))
+            est = random_pairs_graph(rng, ids[:n_est], p=0.0 if kind == "no-estimate-edges" else 0.3)
+            if kind == "identical":
+                truth = HeteroGraph(est.entity_items(), est.edges())
+            else:
+                start = n_est if kind == "disjoint" else int(rng.integers(0, n_est))
+                truth = random_pairs_graph(rng, ids[start:start + n_truth], p=0.0 if kind == "no-truth-edges" else 0.3)
+            assert exactly_equal(score(est, truth), reference_score(est, truth))
 
     def test_synthetic_instance(self):
         gs, truth, gt_hat = generate(SynthSpec(120, 60, dynamic_factor=0.2, maturity=0.5, seed=1))

@@ -67,6 +67,27 @@ def naive_objective(u, prob):
     return prob.mu * smooth + (1.0 - prob.mu) * (gap - prob.observed_gap) ** 2 + reg
 
 
+def direct_formulas(u, prob):
+    """The factored objective and gradient written out term by term, in the
+    evaluator's floating-point order, forming both sparse products at every mu."""
+    a_t = sp.csr_matrix(prob.target.csr().toarray())
+    a_s = sp.csr_matrix(prob.source.csr().toarray())
+    gram = u.T @ u
+    au_t, au_s = a_t @ u, a_s @ u
+    pairs = prob.n * (prob.n - 1)
+    gram_sq = np.vdot(gram, gram)
+    smooth = gram_sq - 2.0 * np.vdot(u, au_t) + float((a_t.data * a_t.data).sum())
+    gap = (gram_sq - 2.0 * np.vdot(u, au_s) + float((a_s.data * a_s.data).sum())) / pairs
+    value = (
+        prob.mu * smooth
+        + (1.0 - prob.mu) * (gap - prob.observed_gap) ** 2
+        + prob.reg * np.trace(gram)
+    )
+    c = (1.0 - prob.mu) * 2.0 * (gap - prob.observed_gap) * (4.0 / pairs)
+    grad = (u @ gram) * (4.0 * prob.mu + c) - 4.0 * prob.mu * au_t - c * au_s + 2.0 * prob.reg * u
+    return value, grad
+
+
 def reference_solve(prob, config):
     """Descent loop that evaluates the objective and the gradient separately.
 
@@ -113,31 +134,34 @@ class TestObjective:
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
     def test_bitwise_equal_to_direct_formulas(self, mu):
-        # the factored objective and gradient written out term by term, in
-        # the same floating-point order; any reordering shows up in the last bits
+        # any reordering of the floating-point operations shows up in the last bits
         prob = make_problem(mu=mu, n=60, rank=6)
         u = np.random.default_rng(11).standard_normal((prob.n, prob.rank))
-        a_t = sp.csr_matrix(prob.target.csr().toarray())
-        a_s = sp.csr_matrix(prob.source.csr().toarray())
-        gram = u.T @ u
-        au_t, au_s = a_t @ u, a_s @ u
-        pairs = prob.n * (prob.n - 1)
-        gram_sq = float((gram * gram).sum())
-        smooth = gram_sq - 2.0 * float((u * au_t).sum()) + float((a_t.data * a_t.data).sum())
-        gap = (gram_sq - 2.0 * float((u * au_s).sum()) + float((a_s.data * a_s.data).sum())) / pairs
-        value = (
-            prob.mu * smooth
-            + (1.0 - prob.mu) * (gap - prob.observed_gap) ** 2
-            + prob.reg * float((u * u).sum())
-        )
-        ug = u @ gram
-        grad = (
-            4.0 * prob.mu * (ug - au_t)
-            + (1.0 - prob.mu) * 2.0 * (gap - prob.observed_gap) * (4.0 / pairs) * (ug - au_s)
-            + 2.0 * prob.reg * u
-        )
+        value, grad = direct_formulas(u, prob)
         assert reconstruction_objective(u, prob) == value
         assert np.array_equal(reconstruction_gradient(u, prob), grad)
+
+    @pytest.mark.parametrize(
+        "mu,products", [(0.0, ["source"]), (0.5, ["target", "source"]), (1.0, ["target"])], ids=["0.0", "0.5", "1.0"]
+    )
+    def test_a_term_of_zero_weight_forms_no_sparse_product(self, mu, products, monkeypatch):
+        prob = make_problem(mu=mu, n=60, rank=6)
+        u = np.random.default_rng(11).standard_normal((prob.n, prob.rank))
+        value, grad = direct_formulas(u, prob)  # forms both products, before the count starts
+        names = {id(prob.target.csr()): "target", id(prob.source.csr()): "source"}
+        formed = []
+        csr_type = type(prob.target.csr())
+        matmul = csr_type.__matmul__
+
+        def counted(a, b):
+            formed.append(names.get(id(a), "other"))
+            return matmul(a, b)
+
+        monkeypatch.setattr(csr_type, "__matmul__", counted)
+        evaluation = reconstruction._Evaluation(u, prob)
+        assert (evaluation.objective, formed) == (value, products)
+        assert np.array_equal(evaluation.gradient(), grad)
+        assert formed == products  # the gradient reuses the evaluation's products
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
     def test_gradient_matches_dense_formula(self, mu):
