@@ -33,7 +33,9 @@ class TransferConfig:
 
     ``lam`` is the regularization weight of both model-fitting stages.
     ``mu`` is the smoothness/consistency mix of the construction stage; None
-    selects it automatically from the entity counts.
+    selects it automatically from the entity counts. ``eta0`` is the first
+    trial step of the construction's descent; each later iteration starts from
+    the step the previous one accepted, doubled if it took no halving.
     """
 
     lam: float = 0.1

@@ -4,9 +4,12 @@ a cross-domain consistency term.
 The reconstruction factors ``u`` (n x rank) score entity pairs by ``u @ u.T``.
 The objective balances fitting the observed target adjacency against keeping
 the discrepancy to the source adjacency at its observed level, plus ridge
-regularization. It is minimized by full-batch gradient descent with
-backtracking line search from a spectral start until the relative objective
-change drops below ``CONSTRUCTION_TOL``.
+regularization. It is minimized by full-batch gradient descent with an
+adaptive backtracking step (Armijo, Pacific J. Math. 1966; Nesterov, Math.
+Prog. 2013) from a spectral start until the relative objective change drops
+below ``CONSTRUCTION_TOL``: the first iteration tries ``eta0``, each later one
+starts from the step the previous iteration accepted, doubled when that step
+needed no halving, and a trial that raises the objective halves the step.
 
 The objective and gradient are evaluated in factored form (Burer & Monteiro,
 Math. Prog. 2003): with ``G = u.T @ u``,
@@ -167,24 +170,28 @@ class ReconstructionSolution:
 
 
 def _check_diverged(value: float) -> float:
+    """Reject a start objective that is not finite or beyond ``DIVERGENCE_LIMIT``:
+    the ridge term ``reg * ||u||_F^2``, ``reg`` being ``config.lam``, puts it there."""
     if not np.isfinite(value) or value > DIVERGENCE_LIMIT:
         raise GraftError(
-            f"reconstruction objective diverged (> {DIVERGENCE_LIMIT:.0e}); "
-            "reduce the step size eta0"
+            f"reconstruction start objective {value:.3g} exceeds {DIVERGENCE_LIMIT:.0e}; "
+            "lower lam, the regularization weight"
         )
     return value
 
 
 def solve_reconstruction(prob: ReconstructionProblem, config: TransferConfig | None = None) -> ReconstructionSolution:
-    """Gradient descent with backtracking from a spectral start.
+    """Gradient descent with an adaptive backtracking step from a spectral start.
 
     The start point (``_spectral_start``) takes the top-rank eigenpairs of
     ``mu * A_T + (1 - mu) * A_S`` by Lanczos, scaled by the square roots of
     the clipped eigenvalues, plus a small perturbation seeded by
-    ``config.seed`` to break symmetry. Each iteration resets the step to
-    ``eta0`` and halves it until the objective does not increase; the run
-    stops when the relative change drops below ``CONSTRUCTION_TOL``, at the
-    iteration cap, or when ``MAX_BACKTRACKS`` halvings find no descent. Each accepted point is
+    ``config.seed`` to break symmetry. The first iteration tries the step
+    ``eta0``; each later one starts from the step the previous iteration
+    accepted, doubled if it was accepted without a halving. A trial that
+    raises the objective halves the step. The run stops when the relative
+    change drops below ``CONSTRUCTION_TOL``, at the iteration cap, or when
+    ``MAX_BACKTRACKS`` halvings find no descent. Each accepted point is
     evaluated once: its gradient comes from the products of that evaluation.
     """
     config = config or TransferConfig()
@@ -193,10 +200,10 @@ def solve_reconstruction(prob: ReconstructionProblem, config: TransferConfig | N
     trace = [obj]
     backtracks = 0
     stop = "iteration cap"
+    eta = config.eta0
     for _ in range(config.construction_max_iters):
         grad = current.gradient()
-        eta = config.eta0
-        for _ in range(MAX_BACKTRACKS):
+        for halvings in range(MAX_BACKTRACKS):
             trial = _Evaluation(current.u - eta * grad, prob)
             if trial.value <= obj:  # False for a non-finite trial
                 break
@@ -205,6 +212,8 @@ def solve_reconstruction(prob: ReconstructionProblem, config: TransferConfig | N
         else:
             stop = f"no descent after {MAX_BACKTRACKS} halvings"
             break
+        if halvings == 0:  # accepted at its first trial: try twice the step next
+            eta *= 2.0
         prev, current, obj = obj, trial, trial.value
         trace.append(obj)
         if abs(obj - prev) / max(abs(prev), 1e-30) < CONSTRUCTION_TOL:

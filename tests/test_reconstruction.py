@@ -13,8 +13,12 @@ from graft import (
     ReconstructionProblem,
     SynthSpec,
     TransferConfig,
+    construct_dependencies,
     finalize_edges,
+    fit_selection_model,
     generate,
+    merge_transferred_entities,
+    relevance_scores,
     run_transfer,
     solve_reconstruction,
 )
@@ -92,18 +96,20 @@ def reference_solve(prob, config):
     """Descent loop that evaluates the objective and the gradient separately.
 
     It starts where the solver does, so it pins the descent loop, not the
-    eigensolve. Returns the factors, the accepted-objective trace and the
-    number of step halvings, for comparison with ``solve_reconstruction``.
+    eigensolve. The first iteration tries ``eta0``; each later one starts
+    from the step the previous one accepted, doubled if it took no halving.
+    Returns the factors, the accepted-objective trace and the number of step
+    halvings, for comparison with ``solve_reconstruction``.
     """
     u = _spectral_start(prob, config.seed)  # the start is pinned by TestSpectralStart
     obj = _check_diverged(reconstruction_objective(u, prob))
     trace = [obj]
     halvings = 0
+    eta = config.eta0
     for _ in range(config.construction_max_iters):
         grad = reconstruction_gradient(u, prob)
-        eta = config.eta0
         candidate = None
-        for _ in range(MAX_BACKTRACKS):
+        for tries in range(1, MAX_BACKTRACKS + 1):
             trial = u - eta * grad
             try:
                 trial_obj = reconstruction_objective(trial, prob)
@@ -116,6 +122,8 @@ def reference_solve(prob, config):
             halvings += 1
         if candidate is None:
             break
+        if tries == 1:
+            eta *= 2.0
         prev, u, obj = obj, candidate, _check_diverged(trial_obj)
         trace.append(obj)
         if abs(obj - prev) / max(abs(prev), 1e-30) < reconstruction.CONSTRUCTION_TOL:
@@ -419,10 +427,59 @@ class TestSolve:
         else:
             assert sol.iterations == 0 and halvings == MAX_BACKTRACKS
 
+    def test_step_starts_at_eta0_and_adapts(self, monkeypatch):
+        # records every trial step, grouped by iteration, in powers of two of eta0
+        eta0 = 0.01
+        iterations = []
+
+        class Recording(reconstruction._Evaluation):
+            def __init__(self, u, prob):
+                super().__init__(u, prob)
+                if iterations:  # a trial of the running iteration, not the start
+                    u0, grad, steps = iterations[-1]
+                    step = np.vdot(u0 - self.u, grad) / np.vdot(grad, grad)
+                    power = np.log2(step / eta0)
+                    assert power == pytest.approx(round(power), abs=1e-9)
+                    steps.append(round(power))
+
+            def gradient(self):
+                grad = super().gradient()
+                iterations.append((self.u, grad, []))
+                return grad
+
+        monkeypatch.setattr(reconstruction, "_Evaluation", Recording)
+        sol = solve_reconstruction(make_problem(mu=0.5, n=14, rank=5), TransferConfig(eta0=eta0))
+        steps = [s for _, _, s in iterations]
+        assert len(steps) == sol.iterations
+        assert sum(len(s) - 1 for s in steps) == sol.backtracks
+        assert steps[0][0] == 0  # the first trial is eta0
+        for s in steps:  # each rejected trial halves the step
+            assert s == list(range(s[0], s[0] - len(s), -1))
+        clean = halved = 0
+        for before, after in zip(steps, steps[1:]):
+            if len(before) == 1:  # accepted at once: the next iteration doubles it
+                assert after[0] == before[-1] + 1
+                clean += 1
+            else:  # accepted after halving: the next iteration starts there
+                assert after[0] == before[-1]
+                halved += 1
+        assert clean > 0 and halved > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mu_grid_stops_by_tolerance(self, seed):
+        config = TransferConfig()
+        gs, _, gh = generate(SynthSpec(300, 150, dynamic_factor=0.2, maturity=0.5, seed=seed))
+        scores = relevance_scores(fit_selection_model(gs, config), gs, gh)
+        merged = merge_transferred_entities(gh, gs, sorted(e for e, s in scores.items() if s >= config.z_entity))
+        for mu in [i / 10 for i in range(11)]:
+            _, sol, _ = construct_dependencies(gs, gh, merged, mu, config)
+            assert sol.stop_reason == "tolerance", f"mu {mu}: {sol.stop_reason} after {sol.iterations}"
+
     def test_divergent_setup_rejected(self):
         prob = make_problem(reg=1e20)
-        with pytest.raises(GraftError, match="diverged"):
+        with pytest.raises(GraftError, match="start objective .* lower lam, the regularization weight") as err:
             solve_reconstruction(prob, TransferConfig())
+        assert "eta0" not in str(err.value)
 
 
 class TestSpectralStart:
