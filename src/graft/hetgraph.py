@@ -143,7 +143,7 @@ class HeteroGraph:
         Self-loops and duplicate (unordered) edges are rejected.
     """
 
-    __slots__ = ("_ids", "_types", "_index", "_rows", "_cols", "_weights", "_csr")
+    __slots__ = ("_ids", "_types", "_index", "_rows", "_cols", "_weights", "_csr", "_codes")
 
     def __init__(self, entities: Iterable[tuple[str, str]] = (), edges: Iterable[tuple] = ()):
         self._init(*_columns(entities, edges))
@@ -163,7 +163,7 @@ class HeteroGraph:
         self._rows, self._cols, self._weights = rows, cols, weights
         for arr in (self._rows, self._cols, self._weights):
             arr.flags.writeable = False
-        self._csr = None
+        self._csr = self._codes = None
         return self
 
     def _with_edges(self, rows, cols, weights) -> HeteroGraph:
@@ -230,6 +230,15 @@ class HeteroGraph:
             ends = np.concatenate([self._rows, self._cols]), np.concatenate([self._cols, self._rows])
             self._csr = sp.csr_matrix((np.ones(2 * self.edge_count), ends), shape=(self.n, self.n))
         return self._csr
+
+    def type_codes(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The sorted distinct entity types and each entity's position among them
+        as a read-only integer array, cached."""
+        if self._codes is None:
+            names, codes = np.unique(np.array(self._types, dtype=str), return_inverse=True)
+            codes.flags.writeable = False
+            self._codes = tuple(names.tolist()), codes
+        return self._codes
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeteroGraph):

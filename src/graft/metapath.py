@@ -2,21 +2,26 @@
 
 A meta-path is a sequence of entity types. Projecting a graph along a
 meta-path yields a symmetric sparse matrix over its entity index that counts
-the walks realizing the type sequence between two distinct endpoints: a
-product of typed blocks of the cached binary adjacency ``HeteroGraph.csr``.
+the walks realizing the type sequence between two distinct endpoints: the
+product of the path's typed blocks A[t_i, t_{i+1}] of the cached binary
+adjacency ``HeteroGraph.csr``, taken over each type's entities by their
+integer type codes and written into the n × n index once.
 Distance matrices are hop counts on the projection, unreachable pairs one
 past the longest hop, held as small unsigned integers (one byte per pair
 below 255 hops). They come from a multi-source BFS over the projection's
 index arrays that keeps one bit per source, so a single sparse OR-gather
 advances every source by one hop. That costs O(nnz·k/64) words per hop over
-the k non-isolated entities, and one ``uint8`` add of hop × the new bits
-records the hop, so no float matrix is made; the few sources still running
-after 32 hops finish with per-source Dijkstra. The live block is scattered
-into the n × n matrix by rows and then by columns, and pairs the bitsets
-never reached are read off as hop count 0 off the diagonal.
+the k non-isolated entities, relabelled 0..k−1 through an index map, and one
+``uint8`` add of hop × the new bits records the hop, so no float matrix is
+made; the few sources still running after 32 hops finish with per-source
+Dijkstra. The n × n matrix is one row gather from a (k+1) × n strip of the
+live rows and a row of caps, and pairs the bitsets never reached are read
+off as hop count 0 off the diagonal.
 Blending averages the matrices with equal weights, one at a time (a
-generator will do): unsigned matrices are summed exactly in a ``uint32``
-accumulator, and the sum is scaled by 1/P once into the float64 result.
+generator will do): unsigned matrices are summed exactly in the narrowest
+unsigned accumulator that holds P × the dtype maximum (``uint16`` for 24
+``uint8`` hop matrices), and the sum is scaled by 1/P once into the float64
+result.
 """
 
 from __future__ import annotations
@@ -90,11 +95,11 @@ def enumerate_metapaths(g: HeteroGraph, max_len: int = 3) -> list[MetaPath]:
     """
     if max_len < 2:
         raise GraftError(f"max_len must be at least 2, got {max_len}")
-    types = np.array(g.entity_types, dtype=str)
+    names, codes = g.type_codes()
     adj = g.csr().tocoo()  # holds both orientations of every edge
     succ: dict[str, set[str]] = {}
-    for ta, tb in set(zip(types[adj.row].tolist(), types[adj.col].tolist())):
-        succ.setdefault(ta, set()).add(tb)
+    for a, b in set(zip(codes[adj.row].tolist(), codes[adj.col].tolist())):
+        succ.setdefault(names[a], set()).add(names[b])
     found: set[MetaPath] = set()
 
     def walk(seq: tuple[str, ...]) -> None:
@@ -118,18 +123,32 @@ def project(g: HeteroGraph, p: MetaPath) -> sp.csr_matrix:
     diagonal is empty, and only positive counts are stored. Entities whose
     type matches neither endpoint of ``p`` have empty rows. Weights of the
     original graph are ignored; counting is over binary adjacency.
+
+    Only the path's typed blocks A[t_i, t_{i+1}] of ``g.csr()`` are
+    multiplied, over the entities of each type (``HeteroGraph.type_codes``);
+    the |t_0| × |t_k| product is written into the n × n index once.
     """
-    types = np.array(g.entity_types)
+    names, codes = g.type_codes()
+    code = {t: c for c, t in enumerate(names)}
+    members = [np.flatnonzero(codes == code.get(t, -1)) for t in p.types]
     adj = g.csr()
+    m = adj[members[0]][:, members[1]]
+    for a, b in zip(members[1:-1], members[2:]):
+        m = m @ adj[a][:, b]
+    if p.types[0] != p.types[-1]:  # the two end types' entities are disjoint, so no diagonal
+        w = _scatter(m, members[0], members[-1], g.n)
+        return w + w.T
+    if not p.is_palindrome():
+        m = m + m.T
+    # the block's diagonal is the projection's; the CSR difference drops the zeros it leaves
+    return _scatter(m - sp.diags(m.diagonal()), members[0], members[0], g.n)
 
-    def mask(t: str) -> sp.dia_matrix:
-        return sp.diags((types == t).astype(float))
 
-    m = mask(p.types[0]) @ adj @ mask(p.types[1])
-    for t in p.types[2:]:
-        m = m @ adj @ mask(t)
-    w = m if p.is_palindrome() else m + m.T
-    return w - sp.diags(w.diagonal())  # the CSR difference drops the zeros it leaves
+def _scatter(block: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_matrix:
+    """The n × n CSR holding ``block`` at the sorted index arrays ``rows`` × ``cols``."""
+    indptr = np.zeros(n + 1, dtype=block.indptr.dtype)
+    indptr[rows + 1] = np.diff(block.indptr)
+    return sp.csr_matrix((block.data, cols[block.indices], np.cumsum(indptr, out=indptr)), shape=(n, n))
 
 
 def path_distance_matrix(adj: sp.csr_matrix, provenance: MetaPath | None = None) -> SimilarityMatrix:
@@ -142,17 +161,24 @@ def path_distance_matrix(adj: sp.csr_matrix, provenance: MetaPath | None = None)
     the narrowest unsigned integer dtype that holds the cap (``uint8`` while
     the longest hop is below 255).
 
-    Isolated entities are set aside first. Over the k others a bit-parallel
+    Isolated entities are set aside first: the k others are relabelled
+    0..k−1 through an index map over the CSR arrays. Over them a bit-parallel
     BFS runs all sources at once, one hop per O(nnz·k/64)-word OR-gather,
     counting hops into a ``uint8`` k × k matrix; pairs its bits never reach
     take the cap. Sources whose BFS has not ended after ``_BITSET_HOPS`` (32)
     hops finish with Dijkstra, O(nnz + k log k) each, whose rows go into the
     chosen dtype. Hop counts are exact, so the result equals a per-source BFS
-    bit for bit.
+    bit for bit. The n × n matrix is one row gather from a (k+1) × n strip:
+    the k live rows, then a row of caps for every isolated entity.
     """
     n = adj.shape[0]
     live = np.flatnonzero(np.diff(adj.indptr))
-    hops, todo, far = _hop_counts(adj[live][:, live])
+    k = len(live)
+    label = np.full(n, k)
+    label[live] = np.arange(k)
+    # an empty row stores nothing, so the live rows' extents are the indptr at their starts
+    indptr = np.append(adj.indptr[live], adj.indptr[-1])
+    hops, todo, far = _hop_counts(sp.csr_matrix((adj.data, label[adj.indices], indptr), shape=(k, k)))
     reached = np.isfinite(far)
     cap = int(max(hops.max(initial=0), far[reached].max(initial=0.0))) + 1
     dtype = np.min_scalar_type(cap)
@@ -160,11 +186,9 @@ def path_distance_matrix(adj: sp.csr_matrix, provenance: MetaPath | None = None)
     block = hops.astype(dtype, copy=False)
     block[hops == 0] = cap
     block[todo] = np.where(reached, far, cap)
-    # the block's columns into a strip of whole rows, then its rows: faster than one np.ix_ scatter
-    rows = np.full((len(live), n), cap, dtype=dtype)
-    rows[:, live] = block
-    dist = np.full((n, n), cap, dtype=dtype)
-    dist[live] = rows
+    strip = np.full((k + 1, n), cap, dtype=dtype)
+    strip[:k, live] = block
+    dist = strip[label]
     np.fill_diagonal(dist, 0)
     return SimilarityMatrix(dist, provenance)
 
@@ -217,19 +241,30 @@ def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
     return np.unpackbits(bits.view(np.uint8), axis=1, count=k, bitorder="little")
 
 
-# the largest sum the blend's uint32 accumulator holds
+# the largest sum the blend's integer accumulators hold
 _SUM_LIMIT = int(np.iinfo(np.uint32).max)
+
+
+def _sum_dtype(bound: float) -> type:
+    """The narrowest accumulator that holds sums up to ``bound``: ``uint16``, ``uint32``, else float64."""
+    for dtype in (np.uint16, np.uint32):
+        if bound <= min(np.iinfo(dtype).max, _SUM_LIMIT):
+            return dtype
+    return np.float64
 
 
 def blend(mats: Iterable[SimilarityMatrix]) -> np.ndarray:
     """Uniform mean ΣM/P of P similarity matrices as a float64 array.
 
     ``mats`` may be a generator; each matrix is added as it arrives.
-    Unsigned integer matrices are summed exactly in a ``uint32``
-    accumulator, the first read in place until a second joins it. The
-    accumulator becomes float64, once, when a matrix that is not unsigned
-    arrives or when the sum's bound (P × the dtype maximum) would pass
-    2³² − 1. The sum is scaled by 1.0/P once at the end.
+    Unsigned integer matrices are summed exactly in the narrowest unsigned
+    accumulator that holds the sum's bound, P × the dtype maximum (``uint16``
+    for 24 ``uint8`` hop matrices, 2·n² bytes), the first read in place until
+    a second joins it. The accumulator widens as the bound grows, to
+    ``uint32`` past 2¹⁶ − 1 and to float64 past 2³² − 1 or when a matrix
+    that is not unsigned arrives; each widening is one new array. The exact
+    sum is scaled by 1.0/P once at the end, so the result does not depend on
+    the accumulator's width.
     """
     total = None
     for k, m in enumerate(mats):
@@ -241,7 +276,7 @@ def blend(mats: Iterable[SimilarityMatrix]) -> np.ndarray:
         if m.shape != total.shape:
             raise GraftError(f"matrix shape mismatch: {m.shape} vs {total.shape}")
         bound += top
-        dtype = np.uint32 if bound <= _SUM_LIMIT else np.float64
+        dtype = _sum_dtype(bound)
         if k == 1 or total.dtype != dtype:  # the first matrix is read in place; a wider sum is a new array
             total = np.add(total, m, dtype=dtype)
         else:

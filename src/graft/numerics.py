@@ -1,5 +1,6 @@
 """Deterministic numerical kernels: the symmetric eigensolves, the threaded
-dense product, clamped ridge regression, and the row moments of x xᵀ.
+dense and symmetric products, clamped ridge regression, and the row moments
+of x xᵀ.
 
 ``_lanczos_topk`` is the one top-k eigensolve of the pipeline: ARPACK's
 Lanczos iteration on a symmetric operator given as a function (MDS's double
@@ -14,9 +15,11 @@ numpy and scipy each load their own OpenBLAS with its own thread pool.
 ARPACK's BLAS calls run in scipy's pool; a threaded numpy product between
 them runs in numpy's, and the two pools' idle workers spin against each other
 (README, "One BLAS pool"). So the dense products beside the eigensolves go
-through ``_matmul``, which calls ``scipy.linalg.blas`` directly. All routines
-fix sign and ordering conventions so that identical inputs give
-bit-identical outputs on a given platform and BLAS thread count.
+through ``_matmul`` and, for a symmetric matrix such as MDS's blend,
+``_symmul``, which reads one triangle of it (``dsymv``); both call
+``scipy.linalg.blas`` directly. All routines fix sign and ordering
+conventions so that identical inputs give bit-identical outputs on a given
+platform and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -95,6 +98,21 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.ndim == 1:
         return blas.dgemv(1.0, a.T, b, trans=1)
     return blas.dgemm(1.0, b.T, a.T).T
+
+
+def _symmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a symmetric C-contiguous float64 ``a`` and a 1-d or 2-d
+    ``b``, through scipy's BLAS, reading one triangle of ``a``.
+
+    One call: ``dsymv`` for a 1-d ``b``, else ``dsymm`` with ``a`` on the
+    right of ``bᵀ``. ``aᵀ`` is passed, a Fortran-contiguous view whose upper
+    triangle is ``a``'s lower one, so nothing is copied. A matrix–vector
+    product reads n²/2 entries instead of ``dgemv``'s n², and agrees with it
+    to rounding, not bit for bit.
+    """
+    if b.ndim == 1:
+        return blas.dsymv(1.0, a.T, b)
+    return blas.dsymm(1.0, a.T, b.T, side=1).T
 
 
 def _check_symmetric(m: np.ndarray, k: int) -> None:

@@ -195,8 +195,10 @@ def solve_reconstruction(prob: ReconstructionProblem, config: TransferConfig | N
     evaluated once: its gradient comes from the products of that evaluation.
     """
     config = config or TransferConfig()
-    current = _Evaluation(_spectral_start(prob, config.seed), prob)
-    obj = _check_diverged(current.objective)
+    start = _spectral_start(prob, config.seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # a start that overflows is _check_diverged's to name
+        current = _Evaluation(start, prob)
+    obj = _check_diverged(current.value)
     trace = [obj]
     backtracks = 0
     stop = "iteration cap"

@@ -2,13 +2,15 @@
 
 The selection model embeds the source graph with classical MDS of the
 uniform blend of its meta-path distance matrices in one streamed pass: each
-meta-path's walk-count projection, a sparse matrix, feeds the BFS of its
-small-integer hop matrix, which is added into the blend's exact integer sum
-as it is computed, then dropped; the sum is scaled into the float64 blend
-once. MDS takes the blend as a plain array, checks it once, read-only, and
-solves for the top d1 eigenpairs of its double centring by Lanczos iteration
-(``numerics._lanczos_topk``), so the blend is the fit's one n × n float64
-array. The fitted ``SelectionState`` keeps the meta-paths, the embedding and
+meta-path's walk-count projection, a sparse product of the path's typed
+adjacency blocks, feeds the BFS of its small-integer hop matrix, which is
+added into the blend's exact integer sum (``uint16`` for 24 one-byte hop
+matrices) as it is computed, then dropped; the sum is scaled into the
+float64 blend once. MDS takes the blend as a plain array, checks it once,
+read-only, and solves for the top d1 eigenpairs of its double centring by
+Lanczos iteration (``numerics._lanczos_topk``), whose matrix–vector product
+reads one triangle of the blend (``numerics._symmul``), so the blend is the
+fit's one n × n float64 array. The fitted ``SelectionState`` keeps the meta-paths, the embedding and
 a one-entry objective trace, the objective at the uniform weights. The
 objective and ``fit_weights`` (which the pipeline does not call) work over
 row blocks, so neither forms an n × n temporary or n(n−1)/2 × P design.
@@ -31,7 +33,7 @@ from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
-from .numerics import _check_symmetric, _gram_row_moments, _lanczos_topk, _matmul, solve_normal_nonneg
+from .numerics import _check_symmetric, _gram_row_moments, _lanczos_topk, _matmul, _symmul, solve_normal_nonneg
 
 log = logging.getLogger(__name__)
 
@@ -53,8 +55,9 @@ def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
     eigenvalues. B is never formed: ``numerics._lanczos_topk`` applies it to
     vectors as centre, multiply by D, centre, so D, left unchanged (and
     copied only when it is not a C-contiguous float64 array), is the one
-    n × n array. The product with D goes through ``numerics._matmul``, in the
-    BLAS pool that ARPACK's own calls use. Inputs with d1 >= n − 1 form B
+    n × n array. The product with D is ``numerics._symmul``, a ``dsymv``
+    that reads one triangle of D, in the BLAS pool that ARPACK's own calls
+    use. Inputs with d1 >= n − 1 form B
     and solve it densely; an all-zero D embeds at the origin. A failed
     Lanczos solve is a ``GraftError``.
 
@@ -74,7 +77,7 @@ def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
         return np.zeros((n, d1))
 
     def apply_b(x: np.ndarray) -> np.ndarray:
-        y = _matmul(m, x - x.mean(axis=0))
+        y = _symmul(m, x - x.mean(axis=0))
         return -0.5 * (y - y.mean(axis=0))
 
     values, vectors = _lanczos_topk(apply_b, n, d1, "MDS")
@@ -174,10 +177,11 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     trace holds ``selection_objective`` at them; no weights are fitted.
 
     The blend is the fit's one n × n float64 array, but a hop matrix and
-    its BFS's working arrays sit beside the blend's ``uint32`` sum, and the
-    sum beside the blend it is scaled into (the fit peaks near 1.5 float64
-    n × n arrays), so it raises ``GraftError`` before the first projection
-    when two of them, 16·n² bytes, exceed ``_physical_memory_bytes()``.
+    its BFS's working arrays sit beside the blend's integer sum (``uint16``
+    for 24 one-byte hop matrices), and the sum beside the blend it is scaled
+    into (the fit peaks near 1.26 float64 n × n arrays at 1200 entities), so
+    it raises ``GraftError`` before the first projection when two of them,
+    16·n² bytes, exceed ``_physical_memory_bytes()``.
     """
     config = config or TransferConfig()
     if gs.n == 0:

@@ -251,6 +251,15 @@ class TestAdjacency:
         g = HeteroGraph([], [])
         assert g.n == 0
         assert g.csr().shape == (0, 0)
+        assert g.type_codes()[0] == () and g.type_codes()[1].shape == (0,)
+
+    def test_type_codes(self):
+        g = HeteroGraph([("b", "y"), ("a", "x"), ("c", "y"), ("d", "w")], [("a", "b")])
+        names, codes = g.type_codes()
+        assert names == ("w", "x", "y")
+        assert [names[c] for c in codes] == list(g.entity_types)
+        assert g.type_codes() is g.type_codes()  # cached, and read-only for every caller
+        assert not codes.flags.writeable
 
 
 class TestSubgraphAndAlignment:

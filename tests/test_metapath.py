@@ -16,6 +16,7 @@ from graft import (
     project,
 )
 from graft import metapath
+from testkit import reference_project
 
 
 def tripartite():
@@ -145,6 +146,42 @@ class TestProject:
             rows = np.repeat(np.arange(g.n), np.diff(pp.indptr))
             assert (pp.data > 0).all()
             assert not (rows == pp.indices).any()
+
+    @staticmethod
+    def assert_matches_reference(g, p):
+        got, want = project(g, p), reference_project(g, p)
+        assert isinstance(got, sp.csr_matrix) and got.shape == want.shape == (g.n, g.n)
+        assert got.nnz == want.nnz and (got != want).nnz == 0
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_typed_blocks_match_mask_products(self, seed):
+        g = random_graph(np.random.default_rng(seed), n=30, n_types=4, p=0.12)
+        paths = enumerate_metapaths(g, max_len=4)
+        # equal end types on a path that is not its own reversal, and one of the four types left out
+        assert any(p.types[0] == p.types[-1] and not p.is_palindrome() for p in paths)
+        assert any(len(set(p.types)) < 4 for p in paths)
+        isolated = 0
+        for p in paths:
+            pp = self.assert_matches_reference(g, p)
+            ends = np.isin(np.array(g.entity_types), [p.types[0], p.types[-1]])
+            empty = np.diff(pp.indptr) == 0
+            assert empty[~ends].all()  # a type at neither end has empty rows
+            isolated += int((empty & ends).sum())
+        assert isolated  # some end-type entities reach no other entity along their path
+
+    def test_one_type_graph(self):
+        rng = np.random.default_rng(4)
+        g = random_graph(rng, n=15, n_types=1, p=0.2)
+        paths = enumerate_metapaths(g, max_len=4)
+        assert [p.types for p in paths] == [("t0",) * k for k in (2, 3, 4)]
+        for p in paths:
+            self.assert_matches_reference(g, p)
+
+    def test_type_absent_from_the_graph_gives_an_empty_projection(self):
+        g = tripartite()
+        for types in (("process", "router"), ("router", "file", "router"), ("process", "file", "router")):
+            assert self.assert_matches_reference(g, MetaPath(types)).nnz == 0
 
     def test_reversal_gives_identical_projection(self):
         g = tripartite()
@@ -469,6 +506,33 @@ class TestBlend:
         total = sum(m.matrix.astype(np.int64) for m in mats)
         assert total.max() > limit
         assert np.array_equal(blend(mats), total * 0.2)
+
+    @pytest.mark.parametrize(
+        "bound,dtype",
+        [(255, np.uint16), (65535, np.uint16), (65536, np.uint32), (2**32 - 1, np.uint32), (2**32, np.float64),
+         (np.inf, np.float64)],
+    )
+    def test_narrowest_accumulator(self, bound, dtype):
+        assert metapath._sum_dtype(bound) is dtype
+
+    # 257 full uint8 matrices sum to 65535 in uint16; 258 would wrap it, and
+    # so would two full uint16 matrices, or two full uint32 ones in uint32
+    @pytest.mark.parametrize(
+        "dtype,count", [(np.uint8, 24), (np.uint8, 257), (np.uint8, 258), (np.uint16, 2), (np.uint16, 3), (np.uint32, 2)]
+    )
+    def test_bitwise_equal_to_int64_oracle_across_widenings(self, dtype, count):
+        rng = np.random.default_rng(count)
+        top = np.iinfo(dtype).max
+        mats = []
+        for _ in range(count):
+            m = np.triu(rng.integers(top - 3, top, (6, 6), endpoint=True), k=1).astype(dtype)
+            m[0, 1:] = top  # row 0 sums to count × the dtype maximum
+            mats.append(SimilarityMatrix(m + m.T))
+        total = sum(m.matrix.astype(np.int64) for m in mats)
+        assert total[0, 1] == count * int(top)
+        out = blend(m for m in mats)
+        assert np.array_equal(out, total * (1.0 / count))
+        assert np.array_equal(out, np.multiply(total, 1.0 / count, dtype=float))
 
     def test_uint32_matrices_widen_instead_of_wrapping(self):
         big = np.full((4, 4), 4_000_000_000, dtype=np.uint32)

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -480,6 +481,14 @@ class TestSolve:
         with pytest.raises(GraftError, match="start objective .* lower lam, the regularization weight") as err:
             solve_reconstruction(prob, TransferConfig())
         assert "eta0" not in str(err.value)
+
+    def test_overflowing_start_names_the_start_and_lam(self):
+        # lam = 1e308 overflows the start's ridge term to inf; no numpy warning escapes
+        gs, _, gt_hat = generate(SynthSpec(120, 60, 0.2, 0.5, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(GraftError, match="construction: reconstruction start objective inf exceeds .* lower lam"):
+                run_transfer(gs, gt_hat, TransferConfig(lam=1e308))
 
 
 class TestSpectralStart:

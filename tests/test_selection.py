@@ -62,6 +62,29 @@ class TestMdsEmbed:
         got = squared_row_distances(emb)
         assert np.allclose(got, sq, rtol=1e-6, atol=1e-9)
 
+    @staticmethod
+    def dense_mds(d, d1):
+        """MDS of the formed double centring B by a full ``eigh``, each vector's
+        largest-magnitude entry made positive."""
+        n = len(d)
+        j = np.eye(n) - np.full((n, n), 1.0 / n)
+        values, vectors = np.linalg.eigh(-0.5 * j @ d @ j)
+        values, vectors = values[::-1][:d1], vectors[:, ::-1][:, :d1]
+        signs = np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(d1)])
+        return vectors * signs * np.sqrt(np.clip(values, 0.0, None))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["euclidean", "hop blend"])
+    def test_matches_dense_eigh_reference(self, kind, seed):
+        # the Lanczos matvec reads one triangle of D (dsymv); the dense reference forms B
+        if kind == "euclidean":
+            d = squared_row_distances(np.random.default_rng(seed).standard_normal((80, 6)))
+        else:
+            g = typed_random_graph(seed, n=90, p=0.05)
+            d = blend(metapath_distance_matrices(g, TransferConfig()))
+        got, want = mds_embed(d, 5), self.dense_mds(d, 5)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
+
     def test_non_euclidean_input_is_clipped(self):
         # unit-square squared distances with one diagonal stretched to 8
         # cannot come from any point set: centering gives eigenvalue -1.5
@@ -218,6 +241,19 @@ class TestSelectionMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.75 * 8 * gs.n * gs.n
+
+    def test_streamed_fit_peaks_below_1_35_dense_matrices(self):
+        # the blend's uint16 sum (a quarter of a float64 n × n array) beside
+        # the blend it is scaled into; the uint32 sum read 1.507
+        gs, _, _ = generate(SynthSpec(1200, 600, dynamic_factor=0.2, maturity=0.5, seed=0))
+        fit_selection_model(gs)
+        tracemalloc.start()
+        try:
+            fit_selection_model(gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.35 * 8 * gs.n * gs.n
 
     def test_relevance_peaks_below_half_a_dense_matrix(self):
         # only the shared × source-only block of E Eᵀ; the full E Eᵀ with

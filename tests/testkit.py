@@ -1,13 +1,15 @@
 """Helpers used only by the tests: an edge-weight lookup, a finite-difference
 gradient check, the differentiable dynamic factor of a low-rank factor,
 set-based scoring, a dense random walk with restart, a graph built from a
-boolean matrix, and the synthetic generator over triangle index arrays."""
+boolean matrix, the synthetic generator over triangle index arrays, and the
+meta-path projection as a chain of n × n diagonal-mask products."""
 
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-from graft import EvalResult, GraftError, HeteroGraph, SynthSpec, induced_subgraph
+from graft import EvalResult, GraftError, HeteroGraph, MetaPath, SynthSpec, induced_subgraph
 from graft.evalkit import RESTART_PROB, WALK_MAX_ITERS, WALK_TOL, _prf
 
 
@@ -136,3 +138,20 @@ def reference_generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, Heter
         chosen = np.sort(rng.choice(gt_hat.edge_count, size=n_edges_keep, replace=False))
         gt_hat = gt_hat._with_edges(*(arr[chosen] for arr in gt_hat.edge_arrays()))
     return gs, gt_truth, gt_hat
+
+
+def reference_project(g: HeteroGraph, p: MetaPath) -> sp.csr_matrix:
+    """``metapath.project`` as n × n sparse products: a diagonal type mask on
+    each side of every adjacency factor, both orientations summed for a
+    non-palindrome, and the diagonal subtracted."""
+    types = np.array(g.entity_types)
+    adj = g.csr()
+
+    def mask(t: str) -> sp.dia_matrix:
+        return sp.diags((types == t).astype(float))
+
+    m = mask(p.types[0]) @ adj @ mask(p.types[1])
+    for t in p.types[2:]:
+        m = m @ adj @ mask(t)
+    w = m if p.is_palindrome() else m + m.T
+    return w - sp.diags(w.diagonal())  # the CSR difference drops the zeros it leaves
