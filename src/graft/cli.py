@@ -124,8 +124,9 @@ def _cmd_ingest(args) -> int:
         return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for k, snap in enumerate(snapshot_series(events, args.window)):
-        write_graph(snap, out / f"snapshot_{k:04d}.graph")
+    snaps = snapshot_series(events, args.window)
+    for k, snap in enumerate(snaps):  # as many digits as the last index, so names sort in time order
+        write_graph(snap, out / f"snapshot_{k:0{max(4, len(str(len(snaps) - 1)))}d}.graph")
     return 0
 
 

@@ -8,15 +8,14 @@ adjacency ``HeteroGraph.csr``, taken over each type's entities by their
 integer type codes and written into the n × n index once.
 Distance matrices are hop counts on the projection, unreachable pairs one
 past the longest hop, held as small unsigned integers (one byte per pair
-below 255 hops). They come from a multi-source BFS over the projection's
-index arrays that keeps one bit per source, so a single sparse OR-gather
-advances every source by one hop. That costs O(nnz·k/64) words per hop over
-the k non-isolated entities, relabelled 0..k−1 through an index map, and one
-``uint8`` add of hop × the new bits records the hop, so no float matrix is
-made; the few sources still running after 32 hops finish with per-source
-Dijkstra. The n × n matrix is one row gather from a (k+1) × n strip of the
-live rows and a row of caps, and pairs the bitsets never reached are read
-off as hop count 0 off the diagonal.
+below 255 hops). They come from a multi-source BFS that keeps one bit per
+source, so one sparse OR-gather advances every source by one hop and one
+``uint8`` add records it, and no float matrix is made; the few sources
+still running after 32 hops finish with per-source Dijkstra.
+``path_distance_matrix`` checks that the projection's pattern is symmetric,
+from which the BFS writes a symmetric matrix, so no hop matrix is walked for
+symmetry; MDS and the weight fit check their inputs
+(``numerics._check_symmetric``).
 Blending averages the matrices with equal weights, one at a time (a
 generator will do): unsigned matrices are summed exactly in the narrowest
 unsigned accumulator that holds P × the dtype maximum (``uint16`` for 24
@@ -35,7 +34,6 @@ from scipy.sparse.csgraph import shortest_path
 
 from .errors import GraftError
 from .hetgraph import HeteroGraph
-from .numerics import _tile_pairs
 
 
 @dataclass(frozen=True, order=True)
@@ -63,7 +61,7 @@ class MetaPath:
 
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
-    """Symmetric nonnegative dissimilarity matrix with optional meta-path provenance."""
+    """Nonnegative dissimilarity matrix with optional provenance; symmetry is checked where it is relied on."""
 
     matrix: np.ndarray
     provenance: MetaPath | None = None
@@ -73,15 +71,12 @@ class SimilarityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GraftError(f"similarity matrix must be square, got shape {m.shape}")
         unsigned = m.dtype.kind == "u"  # finite and nonnegative by type
-        if m.size:
-            if not unsigned and not np.isfinite(m).all():
-                raise GraftError("similarity matrix must be finite")
-            if not all(np.array_equal(a, b.T) for a, b in _tile_pairs(m)):
-                raise GraftError("similarity matrix must be symmetric")
-            if np.diagonal(m).any():
-                raise GraftError("similarity matrix must have a zero diagonal")
-            if not unsigned and (m < 0).any():
-                raise GraftError("similarity matrix entries must be nonnegative")
+        if not unsigned and not np.isfinite(m).all():
+            raise GraftError("similarity matrix must be finite")
+        if np.diagonal(m).any():
+            raise GraftError("similarity matrix must have a zero diagonal")
+        if not unsigned and (m < 0).any():
+            raise GraftError("similarity matrix entries must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -157,9 +152,11 @@ def path_distance_matrix(adj: sp.csr_matrix, provenance: MetaPath | None = None)
     Unreachable pairs (including entities with an empty row) get the cap, the
     longest finite shortest path plus one, so they rank behind every reachable
     pair. Stored values are ignored: distance is the number of hops, and every
-    stored entry is an edge. The matrix has
-    the narrowest unsigned integer dtype that holds the cap (``uint8`` while
-    the longest hop is below 255).
+    stored entry is an edge. The matrix has the narrowest unsigned integer
+    dtype that holds the cap (``uint8`` while the longest hop is below 255).
+    An adjacency that is not square, or whose sorted ``row·n + col`` keys
+    differ from its ``col·n + row`` keys as sets, is a ``GraftError``; from
+    a symmetric pattern the BFS writes a symmetric matrix, not walked again.
 
     Isolated entities are set aside first: the k others are relabelled
     0..k−1 through an index map over the CSR arrays. Over them a bit-parallel
@@ -172,6 +169,11 @@ def path_distance_matrix(adj: sp.csr_matrix, provenance: MetaPath | None = None)
     the k live rows, then a row of caps for every isolated entity.
     """
     n = adj.shape[0]
+    rows, cols = np.repeat(np.arange(n), np.diff(adj.indptr)), adj.indices.astype(np.int64)
+    keys, mirror = np.sort(rows * n + cols), np.sort(cols * n + rows)
+    symmetric = np.array_equal(keys, mirror) or np.array_equal(np.unique(keys), np.unique(mirror))
+    if adj.shape != (n, n) or not symmetric:
+        raise GraftError(f"adjacency{f' of meta-path {provenance.types}' if provenance else ''} must be symmetric")
     live = np.flatnonzero(np.diff(adj.indptr))
     k = len(live)
     label = np.full(n, k)

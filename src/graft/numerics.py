@@ -7,9 +7,10 @@ Lanczos iteration on a symmetric operator given as a function (MDS's double
 centring and the construction's sparse spectral start), with a fixed start
 vector and restart generator. Inputs too small for ARPACK go to
 ``sym_eig_topk``, which solves for all eigenpairs with ``numpy.linalg.eigh``
-and keeps the top k. ``_check_symmetric`` walks tile pairs and writes
-nothing, and ``eigh`` reads one triangle of the matrix as given, so
-``sym_eig_topk`` makes no copy of a float64 input.
+and keeps the top k. ``_check_symmetric``, the one symmetry rule, which
+``sym_eig_topk``, MDS and the weight fit run on their inputs, walks tile
+pairs and writes nothing; ``eigh`` reads one triangle of the matrix as
+given, so ``sym_eig_topk`` makes no copy of a float64 input.
 
 numpy and scipy each load their own OpenBLAS with its own thread pool.
 ARPACK's BLAS calls run in scipy's pool; a threaded numpy product between
@@ -24,7 +25,7 @@ platform and BLAS thread count.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import blas
@@ -55,7 +56,9 @@ def sym_eig_topk(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     triangle) and keeps the top k; ``m`` is left unchanged.
     """
     m = np.asarray(m, dtype=float)
-    _check_symmetric(m, k)
+    _check_symmetric(m)
+    if not (1 <= k <= m.shape[0]):
+        raise GraftError(f"k must be in [1, {m.shape[0]}], got {k}")
     values, vectors = np.linalg.eigh(m)
     return _top_oriented(values, vectors, k)
 
@@ -115,35 +118,26 @@ def _symmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return blas.dsymm(1.0, a.T, b.T, side=1).T
 
 
-def _check_symmetric(m: np.ndarray, k: int) -> None:
-    """Raise ``GraftError`` unless the float64 array ``m`` is square, has at
-    least k rows (k >= 1), is finite, and is symmetric within
-    ``SYMMETRY_RTOL`` of its largest |entry|.
+def _check_symmetric(m: np.ndarray) -> None:
+    """Raise ``GraftError`` unless ``m`` is square, finite, and symmetric
+    within ``SYMMETRY_RTOL`` of its largest |entry|.
 
     Symmetry is checked on |A − Bᵀ| over pairs of ``_TILE`` × ``_TILE`` tiles
     A = m[I, J] and B = m[J, I], so the only temporary is one tile; ``m`` is
-    never written.
+    never written. An unsigned ``m`` is read as given: its wrapped
+    difference is nonzero wherever the tiles differ.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraftError(f"matrix must be square, got shape {m.shape}")
-    n = m.shape[0]
-    if not (1 <= k <= n):
-        raise GraftError(f"k must be in [1, {n}], got {k}")
-    lo, hi = m.min(), m.max()  # a nan or an inf reaches one of them
+    lo, hi = m.min(initial=0), m.max(initial=0)  # a nan or an inf reaches one of them
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise GraftError("matrix must be finite")
     tol = SYMMETRY_RTOL * max(hi, -lo)
-    for a, b in _tile_pairs(m):
-        t = np.subtract(a, b.T)
-        if np.abs(t, out=t).max() > tol:
-            raise GraftError("matrix is not symmetric within tolerance")
-
-
-def _tile_pairs(m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Mirrored views (m[I, J], m[J, I]) of square ``m`` over its ``_TILE``-sided tiles with I <= J."""
     for i in range(0, m.shape[0], _TILE):
         for j in range(i, m.shape[0], _TILE):
-            yield m[i : i + _TILE, j : j + _TILE], m[j : j + _TILE, i : i + _TILE]
+            t = np.subtract(m[i : i + _TILE, j : j + _TILE], m[j : j + _TILE, i : i + _TILE].T)
+            if np.abs(t, out=t).max() > tol:
+                raise GraftError("matrix is not symmetric within tolerance")
 
 
 def _top_oriented(values: np.ndarray, vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,7 @@ from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph
 from .numerics import _gram_row_moments, _lanczos_topk, _matmul
+from .selection import _check_memory
 
 log = logging.getLogger(__name__)
 
@@ -259,6 +260,7 @@ def finalize_edges(u: np.ndarray, merged: HeteroGraph, z: float) -> HeteroGraph:
     n = merged.n
     if u.shape[0] != n:
         raise GraftError(f"factors have {u.shape[0]} rows but the graph has {n} entities")
+    _check_memory(f"edge scoring over {n} entities", 11 * n * n)  # one float64 and three boolean n × n arrays
     scores = _matmul(u, u.T)
     mean, std = _gram_row_moments(u)
     hit = scores >= np.where(std > 0.0, mean + z * std, np.inf)[:, None]

@@ -6,14 +6,15 @@ meta-path's walk-count projection, a sparse product of the path's typed
 adjacency blocks, feeds the BFS of its small-integer hop matrix, which is
 added into the blend's exact integer sum (``uint16`` for 24 one-byte hop
 matrices) as it is computed, then dropped; the sum is scaled into the
-float64 blend once. MDS takes the blend as a plain array, checks it once,
-read-only, and solves for the top d1 eigenpairs of its double centring by
+float64 blend once. MDS takes the blend as a plain array, checks its symmetry
+once, read-only, and solves for the top d1 eigenpairs of its double centring by
 Lanczos iteration (``numerics._lanczos_topk``), whose matrix–vector product
 reads one triangle of the blend (``numerics._symmul``), so the blend is the
 fit's one n × n float64 array. The fitted ``SelectionState`` keeps the meta-paths, the embedding and
 a one-entry objective trace, the objective at the uniform weights. The
-objective and ``fit_weights`` (which the pipeline does not call) work over
-row blocks, so neither forms an n × n temporary or n(n−1)/2 × P design.
+objective and ``fit_weights`` (which the pipeline does not call, and which
+checks each matrix's symmetry) work over row blocks, so neither forms an
+n × n temporary or n(n−1)/2 × P design.
 Relevance between entities is the inner product of their embeddings;
 ``relevance_scores`` gives each source-only entity its best relevance
 z-score against the shared entities, standardized by row moments taken from
@@ -57,22 +58,19 @@ def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
     copied only when it is not a C-contiguous float64 array), is the one
     n × n array. The product with D is ``numerics._symmul``, a ``dsymv``
     that reads one triangle of D, in the BLAS pool that ARPACK's own calls
-    use. Inputs with d1 >= n − 1 form B
-    and solve it densely; an all-zero D embeds at the origin. A failed
-    Lanczos solve is a ``GraftError``.
+    use. Inputs with d1 >= n − 1 form B and solve it densely; an all-zero D
+    embeds at the origin. A failed Lanczos solve is a ``GraftError``.
 
     Returns an (n, d1) embedding whose pairwise squared distances approximate
     the input.
     """
     m = np.ascontiguousarray(distances, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise GraftError(f"distance matrix must be square, got shape {m.shape}")
+    _check_symmetric(m)  # before any mean, so an inf/-inf mix is an error, not a nan
     n = m.shape[0]
     if n == 0:
         raise GraftError("cannot embed an empty distance matrix")
     if not (1 <= d1 <= n):
         raise GraftError(f"d1 must be in [1, {n}], got {d1}")
-    _check_symmetric(m, d1)  # before any mean, so an inf/-inf mix is an error, not a nan
     if not m.any():  # every point coincides: B = 0, from which ARPACK cannot start
         return np.zeros((n, d1))
 
@@ -104,9 +102,9 @@ def fit_weights(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], ridge: 
     nonnegative least-squares (NNLS) optimum and can fit worse. XᵀX and Xᵀt
     are summed over blocks of whole rows of the full symmetric matrices and
     halved, which equals the upper-triangle sum because both triangles are
-    equal and the diagonal is zero, so the n(n−1)/2 × P design is never
-    formed. On small-integer hop matrices every partial sum of XᵀX is an
-    integer below 2⁵³, so XᵀX is exact.
+    equal (``numerics._check_symmetric`` checks each matrix) and the diagonal
+    is zero, so the n(n−1)/2 × P design is never formed. On small-integer hop
+    matrices every partial sum of XᵀX is an integer below 2⁵³, so XᵀX is exact.
     """
     if len(mats) == 0:
         raise GraftError("fit_weights needs at least one matrix")
@@ -114,6 +112,7 @@ def fit_weights(embedding: np.ndarray, mats: Sequence[SimilarityMatrix], ridge: 
     for m in mats:
         if m.matrix.shape != (n, n):
             raise GraftError(f"matrix shape {m.matrix.shape} does not match embedding rows {n}")
+        _check_symmetric(m.matrix)
     rows = max(1, _FIT_BLOCK_CELLS // max(n, 1))
     gram = np.zeros((len(mats), len(mats)))
     moment = np.zeros(len(mats))
@@ -186,18 +185,20 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     config = config or TransferConfig()
     if gs.n == 0:
         raise GraftError("source graph has no entities")
-    need, budget = 16 * gs.n * gs.n, _physical_memory_bytes()
-    if budget is not None and need > budget:
-        raise GraftError(
-            f"selection over {gs.n} entities needs {need} bytes for two n × n float64 "
-            f"arrays, more than the {budget} bytes of physical memory or cgroup limit"
-        )
+    _check_memory(f"selection over {gs.n} entities", 16 * gs.n * gs.n)
     paths, mats = _path_distances(gs, config)
     blended = blend(mats)
     embedding = mds_embed(blended, min(config.d1, gs.n))
     obj = _blend_objective(embedding, blended, len(paths), config.lam)
     log.info("selection model fitted over %d meta-path(s)", len(paths))
     return SelectionState(paths, embedding, [obj])
+
+
+def _check_memory(what: str, need: int) -> None:
+    """Raise ``GraftError`` when ``what`` needs more than ``_physical_memory_bytes()`` bytes."""
+    if (budget := _physical_memory_bytes()) is not None and need > budget:
+        raise GraftError(f"{what} needs {need} bytes for its n × n arrays, more than the {budget} bytes "
+                         "of physical memory or cgroup limit")
 
 
 def _physical_memory_bytes() -> int | None:

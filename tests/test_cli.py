@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from graft import TransferConfig, read_graph, synthbench
+from graft import TransferConfig, cli, read_graph, synthbench
 from graft.cli import _make_parser, main
 
 
@@ -101,6 +101,19 @@ class TestIngest:
         assert files == ["snapshot_0000.graph", "snapshot_0001.graph", "snapshot_0002.graph"]
         last = read_graph(out / "snapshot_0002.graph")
         assert last.edge_count == 3
+
+    @pytest.mark.parametrize("span,last", [(9_999, "snapshot_9999.graph"), (10_500, "snapshot_10500.graph")])
+    def test_snapshot_names_sort_in_time_order(self, tmp_path, monkeypatch, span, last):
+        # two events span + 1 windows apart at --window 1: past 10,000 windows the names take
+        # the last index's digits, so sorted() keeps time order (snapshot_10000 after snapshot_9999)
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(json.dumps({"ts": ts, "attrs": {"process": "p", "file": "f"}}) + "\n"
+                                  for ts in (0, span)))
+        written = []
+        monkeypatch.setattr(cli, "write_graph", lambda g, path: written.append(path.name))
+        assert main(["ingest", "--events", str(events), "--window", "1", "--out", str(tmp_path / "s")]) == 0
+        assert len(written) == span + 1 and written[-1] == last
+        assert sorted(written) == written
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         rc = main(["ingest", "--events", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "g")])

@@ -16,6 +16,7 @@ from graft import (
     project,
 )
 from graft import metapath
+from graft.numerics import _check_symmetric
 from testkit import reference_project
 
 
@@ -152,6 +153,8 @@ class TestProject:
         got, want = project(g, p), reference_project(g, p)
         assert isinstance(got, sp.csr_matrix) and got.shape == want.shape == (g.n, g.n)
         assert got.nnz == want.nnz and (got != want).nnz == 0
+        # symmetric where it is produced: path_distance_matrix rejects any other pattern
+        assert (got != got.T).nnz == 0
         return got
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -160,6 +163,7 @@ class TestProject:
         paths = enumerate_metapaths(g, max_len=4)
         # equal end types on a path that is not its own reversal, and one of the four types left out
         assert any(p.types[0] == p.types[-1] and not p.is_palindrome() for p in paths)
+        assert any(p.is_palindrome() for p in paths) and any(p.types[0] != p.types[-1] for p in paths)
         assert any(len(set(p.types)) < 4 for p in paths)
         isolated = 0
         for p in paths:
@@ -227,6 +231,15 @@ def naive_hop_distances(graph):
     return dist
 
 
+def assert_oracle_hops(g):
+    """``path_distance_matrix`` of ``g`` equals the per-source BFS oracle, and its own
+    transpose: the BFS writes it symmetric, and no check in the run walks it."""
+    got = path_distance_matrix(g.csr()).matrix
+    assert np.array_equal(got, naive_hop_distances(g))
+    assert np.array_equal(got, got.T)
+    return got
+
+
 class TestPathDistance:
     def test_chain_distances(self):
         g = HeteroGraph(
@@ -243,9 +256,7 @@ class TestPathDistance:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_naive_bfs_oracle(self, seed):
-        g = random_graph(np.random.default_rng(seed), p=0.08)
-        got = path_distance_matrix(g.csr()).matrix
-        assert np.array_equal(got, naive_hop_distances(g))
+        assert_oracle_hops(random_graph(np.random.default_rng(seed), p=0.08))
 
     def test_triangle_inequality_on_reachable_pairs(self):
         g = random_graph(np.random.default_rng(4), p=0.3)
@@ -263,6 +274,38 @@ class TestPathDistance:
 
     def test_empty_graph(self):
         assert path_distance_matrix(HeteroGraph().csr()).n == 0
+
+    @pytest.mark.parametrize("adj", [
+        sp.csr_matrix((np.ones(3), ([0, 1, 2], [1, 2, 0])), shape=(3, 3)),  # a directed 3-cycle
+        # a directed edge whose head has an empty row, once an IndexError in the relabelling
+        sp.csr_matrix((np.ones(1), ([0], [1])), shape=(3, 3)),
+        sp.csr_matrix((2, 3)),
+    ], ids=["directed-cycle", "edge-into-empty-row", "not-square"])
+    def test_asymmetric_adjacency_rejected(self, adj):
+        with pytest.raises(GraftError, match="^adjacency must be symmetric$"):
+            path_distance_matrix(adj)
+        with pytest.raises(GraftError, match=r"^adjacency of meta-path \('t', 'u'\) must be symmetric$"):
+            path_distance_matrix(adj, provenance=MetaPath(("t", "u")))
+
+    def test_every_asymmetric_pattern_on_four_entities_rejected(self):
+        # all 2¹² off-diagonal patterns: each symmetric one matches the oracle, every other one is a GraftError
+        cells = [(i, j) for i in range(4) for j in range(4) if i != j]
+        symmetric = 0
+        for bits in range(1 << len(cells)):
+            on = [c for k, c in enumerate(cells) if bits >> k & 1]
+            adj = sp.csr_matrix((np.ones(len(on)), ([i for i, _ in on], [j for _, j in on])), shape=(4, 4))
+            if all((j, i) in on for i, j in on):
+                symmetric += 1
+                assert np.array_equal(path_distance_matrix(adj).matrix, naive_hop_distances(adj))
+            else:
+                with pytest.raises(GraftError, match="symmetric"):
+                    path_distance_matrix(adj)
+        assert symmetric == 1 << 6
+
+    def test_entry_stored_twice_is_one_edge(self):
+        # row 0 stores its edge to 1 twice, row 1 its edge to 0 once: the pattern is symmetric
+        adj = sp.csr_matrix((np.ones(3), np.array([1, 1, 0]), np.array([0, 2, 3])), shape=(2, 2))
+        assert np.array_equal(path_distance_matrix(adj).matrix, [[0, 1], [1, 0]])
 
 
 def graph_from_pairs(n, pairs, isolated=0):
@@ -316,12 +359,11 @@ class TestBitsetBfs:
     def test_all_isolated(self, n):
         got = path_distance_matrix(graph_from_pairs(0, [], isolated=n).csr()).matrix
         assert np.array_equal(got, 1.0 - np.eye(n))
+        assert np.array_equal(got, got.T)
 
     def test_long_path_hands_off_every_source(self, monkeypatch):
         spy = HandOffSpy(monkeypatch)
-        g = graph_from_pairs(100, path_pairs(0, 100), isolated=2)
-        got = path_distance_matrix(g.csr()).matrix
-        assert np.array_equal(got, naive_hop_distances(g))
+        assert_oracle_hops(graph_from_pairs(100, path_pairs(0, 100), isolated=2))
         # every vertex of a 100-path has a vertex at least 50 hops away
         assert [s.tolist() for s in spy.sources] == [list(range(100))]
 
@@ -332,8 +374,7 @@ class TestBitsetBfs:
         # the tail hangs from its middle, so only the entities near that
         # point reach everything within the bitset hops
         g = graph_from_pairs(80, core + [(0, 50)] + path_pairs(20, 60), isolated=3)
-        got = path_distance_matrix(g.csr()).matrix
-        assert np.array_equal(got, naive_hop_distances(g))
+        assert_oracle_hops(g)
         live = np.flatnonzero(np.diff(g.csr().indptr))
         eccentricity = naive_hop_distances(g)[np.ix_(live, live)].max(axis=1)
         (sources,) = spy.sources
@@ -376,8 +417,7 @@ class TestIntegerHopCounts:
         pairs = {(a, b) for a, b in rng.integers(0, 150, (120, 2)).tolist() if a < b}
         g = graph_from_pairs(150, sorted(pairs), isolated=40)
         assert (np.diff(g.csr().indptr) == 0).sum() >= 40
-        got = path_distance_matrix(g.csr()).matrix
-        assert np.array_equal(got, naive_hop_distances(g))
+        assert_oracle_hops(g)
 
     def test_hand_off_rows_need_uint16(self, monkeypatch):
         # a 300-path hands off every one of its entities, and its rows hold
@@ -417,7 +457,7 @@ class TestSimilarityMatrix:
         [
             (np.zeros((2, 3)), "square"),
             (np.array([[0.0, np.inf], [np.inf, 0.0]]), "finite"),
-            (np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
+            (np.zeros(3), "square"),
             (np.array([[1.0, 2.0], [2.0, 0.0]]), "diagonal"),
             (np.array([[0.0, -1.0], [-1.0, 0.0]]), "nonnegative"),
         ],
@@ -426,9 +466,15 @@ class TestSimilarityMatrix:
         with pytest.raises(GraftError, match=msg):
             SimilarityMatrix(m)
 
+    def test_symmetry_is_left_to_its_consumers(self):
+        # MDS and the weight fit check it (tests/test_selection.py, TestSymmetryConsumers)
+        assert SimilarityMatrix(np.array([[0.0, 1.0], [2.0, 0.0]])).n == 2
+
 
 class TestTiledSymmetryCheck:
-    """Symmetry is compared tile by tile; 800 rows make three 256-wide tiles and a short 32-wide last one."""
+    """``numerics._check_symmetric``, the one symmetry rule, on the dtypes of a hop matrix and of
+    the blend: it compares tile by tile, and 800 rows make three 256-wide tiles and a short 32-wide
+    last one."""
 
     @staticmethod
     def symmetric(dtype):
@@ -437,7 +483,7 @@ class TestTiledSymmetryCheck:
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     def test_symmetric_accepted(self, dtype):
-        assert SimilarityMatrix(self.symmetric(dtype)).n == 800
+        assert _check_symmetric(self.symmetric(dtype)) is None
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     @pytest.mark.parametrize("cell", [
@@ -451,7 +497,7 @@ class TestTiledSymmetryCheck:
         m = self.symmetric(dtype)
         m[cell] += 1
         with pytest.raises(GraftError, match="symmetric"):
-            SimilarityMatrix(m)
+            _check_symmetric(m)
 
 
 class TestBlend:

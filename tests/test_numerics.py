@@ -256,7 +256,7 @@ class TestCheckSymmetric:
         for cell in far_tile_corners(n):
             m[cell] += 0.5 * SYMMETRY_RTOL * np.abs(m).max()
         before = m.copy()
-        assert _check_symmetric(m, 1) is None
+        assert _check_symmetric(m) is None
         assert np.array_equal(m, before) and not np.array_equal(m, m.T)
 
     @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
@@ -267,7 +267,7 @@ class TestCheckSymmetric:
                 m[cell] += 1e-6 * np.abs(m).max()
                 before = m.copy()
                 with pytest.raises(GraftError, match="not symmetric"):
-                    _check_symmetric(m, 1)
+                    _check_symmetric(m)
                 assert np.array_equal(m, before)
 
 

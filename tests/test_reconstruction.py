@@ -23,7 +23,7 @@ from graft import (
     run_transfer,
     solve_reconstruction,
 )
-from graft import reconstruction, transfer
+from graft import reconstruction, selection, transfer
 from graft.numerics import sym_eig_topk
 from graft.reconstruction import (
     CONSTRUCTION_TOL,
@@ -598,6 +598,25 @@ class TestFinalize:
         g = random_graph(1, n=5)
         with pytest.raises(GraftError, match="rows"):
             finalize_edges(np.zeros((4, 2)), g, 1.0)
+
+    def test_refused_before_scoring_when_its_arrays_exceed_physical_memory(self, monkeypatch):
+        # one float64 and three boolean n × n arrays: 11·n² bytes over the merged n,
+        # which selection's guard, over the source's n, does not cover
+        g = random_graph(2, n=30)
+        u = np.random.default_rng(0).standard_normal((30, 3))
+        need = 11 * 30 * 30
+        scored, real_matmul = [], reconstruction._matmul
+        monkeypatch.setattr(reconstruction, "_matmul", lambda *a: scored.append(a) or real_matmul(*a))
+        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: need - 1)
+        message = f"^edge scoring over 30 entities needs {need} bytes .* {need - 1} bytes of physical"
+        with pytest.raises(GraftError, match=message):
+            finalize_edges(u, g, 1.0)
+        assert scored == []
+        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: need)
+        want = finalize_edges(u, g, 1.0)
+        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: None)
+        assert finalize_edges(u, g, 1.0) == want
+        assert scored
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("z", [-0.5, 0.5, 1.96])

@@ -213,6 +213,23 @@ class TestFitWeightsOnHopMatrices:
             fit_weights(np.array([[0.0], [1.0]]), mats, ridge=0.0)
 
 
+class TestSymmetryConsumers:
+    """The consumers that rely on symmetry check it; ``SimilarityMatrix`` does not walk for it."""
+
+    ASYMMETRIC = np.array([[0.0, 1.0], [2.0, 0.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_fit_weights_rejects_an_asymmetric_matrix(self, dtype):
+        # its halved full-row sums assume equal triangles
+        mats = [SimilarityMatrix(self.ASYMMETRIC.astype(dtype))]
+        with pytest.raises(GraftError, match="not symmetric"):
+            fit_weights(np.array([[0.0], [1.0]]), mats, ridge=RIDGE)
+
+    def test_mds_rejects_an_asymmetric_matrix(self):
+        with pytest.raises(GraftError, match="not symmetric"):
+            mds_embed(self.ASYMMETRIC, 1)
+
+
 class TestSelectionMemory:
     def test_warm_fit_peaks_below_sixteen_dense_matrices(self):
         # 24 float64 hop matrices plus the n(n−1)/2 × 24 float64 design
@@ -420,19 +437,23 @@ class TestFitSelectionModel:
         assert np.array_equal(s1.embedding, s2.embedding)
         assert s1.objective_trace == s2.objective_trace
 
-    def test_checks_each_hop_matrix_and_not_the_blend(self, monkeypatch):
-        # MDS checks the blend itself, so wrapping it in a SimilarityMatrix
-        # would check it a second time
-        checked = []
-        real = SimilarityMatrix.__post_init__
+    def test_checks_symmetry_once_on_the_blend(self, monkeypatch):
+        # each hop matrix is symmetric by construction (tests/test_metapath.py pins it against
+        # the per-source BFS), so the fit's one n × n symmetry walk is MDS's, on the blend
+        checked, real_check = [], numerics._check_symmetric
 
-        def spy(self):
-            checked.append(self.provenance)
-            real(self)
+        def spy(m):
+            checked.append(m)
+            real_check(m)
 
-        monkeypatch.setattr(SimilarityMatrix, "__post_init__", spy)
-        state = fit_selection_model(typed_random_graph(7), TransferConfig())
-        assert checked == state.metapaths
+        monkeypatch.setattr(numerics, "_check_symmetric", spy)
+        monkeypatch.setattr(selection, "_check_symmetric", spy)
+        blends, real_blend = [], selection.blend
+        monkeypatch.setattr(selection, "blend", lambda mats: blends.append(real_blend(mats)) or blends[-1])
+        g = typed_random_graph(7)
+        fit_selection_model(g, TransferConfig())
+        assert len(blends) == 1 and blends[0].shape == (g.n, g.n)
+        assert len(checked) == 1 and checked[0] is blends[0]
 
     def test_builds_no_graph(self, monkeypatch):
         # each meta-path's projection is a sparse matrix read by the BFS, not a graph
