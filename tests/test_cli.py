@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from graft import TransferConfig, cli, read_graph, synthbench
+from graft import TransferConfig, cli, synthbench
+from graft.hetgraph import read_graph
 from graft.cli import _make_parser, main
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from graft import (
-    EvalResult,
     GraftError,
     HeteroGraph,
     SynthSpec,
@@ -10,11 +9,11 @@ from graft import (
     baseline_dt,
     baseline_nt,
     baseline_random_walk,
+    evalkit,
     generate,
-    random_walk_scores,
     score,
 )
-from graft import evalkit
+from graft.evalkit import EvalResult, random_walk_scores
 from testkit import dense_random_walk_scores, edge_weight, reference_score
 
 

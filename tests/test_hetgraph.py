@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 
-from graft import (
-    GraftError,
-    GraphFormatError,
-    HeteroGraph,
-    align_union_entities,
-    dynamic_factor,
-    format_graph,
-    finalize_edges,
-    induced_subgraph,
-    merge_transferred_entities,
-    parse_graph,
-)
-from graft.hetgraph import split_by_overlap
+from graft import GraftError, GraphFormatError, HeteroGraph, dynamic_factor, format_graph, parse_graph
+from graft.hetgraph import align_union_entities, induced_subgraph, read_graph, split_by_overlap, write_graph
+from graft.reconstruction import finalize_edges
+from graft.selection import merge_transferred_entities
 from testkit import edge_weight
 
 
@@ -390,16 +381,12 @@ class TestGraphFormat:
         assert exc.value.line == line
 
     def test_read_write_round_trip(self, tmp_path):
-        from graft import read_graph, write_graph
-
         g = toy_graph()
         path = tmp_path / "g.graph"
         write_graph(g, path)
         assert read_graph(path) == g
 
     def test_read_error_names_file(self, tmp_path):
-        from graft import read_graph
-
         path = tmp_path / "bad.graph"
         path.write_text("nope\n", encoding="utf-8")
         with pytest.raises(GraphFormatError, match="bad.graph"):

@@ -5,17 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graft import (
-    GraftError,
-    HeteroGraph,
-    MetaPath,
-    SimilarityMatrix,
-    blend,
-    enumerate_metapaths,
-    path_distance_matrix,
-    project,
-)
-from graft import metapath
+from graft import GraftError, HeteroGraph, SimilarityMatrix, metapath
+from graft.metapath import MetaPath, blend, enumerate_metapaths, path_distance_matrix, project
 from graft.numerics import _check_symmetric
 from testkit import reference_project
 

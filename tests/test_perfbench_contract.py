@@ -14,19 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from graft import (
-    HeteroGraph,
-    MetaPath,
-    SynthSpec,
-    TransferConfig,
-    construct_dependencies,
-    fit_selection_model,
-    generate,
-    merge_transferred_entities,
-    path_distance_matrix,
-    project,
-    run_transfer,
-)
+from graft import HeteroGraph, SynthSpec, TransferConfig, fit_selection_model, generate, run_transfer
+from graft.metapath import MetaPath, path_distance_matrix, project
+from graft.selection import merge_transferred_entities
+from graft.transfer import construct_dependencies
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 

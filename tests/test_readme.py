@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import graft
+
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
@@ -53,3 +55,7 @@ def test_numpy_floor_covers_scipys():
         return version_floor(spec)
 
     assert numpy_floor(pyproject()["dependencies"]) >= numpy_floor(requires("scipy"))
+
+
+def test_package_version_matches_pyproject():
+    assert graft.__version__ == pyproject()["version"]

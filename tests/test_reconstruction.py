@@ -11,29 +11,31 @@ from scipy.linalg import subspace_angles
 from graft import (
     GraftError,
     HeteroGraph,
-    ReconstructionProblem,
     SynthSpec,
     TransferConfig,
-    construct_dependencies,
-    finalize_edges,
     fit_selection_model,
     generate,
-    merge_transferred_entities,
+    reconstruction,
     relevance_scores,
     run_transfer,
-    solve_reconstruction,
+    selection,
+    transfer,
 )
-from graft import reconstruction, selection, transfer
 from graft.numerics import sym_eig_topk
 from graft.reconstruction import (
     CONSTRUCTION_TOL,
     INIT_NOISE,
     MAX_BACKTRACKS,
+    ReconstructionProblem,
     _check_diverged,
     _spectral_start,
+    finalize_edges,
     reconstruction_gradient,
     reconstruction_objective,
+    solve_reconstruction,
 )
+from graft.selection import merge_transferred_entities
+from graft.transfer import construct_dependencies
 from testkit import edge_weight, finite_diff_grad, graph_from_upper, soft_dynamic_factor
 
 

@@ -4,27 +4,28 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from graft import numerics, selection, transfer
 from graft import (
     GraftError,
     HeteroGraph,
-    MetaPath,
     SimilarityMatrix,
     SynthSpec,
     TransferConfig,
-    enumerate_metapaths,
     fit_selection_model,
     generate,
-    merge_transferred_entities,
     mds_embed,
+    numerics,
     relevance_scores,
     run_transfer,
+    selection,
+    transfer,
 )
+from graft.metapath import MetaPath, enumerate_metapaths
 from graft.numerics import ols_nonneg
 from graft.selection import (
     SelectionState,
     blend,
     fit_weights,
+    merge_transferred_entities,
     metapath_distance_matrices,
     selection_objective,
     squared_row_distances,

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graft import GraftError, SynthSpec, generate, induced_subgraph, measured_stats, synthbench
+from graft import GraftError, SynthSpec, generate, synthbench
+from graft.hetgraph import induced_subgraph
+from graft.synthbench import measured_stats
 from testkit import reference_generate
 
 

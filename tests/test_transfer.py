@@ -4,22 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from graft import (
-    GraftError,
-    HeteroGraph,
-    SynthSpec,
-    TransferConfig,
-    TransferReport,
-    align_union_entities,
-    auto_mu,
-    dynamic_factor,
-    generate,
-    induced_subgraph,
-    merge_transferred_entities,
-    run_transfer,
-    write_report,
-)
-from graft.transfer import construct_dependencies
+from graft import GraftError, HeteroGraph, SynthSpec, TransferConfig, auto_mu, dynamic_factor, generate, run_transfer
+from graft.hetgraph import align_union_entities, induced_subgraph
+from graft.selection import merge_transferred_entities
+from graft.transfer import TransferReport, construct_dependencies, write_report
 from testkit import edge_weight
 
 

@@ -9,8 +9,10 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from graft import EvalResult, GraftError, HeteroGraph, MetaPath, SynthSpec, induced_subgraph
-from graft.evalkit import RESTART_PROB, WALK_MAX_ITERS, WALK_TOL, _prf
+from graft import GraftError, HeteroGraph, SynthSpec
+from graft.evalkit import RESTART_PROB, WALK_MAX_ITERS, WALK_TOL, EvalResult, _prf
+from graft.hetgraph import induced_subgraph
+from graft.metapath import MetaPath
 
 
 def edge_weight(g: HeteroGraph, a: str, b: str) -> float | None:
