@@ -31,10 +31,6 @@ from .hetgraph import HeteroGraph, entity_problem, is_token
 
 log = logging.getLogger(__name__)
 
-# The C scanner without json.loads' per-call wrapper; parse_events hands json.loads
-# every line it does not decode to the end, for json.loads' error text and bytes handling.
-_raw_decode = json.JSONDecoder().raw_decode
-
 
 @dataclass(slots=True)
 class Event:
@@ -65,14 +61,9 @@ def parse_events(lines: Iterable[str]) -> list[Event]:
             continue
         rec += 1
         try:
-            obj, end = _raw_decode(line)
-        except (json.JSONDecodeError, TypeError):
-            end = -1
-        if end != len(line):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GraftError(f"record {rec}: invalid JSON: {exc}") from None
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise GraftError(f"record {rec}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict) or set(obj) != {"ts", "attrs"}:
             raise GraftError(f"record {rec}: expected an object with exactly the keys 'ts' and 'attrs'")
         ts = obj["ts"]

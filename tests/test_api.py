@@ -7,13 +7,10 @@ exported too. Everything else imports from its own module.
 """
 
 import ast
-import importlib
 import pkgutil
 import re
 import textwrap
 from pathlib import Path
-
-import pytest
 
 import graft
 
@@ -21,42 +18,6 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 SUBMODULES = {m.name for m in pkgutil.iter_modules(graft.__path__)}
-
-# Names the top level exported before it was cut to its callers' names, and the module each
-# still imports from (CHANGES.md lists the same table).
-DROPPED = {
-    "EvalResult": "graft.evalkit",
-    "random_walk_scores": "graft.evalkit",
-    "build_config": "graft.config",
-    "parse_config_file": "graft.config",
-    "align_union_entities": "graft.hetgraph",
-    "induced_subgraph": "graft.hetgraph",
-    "read_graph": "graft.hetgraph",
-    "write_graph": "graft.hetgraph",
-    "Event": "graft.ingest",
-    "read_events": "graft.ingest",
-    "MetaPath": "graft.metapath",
-    "blend": "graft.metapath",
-    "enumerate_metapaths": "graft.metapath",
-    "path_distance_matrix": "graft.metapath",
-    "project": "graft.metapath",
-    "ols_nonneg": "graft.numerics",
-    "sym_eig_topk": "graft.numerics",
-    "ReconstructionProblem": "graft.reconstruction",
-    "ReconstructionSolution": "graft.reconstruction",
-    "finalize_edges": "graft.reconstruction",
-    "reconstruction_gradient": "graft.reconstruction",
-    "reconstruction_objective": "graft.reconstruction",
-    "solve_reconstruction": "graft.reconstruction",
-    "SelectionState": "graft.selection",
-    "fit_weights": "graft.selection",
-    "merge_transferred_entities": "graft.selection",
-    "selection_objective": "graft.selection",
-    "measured_stats": "graft.synthbench",
-    "TransferReport": "graft.transfer",
-    "construct_dependencies": "graft.transfer",
-    "write_report": "graft.transfer",
-}
 
 
 def top_level_imports(source: str) -> set[str]:
@@ -96,16 +57,12 @@ def test_star_import_binds_exactly_all():
     assert set(namespace) == set(graft.__all__)
 
 
-@pytest.mark.parametrize("name,module", sorted(DROPPED.items()))
-def test_dropped_name_imports_from_its_module(name, module):
-    obj = getattr(importlib.import_module(module), name)
-    assert obj.__module__ == module
-    assert name not in graft.__all__
-    assert not hasattr(graft, name)
+def test_no_public_attribute_outside_all():
+    public = {name for name in vars(graft) if not name.startswith("_")}
+    assert public - SUBMODULES == set(graft.__all__)
 
 
 def test_readme_names_the_exports():
     section = README.read_text(encoding="utf-8").split("## Python API", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"`(\w+)`", section))
-    assert set(graft.__all__) <= named
-    assert not named & set(DROPPED)
+    assert named - {"graft"} == set(graft.__all__)

@@ -42,27 +42,6 @@ class TestParseEvents:
         with pytest.raises(GraftError, match=msg):
             parse_events([text])
 
-    GOOD = '{"ts": 1, "attrs": {"a": "x", "b": "y"}}'
-
-    @pytest.mark.parametrize(
-        "text,msg",
-        [
-            (GOOD + " {}", "Extra data: line 1 column 42 (char 41)"),
-            ("\ufeff" + GOOD, "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
-            (GOOD[:28], "Expecting ',' delimiter: line 1 column 29 (char 28)"),
-            (GOOD.encode(), None),
-        ],
-        ids=["trailing-data", "bom", "truncated", "bytes"],
-    )
-    def test_decode_keeps_json_loads_verdicts(self, text, msg):
-        # a bare raw_decode stops early on trailing data, reads a BOM as "Expecting value"
-        # and refuses bytes; each line gets json.loads' verdict, written out here
-        if msg is None:
-            assert parse_events([text]) == [Event(1, {"a": "x", "b": "y"})]
-        else:
-            with pytest.raises(GraftError, match=f"^{re.escape('record 1: invalid JSON: ' + msg)}$"):
-                parse_events([text])
-
     @pytest.mark.parametrize(
         "tok,valid",
         [("", False), ("a b", False), ("\x1c", False), ("\u00a0", False), ("\u2028", False), (3, False),
