@@ -60,7 +60,7 @@ def score(estimate: HeteroGraph, truth: HeteroGraph) -> EvalResult:
     the one the truth gives the same pair, ``rows * n + cols``. The truth's
     edges are sorted by (row, col), so are its keys: each is found by bisection.
     """
-    pos = np.fromiter(map(truth._index.get, estimate.entity_ids, repeat(-1)), np.intp, estimate.n)
+    pos = np.fromiter(map(truth._id_index().get, estimate.entity_ids, repeat(-1)), np.intp, estimate.n)
     n_shared = int(np.count_nonzero(pos >= 0))
     ep, er, ef1, eflag = _prf(n_shared, estimate.n, truth.n)
     rows, cols, _ = estimate.edge_arrays()

@@ -6,21 +6,23 @@ entity order is always the lexicographic order of the ids, which fixes every
 matrix index convention in the package and makes serialization deterministic.
 
 Edges are stored column-wise: integer endpoint arrays with row < col, sorted
-by (row, col), and a float64 weight array. ``HeteroGraph.csr`` is the one
+by (row, col), and a float64 weight array. The id → index dict is built by
+the first lookup and kept. ``HeteroGraph.csr`` is the one
 place edges become a matrix, a binary one (cached, graphs being immutable):
 the construction stage reads both of its adjacencies as this cached CSR, and
 a caller that needs a dense matrix takes ``csr().toarray()``. ``edges()``
 builds a tuple of Python (id, id, weight) records on each call and keeps
 none, since it costs about four times the arrays: a caller that reads the
-edges more than once should use ``edge_arrays()``. The validating
-constructor (``parse_graph`` goes through it too) and the package's own
-builders end in one array-level constructor.
+edges more than once should use ``edge_arrays()``, as the text format's
+writer does. The validating constructor and ``parse_graph`` share
+one column validator, and every graph ends in one array-level constructor.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence, Sized
+from array import array
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence, Sized
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ import scipy.sparse as sp
 from .errors import GraftError, GraphFormatError
 
 FORMAT_HEADER = "graphfmt 1"
+_BLOCK = 1 << 12  # characters of text split at a time, and edges formatted at a time
 
 
 class _RecordError(GraftError):
@@ -63,7 +66,7 @@ def _float(w) -> float | None:
         return None
 
 
-def _positions(index: dict[str, int], records: list, j: int) -> np.ndarray:
+def _positions(index: dict[str, int], records: Collection, j: int) -> np.ndarray:
     """The index of each record's item ``j``, -1 where that is no declared id (an unhashable one too)."""
     get = index.get
     try:
@@ -72,11 +75,10 @@ def _positions(index: dict[str, int], records: list, j: int) -> np.ndarray:
         return np.array([get(e[j], -1) if isinstance(e[j], str) else -1 for e in records], np.intp)
 
 
-def _columns(entities: Iterable[tuple[str, str]], edges: Iterable[tuple]):
-    """The arguments of ``HeteroGraph._init`` from (id, type) and (id1, id2[,
-    weight]) records. The first bad record, entities before edges, raises
-    ``_RecordError`` for its first failed check: tokens, duplicate id; arity,
-    declared endpoints, self-loop, positive finite weight, duplicate pair."""
+def _entity_columns(entities: Iterable) -> tuple[tuple[str, ...], tuple[str, ...], dict[str, int]]:
+    """The sorted ids, their types and the id → index dict of (id, type)
+    records. The first bad record raises ``_RecordError`` for its first
+    failed check: shape, tokens, duplicate id."""
     seen: dict[str, tuple[int, str]] = {}
     for k, record in enumerate(entities):
         try:
@@ -90,9 +92,45 @@ def _columns(entities: Iterable[tuple[str, str]], edges: Iterable[tuple]):
         if first != k:
             raise _RecordError(f"duplicate entity id {eid!r}", "entities", k, first)
     ids = tuple(sorted(seen))
-    index = {eid: i for i, eid in enumerate(ids)}
+    return ids, tuple(seen[eid][1] for eid in ids), dict(zip(ids, range(len(ids))))
 
-    # records after the first one of the wrong arity are never reached
+
+def _edge_columns(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, record: Callable[[int], tuple]):
+    """The edges rows[k]–cols[k] of weight weights[k] as ``HeteroGraph._init``
+    takes them: rows < cols, sorted by pair. An endpoint is an entity index,
+    -1 for an undeclared one; a weight is nan where it is no number. The first
+    bad edge raises ``_RecordError`` for its first failed check: declared
+    endpoints, self-loop, positive finite weight, duplicate pair. ``record(p)``
+    gives edge p as written, (id1, id2, weight), for the message."""
+    key = np.minimum(rows, cols)
+    key *= n
+    key += np.maximum(rows, cols)
+    bad = (rows < 0) | (cols < 0) | (rows == cols) | ~((weights > 0) & (weights < np.inf))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    bad[order[1:][key[1:] == key[:-1]]] = True  # a repeat: a later edge with an earlier one's pair
+    if bad.any():
+        p = int(np.argmax(bad))
+        a, b, raw = record(p)
+        if rows[p] < 0 or cols[p] < 0:
+            raise _RecordError(f"edge endpoint {(a if rows[p] < 0 else b)!r} is not a declared entity", "edges", p)
+        if rows[p] == cols[p]:
+            raise _RecordError(f"self-loop on entity {a!r} is not allowed", "edges", p)
+        if not 0 < weights[p] < np.inf:
+            w = _float(raw)
+            got = f"a number, got {raw!r}" if w is None else f"positive and finite, got {w}"
+            raise _RecordError(f"edge ({a!r}, {b!r}) weight must be {got}", "edges", p)
+        first = int(order[np.searchsorted(key, min(rows[p], cols[p]) * n + max(rows[p], cols[p]))])
+        raise _RecordError(f"duplicate edge between {a!r} and {b!r}", "edges", p, first)
+    return *np.divmod(key, max(n, 1)), weights[order]
+
+
+def _columns(entities: Iterable[tuple[str, str]], edges: Iterable[tuple]):
+    """The arguments of ``HeteroGraph._init`` from (id, type) and (id1, id2[,
+    weight]) records. The first bad record, entities before edges, raises
+    ``_RecordError``; an edge of the wrong arity only once every edge before
+    it has passed, since the records after it are never reached."""
+    ids, types, index = _entity_columns(entities)
     edges = list(edges)
     try:
         arity = np.fromiter(map(len, edges), np.intp, len(edges))
@@ -106,28 +144,10 @@ def _columns(entities: Iterable[tuple[str, str]], edges: Iterable[tuple]):
         weights = np.fromiter(raw, float, m)
     except (TypeError, ValueError, OverflowError):
         weights = np.array([_float(w) for w in raw], dtype=float)  # None, for not a number, becomes nan
-    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    key = lo * len(ids) + hi
-    order = np.argsort(key, kind="stable")
-    repeat = np.zeros(m, dtype=bool)
-    repeat[order[1:]] = np.diff(key[order]) == 0
-    bad_weight = ~((weights > 0) & (weights < np.inf))
-    fault = np.select([(rows < 0) | (cols < 0), rows == cols, bad_weight, repeat], [1, 2, 3, 4])
-    if fault.any():
-        p = int(np.argmax(fault > 0))
-        a, b, w = edges[p][0], edges[p][1], _float(raw[p])
-        problems = (
-            f"edge endpoint {(a if rows[p] < 0 else b)!r} is not a declared entity",
-            f"self-loop on entity {a!r} is not allowed",
-            f"edge ({a!r}, {b!r}) weight must be "
-            + (f"a number, got {raw[p]!r}" if w is None else f"positive and finite, got {w}"),
-            f"duplicate edge between {a!r} and {b!r}",
-        )
-        first = int(np.argmax(key == key[p])) if fault[p] == 4 else None
-        raise _RecordError(problems[fault[p] - 1], "edges", p, first)
+    columns = _edge_columns(len(ids), rows, cols, weights, lambda p: (*head[p][:2], raw[p]))
     if m < len(edges):
         raise _RecordError(f"edge must be (id1, id2[, weight]), got {edges[m]!r}", "edges", m)
-    return ids, tuple(seen[eid][1] for eid in ids), index, lo[order], hi[order], weights[order]
+    return ids, types, *columns
 
 
 class HeteroGraph:
@@ -148,12 +168,12 @@ class HeteroGraph:
     def __init__(self, entities: Iterable[tuple[str, str]] = (), edges: Iterable[tuple] = ()):
         self._init(*_columns(entities, edges))
 
-    def _init(self, ids, types, index, rows, cols, weights) -> HeteroGraph:
+    def _init(self, ids, types, rows, cols, weights) -> HeteroGraph:
         """The array-level constructor every graph ends in. It trusts that ``ids``
         are sorted and unique and that each edge rows[k] < cols[k] occurs once
         with a positive finite weight. Edges already in pair order are kept
         as given, and frozen, so callers hand over arrays they no longer write."""
-        self._ids, self._types, self._index = ids, types, index
+        self._ids, self._types = ids, types
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         weights = np.asarray(weights, dtype=float)
         key = rows * len(ids) + cols
@@ -163,12 +183,12 @@ class HeteroGraph:
         self._rows, self._cols, self._weights = rows, cols, weights
         for arr in (self._rows, self._cols, self._weights):
             arr.flags.writeable = False
-        self._csr = self._codes = None
+        self._index = self._csr = self._codes = None
         return self
 
     def _with_edges(self, rows, cols, weights) -> HeteroGraph:
         """The same entities with other, already valid, edges."""
-        return HeteroGraph.__new__(HeteroGraph)._init(self._ids, self._types, self._index, rows, cols, weights)
+        return HeteroGraph.__new__(HeteroGraph)._init(self._ids, self._types, rows, cols, weights)
 
     def _reindexed(self, items: Sequence[tuple[str, str]]) -> HeteroGraph:
         """This graph over the sorted (id, type) list ``items``: edges losing an
@@ -179,8 +199,13 @@ class HeteroGraph:
         rows, cols = pos[self._rows], pos[self._cols]
         keep = (rows >= 0) & (cols >= 0)
         types = tuple(etype for _, etype in items)
-        graph = HeteroGraph.__new__(HeteroGraph)
-        return graph._init(ids, types, index, rows[keep], cols[keep], self._weights[keep])
+        return HeteroGraph.__new__(HeteroGraph)._init(ids, types, rows[keep], cols[keep], self._weights[keep])
+
+    def _id_index(self) -> dict[str, int]:
+        """The id → index dict, built by the first lookup and kept."""
+        if self._index is None:
+            self._index = dict(zip(self._ids, range(len(self._ids))))
+        return self._index
 
     @property
     def n(self) -> int:
@@ -198,11 +223,11 @@ class HeteroGraph:
         return tuple(zip(self._ids, self._types))
 
     def has_entity(self, eid: str) -> bool:
-        return eid in self._index
+        return eid in self._id_index()
 
     def index_of(self, eid: str) -> int:
         try:
-            return self._index[eid]
+            return self._id_index()[eid]
         except KeyError:
             raise GraftError(f"unknown entity id {eid!r}") from None
 
@@ -311,54 +336,101 @@ def dynamic_factor(a: HeteroGraph, b: HeteroGraph) -> float:
 
 
 def format_graph(g: HeteroGraph) -> str:
-    """Canonical text form: header, sorted v-lines, sorted e-lines."""
-    lines = [FORMAT_HEADER]
-    for eid, etype in g.entity_items():
-        lines.append(f"v {eid} {etype}")
-    for a, b, w in g.edges():
-        lines.append(f"e {a} {b} {w!r}")
-    return "\n".join(lines) + "\n"
+    """Canonical text form: header, sorted v-lines, sorted e-lines. The e-lines
+    are written from the edge arrays, a block at a time; a weight is written
+    as its Python float's repr, so it reads back to the same float."""
+    name = g.entity_ids.__getitem__
+    rows, cols, weights = g.edge_arrays()
+    parts = [FORMAT_HEADER, *map("v {} {}".format, g.entity_ids, g.entity_types)]
+    for s in range(0, len(weights), _BLOCK):
+        ends = map(name, rows[s : s + _BLOCK].tolist()), map(name, cols[s : s + _BLOCK].tolist())
+        parts.append("\n".join(map("e {} {} {!r}".format, *ends, weights[s : s + _BLOCK].tolist())))
+    parts.append("")  # the newline after the last line
+    return "\n".join(parts)
+
+
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """The 1-based number and the stripped text of each line that is neither
+    blank nor a comment. The lines are those of ``text.splitlines()``, split a
+    block at a time: a cut just after a newline is a line boundary whatever
+    line ends the text uses."""
+    lineno = start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _BLOCK)
+        end = len(text) if cut < 0 else cut + 1
+        for raw in text[start:end].splitlines():
+            lineno += 1
+            line = raw.strip()
+            if line and line[0] != "#":
+                yield lineno, line
+        start = end
+
+
+def _record_line(text: str, tag: str, k: int) -> tuple[int, list[str]]:
+    """The line number and tokens of the k-th (from 0) ``tag`` record of a
+    text that has been read without a format error."""
+    records = _records(text)
+    next(records)  # the header
+    for lineno, line in records:
+        tokens = line.split()
+        if tokens[0] == tag:
+            if k == 0:
+                return lineno, tokens
+            k -= 1
 
 
 def parse_graph(text: str) -> HeteroGraph:
-    """Parse the graph text format, reporting errors with 1-based line numbers."""
-    header_seen = False
-    entities: list[tuple[str, str]] = []
-    edges: list[tuple[str, str, float]] = []
-    lines: dict[str, list[int]] = {"entities": [], "edges": []}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != FORMAT_HEADER:
-                raise GraphFormatError(f"expected header {FORMAT_HEADER!r}, got {line!r}", lineno)
-            header_seen = True
-            continue
+    """Parse the graph text format, reporting errors with 1-based line numbers.
+
+    Each e-line becomes two endpoint codes and a float64 weight as it is read,
+    the codes numbering ids at first sight, so a v-line may come after the
+    e-lines that name it. Once the text is read the codes are resolved against
+    the v-lines in sorted order and checked by the constructor's validator; an
+    error's line is found by reading the text again up to its record.
+    """
+    records = _records(text)
+    lineno, line = next(records, (None, None))
+    if line is None:
+        raise GraphFormatError(f"missing header {FORMAT_HEADER!r}")
+    if line != FORMAT_HEADER:
+        raise GraphFormatError(f"expected header {FORMAT_HEADER!r}, got {line!r}", lineno)
+    ids: list[str] = []
+    types: list[str] = []
+    code: dict[str, int] = {}
+    number = code.setdefault
+    ends, weights = array("q"), array("d")
+    for lineno, line in records:
         tokens = line.split()
-        if tokens[0] == "v":
-            if len(tokens) != 3:
-                raise GraphFormatError("v-line must be 'v <id> <type>'", lineno)
-            entities.append((tokens[1], tokens[2]))
-            lines["entities"].append(lineno)
-        elif tokens[0] == "e":
+        tag = tokens[0]
+        if tag == "e":
             if len(tokens) != 4:
                 raise GraphFormatError("e-line must be 'e <id1> <id2> <weight>'", lineno)
-            w = _float(tokens[3])
-            if w is None:
-                raise GraphFormatError(f"invalid edge weight {tokens[3]!r}", lineno)
-            edges.append((tokens[1], tokens[2], w))
-            lines["edges"].append(lineno)
+            try:
+                weights.append(float(tokens[3]))
+            except ValueError:
+                raise GraphFormatError(f"invalid edge weight {tokens[3]!r}", lineno) from None
+            ends.append(number(tokens[1], len(code)))
+            ends.append(number(tokens[2], len(code)))
+        elif tag == "v":
+            if len(tokens) != 3:
+                raise GraphFormatError("v-line must be 'v <id> <type>'", lineno)
+            number(tokens[1], len(code))
+            ids.append(tokens[1])
+            types.append(tokens[2])
         else:
-            raise GraphFormatError(f"unknown record type {tokens[0]!r}", lineno)
-    if not header_seen:
-        raise GraphFormatError(f"missing header {FORMAT_HEADER!r}")
+            raise GraphFormatError(f"unknown record type {tag!r}", lineno)
     try:
-        return HeteroGraph(entities, edges)
+        ids, types, index = _entity_columns(zip(ids, types))
+        # each endpoint's entity index, -1 for an undeclared id; the codes are dropped here
+        ends = _positions(index, code.items(), 0)[np.frombuffer(ends, np.int64)]
+        edges = _edge_columns(
+            len(ids), ends[0::2], ends[1::2], np.frombuffer(weights), lambda p: _record_line(text, "e", p)[1][1:]
+        )
     except _RecordError as exc:
-        at, first = lines[exc.where], {"entities": "first declared", "edges": "first"}[exc.where]
-        suffix = "" if exc.first is None else f" ({first} on line {at[exc.first]})"
-        raise GraphFormatError(f"{exc}{suffix}", at[exc.pos]) from None
+        tag, first = {"entities": ("v", "first declared"), "edges": ("e", "first")}[exc.where]
+        suffix = "" if exc.first is None else f" ({first} on line {_record_line(text, tag, exc.first)[0]})"
+        raise GraphFormatError(f"{exc}{suffix}", _record_line(text, tag, exc.pos)[0]) from None
+    return HeteroGraph.__new__(HeteroGraph)._init(ids, types, *edges)
 
 
 def read_graph(path: str | Path) -> HeteroGraph:

@@ -167,11 +167,10 @@ def _prefix_graphs(events: list[Event], cuts: Iterable[int]) -> list[HeteroGraph
             kept = by_rank[present].tolist()
             cut_ids = tuple(map(ids.__getitem__, kept))
             cut_types = tuple(map(types.__getitem__, kept))
-            index = dict(zip(cut_ids, range(m)))
         live = np.flatnonzero(counts)
         rows, cols = local[pair_rows[live]], local[pair_cols[live]]
         graph = HeteroGraph.__new__(HeteroGraph)
-        graphs.append(graph._init(cut_ids, cut_types, index, rows, cols, counts[live].astype(float)))
+        graphs.append(graph._init(cut_ids, cut_types, rows, cols, counts[live].astype(float)))
         counted, known = end, m
     return graphs
 

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import graft.hetgraph
 from graft import GraftError, GraphFormatError, HeteroGraph, dynamic_factor, format_graph, parse_graph
-from graft.hetgraph import align_union_entities, induced_subgraph, read_graph, split_by_overlap, write_graph
+from graft.hetgraph import _records, align_union_entities, induced_subgraph, read_graph, split_by_overlap, write_graph
 from graft.reconstruction import finalize_edges
 from graft.selection import merge_transferred_entities
-from testkit import edge_weight
+from testkit import edge_weight, reference_format_graph
 
 
 def toy_graph():
@@ -379,6 +382,66 @@ class TestGraphFormat:
         with pytest.raises(GraphFormatError, match=msg) as exc:
             parse_graph("graphfmt 1\n" + body)
         assert exc.value.line == line
+
+    @staticmethod
+    def random_graph(seed: int, n: int, m: int) -> HeteroGraph:
+        """n entities of three types and m distinct edges with full-precision weights."""
+        rng = np.random.default_rng(seed)
+        base = HeteroGraph([(f"e{i}", f"t{i % 3}") for i in range(n)])
+        rows, cols = np.triu_indices(n, 1)
+        pick = np.sort(rng.choice(len(rows), size=m, replace=False))
+        return base._with_edges(rows[pick], cols[pick], rng.uniform(0.01, 100.0, m))
+
+    def test_format_matches_record_formatter(self):
+        weights = [0.1, 1 / 3, 1e-300, 2.5e16]
+        ids = ["a", "\u00e9t\u00e9", "\u65e5\u672c", "z"]
+        odd = HeteroGraph(
+            [(eid, f"t{k}") for k, eid in enumerate(ids)],
+            [(ids[0], ids[1], weights[0]), (ids[1], ids[2], weights[1]), (ids[2], ids[3], weights[2]),
+             (ids[0], ids[3], weights[3])],
+        )
+        text = format_graph(odd)
+        assert "e \u00e9t\u00e9 \u65e5\u672c 0.3333333333333333\n" in text and "1e-300\n" in text
+        assert "2.5e+16\n" in text
+        large = self.random_graph(0, 300, 3 * graft.hetgraph._BLOCK + 5)  # e-lines over four blocks
+        for g in (HeteroGraph(), HeteroGraph([("a", "t")]), odd, large):
+            assert format_graph(g) == reference_format_graph(g)
+            assert parse_graph(format_graph(g)) == g
+
+    def test_parse_peaks_under_four_times_the_edge_arrays(self):
+        g = self.random_graph(1, 2000, 60_000)
+        text = format_graph(g)
+        tracemalloc.start()
+        try:
+            parsed = parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == g
+        assert peak < 4 * sum(a.nbytes for a in parsed.edge_arrays())
+
+    def test_ids_declared_after_their_edges(self):
+        canonical = format_graph(toy_graph())
+        text = (
+            "# edges first\n\ngraphfmt 1\n"
+            "e s1 p1 1.0\n  # a comment between records\n\n"
+            "e p1 f1 2.0\nv s1 socket\n\n# and another\nv p1 process\n   \nv f1 file\n"
+        )
+        parsed = parse_graph(text)
+        assert parsed == parse_graph(canonical) == toy_graph()
+        assert format_graph(parsed) == canonical
+
+    def test_lines_numbered_as_splitlines_across_block_cuts(self, monkeypatch):
+        # every line end str.splitlines knows, and a "\r\n" that a cut after each "\n" never splits
+        body = "v a t\r\nv b t\rv c t\x85v d t\u2028# c\x0c\x1c\ne a b 1.0\r\n\r\ne b c 2.0\ne c d zero\n"
+        text = "graphfmt 1\r\n" + body * 3
+        want = [(k, line.strip()) for k, line in enumerate(text.splitlines(), 1) if line.strip()[:1] not in ("", "#")]
+        for block in (1, 2, 5, 13, 4096):
+            monkeypatch.setattr(graft.hetgraph, "_BLOCK", block)
+            assert list(_records(text)) == want, block
+            with pytest.raises(GraphFormatError, match="invalid edge weight 'zero'") as exc:
+                parse_graph(text)
+            assert exc.value.line == 12, block
 
     def test_read_write_round_trip(self, tmp_path):
         g = toy_graph()

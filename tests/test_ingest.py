@@ -2,6 +2,7 @@ import gc
 import json
 import logging
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -9,9 +10,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from graft import GraftError, HeteroGraph, accumulate, format_graph, parse_events, snapshot_series
+from graft import GraftError, HeteroGraph, accumulate, format_graph, parse_events, score, snapshot_series
 from graft.ingest import Event
-from testkit import edge_weight
+from testkit import edge_weight, reference_score
 
 
 def line(ts, attrs):
@@ -325,6 +326,52 @@ class TestIngestMemory:
         finally:
             tracemalloc.stop()
         assert grown < 0.05 * array_bytes
+
+    def test_snapshots_hold_only_their_arrays_and_id_tuples(self):
+        # bound set before measuring: the distinct snapshots' traced live bytes stay within
+        # 10% of their edge arrays plus id and type tuples. A per-window id -> index dict
+        # read about 1.5 times them on this stream.
+        events = parse_events(stream_lines(2, 3000, 24_000))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            snaps = snapshot_series(events, 1000)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        distinct = list({id(s): s for s in snaps}.values())
+        tuples = {id(t): t for s in distinct for t in (s.entity_ids, s.entity_types)}.values()
+        held = sum(a.nbytes for s in distinct for a in s.edge_arrays()) + sum(map(sys.getsizeof, tuples))
+        assert len(distinct) == 24 and held > 2_000_000
+        assert live < 1.10 * held
+
+    def test_lookups_agree_before_and_after_the_index_is_built(self):
+        snaps = snapshot_series(parse_events(stream_lines(5, 600, 2400)), 100)
+        mid, last = snaps[len(snaps) // 2], snaps[-1]
+        rows, cols, weights = last.edge_arrays()
+        builders = {
+            "snapshot": lambda: snapshot_series(parse_events(stream_lines(5, 600, 2400)), 100)[-1],
+            "_with_edges": lambda: last._with_edges(rows[::3], cols[::3], weights[::3]),
+            "_reindexed": lambda: last._reindexed(mid.entity_items()),
+        }
+        probes = [*last.entity_ids[::7], "absent", "h0 ", ""]
+
+        def answers(g):
+            known = [e for e in probes if g.has_entity(e)]
+            for eid in set(probes) - set(known):
+                with pytest.raises(GraftError, match="unknown entity id"):
+                    g.index_of(eid)
+            return known, [g.index_of(e) for e in known], [g.type_of(e) for e in known], score(mid, g), score(g, mid)
+
+        for name, build in builders.items():
+            g = build()
+            assert g._index is None, name  # built by the first lookup, not before
+            first = answers(g)
+            assert g._index is not None and answers(g) == first, name
+            known, positions, types, truth_side, estimate_side = first
+            assert known and positions == [g.entity_ids.index(e) for e in known], name
+            assert types == [dict(g.entity_items())[e] for e in known], name
+            assert (truth_side, estimate_side) == (reference_score(mid, g), reference_score(g, mid)), name
 
     def test_events_share_one_string_per_type(self):
         events = parse_events(stream_lines(3, 500, 1000))

@@ -1,4 +1,5 @@
-"""Helpers used only by the tests: an edge-weight lookup, a finite-difference
+"""Helpers used only by the tests: an edge-weight lookup, the graph text
+formatter over edge records, a finite-difference
 gradient check, the differentiable dynamic factor of a low-rank factor,
 set-based scoring, a dense random walk with restart, a graph built from a
 boolean matrix, the synthetic generator over triangle index arrays, and the
@@ -11,13 +12,19 @@ import scipy.sparse as sp
 
 from graft import GraftError, HeteroGraph, SynthSpec
 from graft.evalkit import RESTART_PROB, WALK_MAX_ITERS, WALK_TOL, EvalResult, _prf
-from graft.hetgraph import induced_subgraph
+from graft.hetgraph import FORMAT_HEADER, induced_subgraph
 from graft.metapath import MetaPath
 
 
 def edge_weight(g: HeteroGraph, a: str, b: str) -> float | None:
     """Weight of the edge between entities a and b of g, or None if there is none."""
     return {(x, y): w for x, y, w in g.edges()}.get(tuple(sorted((a, b))))
+
+
+def reference_format_graph(g: HeteroGraph) -> str:
+    """``format_graph`` from the (id, type) and (id1, id2, weight) records."""
+    lines = [FORMAT_HEADER] + [f"v {eid} {etype}" for eid, etype in g.entity_items()]
+    return "\n".join(lines + [f"e {a} {b} {w!r}" for a, b, w in g.edges()]) + "\n"
 
 
 def uniform_weights(count: int) -> np.ndarray:
