@@ -15,11 +15,11 @@ from .evalkit import baseline_dt, baseline_nt, baseline_random_walk, score
 from .hetgraph import HeteroGraph, dynamic_factor, format_graph, parse_graph
 from .ingest import accumulate, parse_events, snapshot_series
 from .metapath import SimilarityMatrix
-from .selection import fit_selection_model, mds_embed, metapath_distance_matrices, relevance_scores
+from .selection import fit_selection_model, mds_embed, metapath_distance_matrices
 from .synthbench import SynthSpec, generate
-from .transfer import auto_mu, run_transfer
+from .transfer import run_transfer
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "GraftError",
@@ -29,7 +29,6 @@ __all__ = [
     "SynthSpec",
     "TransferConfig",
     "accumulate",
-    "auto_mu",
     "baseline_dt",
     "baseline_nt",
     "baseline_random_walk",
@@ -41,7 +40,6 @@ __all__ = [
     "metapath_distance_matrices",
     "parse_events",
     "parse_graph",
-    "relevance_scores",
     "run_transfer",
     "score",
     "snapshot_series",

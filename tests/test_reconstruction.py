@@ -13,10 +13,8 @@ from graft import (
     HeteroGraph,
     SynthSpec,
     TransferConfig,
-    fit_selection_model,
     generate,
     reconstruction,
-    relevance_scores,
     run_transfer,
     selection,
     transfer,
@@ -472,8 +470,8 @@ class TestSolve:
     def test_mu_grid_stops_by_tolerance(self, seed):
         config = TransferConfig()
         gs, _, gh = generate(SynthSpec(300, 150, dynamic_factor=0.2, maturity=0.5, seed=seed))
-        scores = relevance_scores(fit_selection_model(gs, config), gs, gh)
-        merged = merge_transferred_entities(gh, gs, sorted(e for e, s in scores.items() if s >= config.z_entity))
+        _, report = run_transfer(gs, gh, config)
+        merged = merge_transferred_entities(gh, gs, report.transferred_entities)
         for mu in [i / 10 for i in range(11)]:
             _, sol, _ = construct_dependencies(gs, gh, merged, mu, config)
             assert sol.stop_reason == "tolerance", f"mu {mu}: {sol.stop_reason} after {sol.iterations}"

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from graft import GraftError, HeteroGraph, SynthSpec, TransferConfig, auto_mu, dynamic_factor, generate, run_transfer
+from graft import GraftError, HeteroGraph, SynthSpec, TransferConfig, dynamic_factor, generate, run_transfer
 from graft.hetgraph import align_union_entities, induced_subgraph
 from graft.selection import merge_transferred_entities
-from graft.transfer import TransferReport, construct_dependencies, write_report
+from graft.transfer import TransferReport, auto_mu, construct_dependencies, write_report
 from testkit import edge_weight
 
 
