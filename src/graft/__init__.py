@@ -19,7 +19,7 @@ from .selection import fit_selection_model, mds_embed, metapath_distance_matrice
 from .synthbench import SynthSpec, generate
 from .transfer import run_transfer
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "GraftError",

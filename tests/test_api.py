@@ -10,11 +10,13 @@ import ast
 import pkgutil
 import re
 import textwrap
+import tomllib
 from pathlib import Path
 
 import graft
 
 ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 README = ROOT / "README.md"
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 SUBMODULES = {m.name for m in pkgutil.iter_modules(graft.__path__)}
@@ -66,3 +68,10 @@ def test_readme_names_the_exports():
     section = README.read_text(encoding="utf-8").split("## Python API", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"`(\w+)`", section))
     assert named - {"graft"} == set(graft.__all__)
+
+
+def test_release_number():
+    # the major number rises with each break in the top level's names or return types:
+    # 4.0.0 made parse_events and read_events return an EventLog, where they returned a list
+    version = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["version"]
+    assert graft.__version__ == version == "4.0.0"
