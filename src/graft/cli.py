@@ -122,9 +122,9 @@ def _cmd_ingest(args) -> int:
     if args.window is None:
         write_graph(accumulate(events), args.out)
         return 0
+    snaps = snapshot_series(events, args.window)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    snaps = snapshot_series(events, args.window)
     for k, snap in enumerate(snaps):  # as many digits as the last index, so names sort in time order
         write_graph(snap, out / f"snapshot_{k:0{max(4, len(str(len(snaps) - 1)))}d}.graph")
     return 0

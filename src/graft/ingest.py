@@ -35,10 +35,15 @@ import numpy as np
 
 from .errors import GraftError
 from .hetgraph import HeteroGraph, entity_problem, is_token
+from .numerics import _check_memory
 
 log = logging.getLogger(__name__)
 
 _RECORD_KEYS = frozenset(("ts", "attrs"))
+# bytes a snapshot series holds per window at its peak: the window's cut and
+# entity-count entries, as arrays and as lists, and its slot in the graph list
+# (40.5 B under tracemalloc over a 10⁶-window series of two events)
+_WINDOW_BYTES = 40
 
 
 @dataclass(slots=True)
@@ -308,15 +313,20 @@ def snapshot_series(events: Iterable[Event], window: int) -> list[HeteroGraph]:
     Snapshot k aggregates every event with ts < start + k * window, where
     start is the earliest timestamp. An empty stream yields one empty graph.
     Events are consumed in stable ts order, so a type conflict raises at the
-    first event in that order that gives an entity a second type.
+    first event in that order that gives an entity a second type. A window
+    count whose series would exceed the memory budget
+    (``numerics._check_memory``) raises before any cut is built.
     """
     if isinstance(window, bool) or not isinstance(window, int) or window <= 0:
         raise GraftError(f"window must be a positive integer of milliseconds, got {window!r}")
-    if not isinstance(events, EventLog):
+    if isinstance(events, EventLog):
+        order = sorted(range(len(events)), key=events._ts.__getitem__)
+        ts = list(map(events._ts.__getitem__, order))
+    else:  # folded in ts order, so stream order is ts order
         events = _fold(sorted(events, key=attrgetter("ts")))
+        order, ts = None, events._ts
     if not len(events):
         return [HeteroGraph()]
-    order = sorted(range(len(events)), key=events._ts.__getitem__)
-    ts = list(map(events._ts.__getitem__, order))
     n_windows = (ts[-1] - ts[0]) // window + 1
+    _check_memory(f"a series of {n_windows} windows", n_windows * _WINDOW_BYTES)
     return _prefix_graphs(events, order, (bisect_left(ts, ts[0] + k * window) for k in range(1, n_windows + 1)))

@@ -243,28 +243,17 @@ def _unpack(bits: np.ndarray, k: int) -> np.ndarray:
     return np.unpackbits(bits.view(np.uint8), axis=1, count=k, bitorder="little")
 
 
-# the largest sum the blend's integer accumulators hold
-_SUM_LIMIT = int(np.iinfo(np.uint32).max)
-
-
-def _sum_dtype(bound: float) -> type:
-    """The narrowest accumulator that holds sums up to ``bound``: ``uint16``, ``uint32``, else float64."""
-    for dtype in (np.uint16, np.uint32):
-        if bound <= min(np.iinfo(dtype).max, _SUM_LIMIT):
-            return dtype
-    return np.float64
-
-
 def blend(mats: Iterable[SimilarityMatrix]) -> np.ndarray:
     """Uniform mean ΣM/P of P similarity matrices as a float64 array.
 
     ``mats`` may be a generator; each matrix is added as it arrives.
     Unsigned integer matrices are summed exactly in the narrowest unsigned
-    accumulator that holds the sum's bound, P × the dtype maximum (``uint16``
-    for 24 ``uint8`` hop matrices, 2·n² bytes), the first read in place until
-    a second joins it. The accumulator widens as the bound grows, to
-    ``uint32`` past 2¹⁶ − 1 and to float64 past 2³² − 1 or when a matrix
-    that is not unsigned arrives; each widening is one new array. The exact
+    accumulator that holds the sum's bound, P × the dtype maximum, by the
+    hop matrices' rule (``np.min_scalar_type``: ``uint16`` for 24 ``uint8``
+    hop matrices, 2·n² bytes), the first read in place until a second joins
+    it. The accumulator widens as the bound grows, to ``uint32`` past
+    2¹⁶ − 1 and to float64 past 2³² − 1 or when a matrix that is not
+    unsigned arrives; each widening is one new array. The exact
     sum is scaled by 1.0/P once at the end, so the result does not depend on
     the accumulator's width.
     """
@@ -278,7 +267,7 @@ def blend(mats: Iterable[SimilarityMatrix]) -> np.ndarray:
         if m.shape != total.shape:
             raise GraftError(f"matrix shape mismatch: {m.shape} vs {total.shape}")
         bound += top
-        dtype = _sum_dtype(bound)
+        dtype = np.min_scalar_type(bound) if bound < 2**32 else np.float64
         if k == 1 or total.dtype != dtype:  # the first matrix is read in place; a wider sum is a new array
             total = np.add(total, m, dtype=dtype)
         else:

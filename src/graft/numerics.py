@@ -1,6 +1,6 @@
 """Deterministic numerical kernels: the symmetric eigensolves, the threaded
-dense and symmetric products, clamped ridge regression, and the row moments
-of x xᵀ.
+dense and symmetric products, clamped ridge regression, the row moments of
+x xᵀ, and the memory budget (``_check_memory``) the stages check first.
 
 ``_lanczos_topk`` is the one top-k eigensolve of the pipeline: ARPACK's
 Lanczos iteration on a symmetric operator given as a function (MDS's double
@@ -25,6 +25,7 @@ platform and BLAS thread count.
 
 from __future__ import annotations
 
+import os
 from typing import Callable
 
 import numpy as np
@@ -36,6 +37,10 @@ from .errors import GraftError
 SYMMETRY_RTOL = 1e-9
 # side of the square tiles that symmetry checks walk in mirrored pairs, so both stay in cache
 _TILE = 256
+# the process's cgroups, and the mount roots of the cgroup v2 and v1 memory hierarchies
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_V2_ROOT = "/sys/fs/cgroup"
+_CGROUP_V1_MEMORY_ROOT = "/sys/fs/cgroup/memory"
 
 
 def sym_eig_topk(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,3 +207,51 @@ def _gram_row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = _matmul(x, x.sum(axis=0)) / len(x)
     second = np.einsum("ij,ij->i", _matmul(x, _matmul(x.T, x)), x) / len(x)
     return mean, np.sqrt(np.maximum(second - mean * mean, 0.0))
+
+
+def _check_memory(what: str, need: int) -> None:
+    """Raise ``GraftError`` when ``what`` needs more than ``_physical_memory_bytes()`` bytes."""
+    if (budget := _physical_memory_bytes()) is not None and need > budget:
+        raise GraftError(f"{what} needs {need} bytes for its arrays, more than the {budget} bytes "
+                         "of physical memory or cgroup limit")
+
+
+def _physical_memory_bytes() -> int | None:
+    """Memory the process may use: the smallest of physical memory (``os.sysconf``
+    page size × page count) and the memory limits of the process's cgroups,
+    those known; None where none is.
+
+    The cgroup of the v2 line (``0::``) of ``_PROC_CGROUP``, and of a v1 line
+    that names ``memory``, is read with each of its ancestors up to the mount
+    root: ``memory.max`` under ``_CGROUP_V2_ROOT``, ``memory.limit_in_bytes``
+    under ``_CGROUP_V1_MEMORY_ROOT``. A file that holds ``max``, is missing or
+    cannot be read sets no limit."""
+    try:
+        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        size = pages = 0
+    figures = [size * pages] if size > 0 and pages > 0 else []
+    try:
+        with open(_PROC_CGROUP) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        lines = []
+    for line in lines:
+        hierarchy, _, rest = line.partition(":")
+        controllers, _, path = rest.partition(":")
+        if hierarchy == "0" and not controllers:
+            root, name = _CGROUP_V2_ROOT, "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = _CGROUP_V1_MEMORY_ROOT, "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [p for p in path.split("/") if p]
+        for depth in range(len(parts) + 1):
+            try:
+                with open(os.path.join(root, *parts[:depth], name)) as f:
+                    limit = f.read().strip()
+            except OSError:
+                continue
+            if limit.isdigit():
+                figures.append(int(limit))
+    return min(figures, default=None)

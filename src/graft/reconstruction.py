@@ -38,8 +38,7 @@ import numpy as np
 from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph
-from .numerics import _gram_row_moments, _lanczos_topk, _matmul
-from .selection import _check_memory
+from .numerics import _check_memory, _gram_row_moments, _lanczos_topk, _matmul
 
 log = logging.getLogger(__name__)
 

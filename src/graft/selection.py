@@ -24,7 +24,6 @@ EᵀE, and the pipeline transfers those whose score clears a threshold.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -34,17 +33,15 @@ from .config import TransferConfig
 from .errors import GraftError
 from .hetgraph import HeteroGraph, check_shared_types, split_by_overlap
 from .metapath import MetaPath, SimilarityMatrix, blend, enumerate_metapaths, path_distance_matrix, project
-from .numerics import _check_symmetric, _gram_row_moments, _lanczos_topk, _matmul, _symmul, solve_normal_nonneg
+from .numerics import (
+    _check_memory, _check_symmetric, _gram_row_moments, _lanczos_topk, _matmul, _symmul, solve_normal_nonneg
+)
 
 log = logging.getLogger(__name__)
 
 # matrix cells in one row block of the weight fit (per path, so its float64
 # copy of the P hop matrices stays at P × 128 KiB) and of the objective
 _FIT_BLOCK_CELLS = 1 << 14
-# the process's cgroups, and the mount roots of the cgroup v2 and v1 memory hierarchies
-_PROC_CGROUP = "/proc/self/cgroup"
-_CGROUP_V2_ROOT = "/sys/fs/cgroup"
-_CGROUP_V1_MEMORY_ROOT = "/sys/fs/cgroup/memory"
 
 
 def mds_embed(distances: np.ndarray, d1: int) -> np.ndarray:
@@ -180,7 +177,7 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     for 24 one-byte hop matrices), and the sum beside the blend it is scaled
     into (the fit peaks near 1.26 float64 n × n arrays at 1200 entities), so
     it raises ``GraftError`` before the first projection when two of them,
-    16·n² bytes, exceed ``_physical_memory_bytes()``.
+    16·n² bytes, exceed ``numerics._physical_memory_bytes()``.
     """
     config = config or TransferConfig()
     if gs.n == 0:
@@ -192,54 +189,6 @@ def fit_selection_model(gs: HeteroGraph, config: TransferConfig | None = None) -
     obj = _blend_objective(embedding, blended, len(paths), config.lam)
     log.info("selection model fitted over %d meta-path(s)", len(paths))
     return SelectionState(paths, embedding, [obj])
-
-
-def _check_memory(what: str, need: int) -> None:
-    """Raise ``GraftError`` when ``what`` needs more than ``_physical_memory_bytes()`` bytes."""
-    if (budget := _physical_memory_bytes()) is not None and need > budget:
-        raise GraftError(f"{what} needs {need} bytes for its n × n arrays, more than the {budget} bytes "
-                         "of physical memory or cgroup limit")
-
-
-def _physical_memory_bytes() -> int | None:
-    """Memory the process may use: the smallest of physical memory (``os.sysconf``
-    page size × page count) and the memory limits of the process's cgroups,
-    those known; None where none is.
-
-    The cgroup of the v2 line (``0::``) of ``_PROC_CGROUP``, and of a v1 line
-    that names ``memory``, is read with each of its ancestors up to the mount
-    root: ``memory.max`` under ``_CGROUP_V2_ROOT``, ``memory.limit_in_bytes``
-    under ``_CGROUP_V1_MEMORY_ROOT``. A file that holds ``max``, is missing or
-    cannot be read sets no limit."""
-    try:
-        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        size = pages = 0
-    figures = [size * pages] if size > 0 and pages > 0 else []
-    try:
-        with open(_PROC_CGROUP) as f:
-            lines = f.read().splitlines()
-    except OSError:
-        lines = []
-    for line in lines:
-        hierarchy, _, rest = line.partition(":")
-        controllers, _, path = rest.partition(":")
-        if hierarchy == "0" and not controllers:
-            root, name = _CGROUP_V2_ROOT, "memory.max"
-        elif "memory" in controllers.split(","):
-            root, name = _CGROUP_V1_MEMORY_ROOT, "memory.limit_in_bytes"
-        else:
-            continue
-        parts = [p for p in path.split("/") if p]
-        for depth in range(len(parts) + 1):
-            try:
-                with open(os.path.join(root, *parts[:depth], name)) as f:
-                    limit = f.read().strip()
-            except OSError:
-                continue
-            if limit.isdigit():
-                figures.append(int(limit))
-    return min(figures, default=None)
 
 
 def relevance_scores(state: SelectionState, gs: HeteroGraph, gt_hat: HeteroGraph) -> dict[str, float]:

@@ -120,11 +120,6 @@ def generate(spec: SynthSpec) -> tuple[HeteroGraph, HeteroGraph, HeteroGraph]:
     m = spec.n_target
     n_pairs = m * (m - 1) // 2
     k = int(round(spec.dynamic_factor * n_pairs))
-    if k > n_pairs:
-        raise GraftError(
-            f"requested dynamic factor {spec.dynamic_factor} needs {k} toggles "
-            f"but only {n_pairs} entity pairs exist"
-        )
     starts = _pair_starts(m)
     t_rows, t_cols, _ = trimmed.edge_arrays()
     pairs = np.zeros(n_pairs, dtype=bool)

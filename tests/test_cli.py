@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from graft import TransferConfig, cli, synthbench
+from graft import TransferConfig, cli, numerics, run_transfer, score, synthbench
 from graft.hetgraph import read_graph
 from graft.cli import _make_parser, main
 
@@ -115,6 +115,18 @@ class TestIngest:
         assert main(["ingest", "--events", str(events), "--window", "1", "--out", str(tmp_path / "s")]) == 0
         assert len(written) == span + 1 and written[-1] == last
         assert sorted(written) == written
+
+    def test_window_count_over_the_memory_budget_exits_one(self, tmp_path, capsys, monkeypatch):
+        # two events 10¹² ms apart at --window 1 ask for 10¹² + 1 windows
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(json.dumps({"ts": ts, "attrs": {"process": "p", "file": "f"}}) + "\n"
+                                  for ts in (0, 10**12)))
+        monkeypatch.setattr(numerics, "_physical_memory_bytes", lambda: 8 << 30)
+        assert main(["ingest", "--events", str(events), "--window", "1", "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a series of 1000000000001 windows needs ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "s").exists()
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         rc = main(["ingest", "--events", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "g")])
@@ -388,6 +400,15 @@ class TestSweepCommand:
         assert all(r[-1] == "ok" for r in rows)
         f1 = float(rows[0][6])
         assert 0.0 <= f1 <= 1.0
+
+    def test_transfer_row_scores_run_transfer(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert self.run_sweep(out, values="0.1", methods="transfer") == 0
+        row = out.read_text().splitlines()[2].split(",")
+        gs, gt_truth, gt_hat = synthbench.generate(synthbench.SynthSpec(1200, 600, dynamic_factor=0.1, maturity=0.5))
+        result = score(run_transfer(gs, gt_hat)[0], gt_truth)
+        f1s = [f"{f:.6f}" for f in (result.entity_f1, result.edge_f1, result.combined_f1)]
+        assert row == ["dynfactor", "0.1", "transfer", "0", *f1s, "ok"]
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

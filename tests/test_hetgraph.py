@@ -345,6 +345,12 @@ class TestDynamicFactor:
             f = dynamic_factor(g1, g2)
             assert f == dynamic_factor(g2, g1) == 2.0 * k / (n * (n - 1))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_entities_rejected(self, n):
+        g = HeteroGraph([("a", "t")][:n])
+        with pytest.raises(GraftError, match=f"^dynamic factor needs at least 2 entities, got {n}$"):
+            dynamic_factor(g, g)
+
     def test_mismatched_ids_rejected(self):
         g = toy_graph()
         renamed = HeteroGraph([("x", "t"), ("y", "t"), ("z", "t")], [("x", "y")])
@@ -365,6 +371,10 @@ class TestGraphFormat:
     def test_header_required(self):
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_graph("v a t\n")
+        for text in ("", "\n  \n", "# a comment\n\n# another\n"):  # no record at all
+            with pytest.raises(GraphFormatError, match="^missing header 'graphfmt 1'$") as exc:
+                parse_graph(text)
+            assert exc.value.line is None
 
     @pytest.mark.parametrize(
         "body,line,msg",
@@ -374,6 +384,7 @@ class TestGraphFormat:
             ("v a t\ne a b 1.0\n", 3, "not a declared entity"),
             ("v a t\ne a a 1.0\n", 3, "self-loop"),
             ("v a t\nv b t\ne a b zero\n", 4, "weight"),
+            ("v a t\nv b t\ne a b\n", 4, "e-line must be 'e <id1> <id2> <weight>'"),
             ("v a t\nv b t\ne a b 1.0\ne b a 2.0\n", 5, "duplicate"),
             ("x a\n", 2, "unknown record type"),
         ],

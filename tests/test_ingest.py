@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from graft import GraftError, HeteroGraph, accumulate, format_graph, parse_events, score, snapshot_series
+from graft import GraftError, HeteroGraph, accumulate, format_graph, ingest, numerics, parse_events, score, snapshot_series
 from graft.ingest import Event, EventLog
 from testkit import edge_weight, reference_score
 
@@ -29,6 +29,7 @@ class TestParseEvents:
         "text,msg",
         [
             ("{not json", "record 1: invalid JSON"),
+            ('{"ts": 1, "attrs": {}} {}', "record 1: invalid JSON: Extra data"),
             ('{"ts": 1}', "exactly the keys"),
             ('{"ts": 1, "attrs": {}, "x": 2}', "exactly the keys"),
             ('{"ts": 1.5, "attrs": {}}', "integer"),
@@ -532,6 +533,23 @@ class TestIngestMemory:
             tracemalloc.stop()
         assert len(snaps) == 200 and pairs > 2000
         assert peak - live < len(snaps) * pairs * 8
+
+    @pytest.mark.parametrize("build", [list, as_log], ids=["list", "log"])
+    def test_window_count_over_the_memory_budget_refused_before_any_cut(self, monkeypatch, build):
+        events = build([Event(0, {"a": "x", "b": "y"}), Event(999, {"a": "x", "b": "z"})])
+        need = 1000 * ingest._WINDOW_BYTES
+        built, real = [], ingest._prefix_graphs
+        monkeypatch.setattr(ingest, "_prefix_graphs", lambda *a: built.append(a) or real(*a))
+        monkeypatch.setattr(numerics, "_physical_memory_bytes", lambda: need - 1)
+        message = f"^a series of 1000 windows needs {need} bytes .* {need - 1} bytes of physical"
+        with pytest.raises(GraftError, match=message):
+            snapshot_series(events, 1)
+        assert built == []
+        monkeypatch.setattr(numerics, "_physical_memory_bytes", lambda: need)
+        assert len(snapshot_series(events, 1)) == 1000
+        monkeypatch.setattr(numerics, "_physical_memory_bytes", lambda: None)
+        assert len(snapshot_series(events, 1)) == 1000
+        assert len(built) == 2
 
     def test_events_have_no_instance_dict(self):
         (ev,) = parse_events([line(1, {"proc": "p1", "file": "f1"})])

@@ -535,23 +535,6 @@ class TestBlend:
         out = blend([SimilarityMatrix(full)] * 300)
         assert np.array_equal(out, (full.astype(np.int64) * 300) * (1.0 / 300))
 
-    # with room for 1, 2 or 3 matrices of 255, the sum widens after the 1st, 2nd or 3rd
-    @pytest.mark.parametrize("limit", [300, 600, 800])
-    def test_widens_before_the_accumulator_overflows(self, monkeypatch, limit):
-        monkeypatch.setattr(metapath, "_SUM_LIMIT", limit)
-        mats = self.hop_like(5, high=256)
-        total = sum(m.matrix.astype(np.int64) for m in mats)
-        assert total.max() > limit
-        assert np.array_equal(blend(mats), total * 0.2)
-
-    @pytest.mark.parametrize(
-        "bound,dtype",
-        [(255, np.uint16), (65535, np.uint16), (65536, np.uint32), (2**32 - 1, np.uint32), (2**32, np.float64),
-         (np.inf, np.float64)],
-    )
-    def test_narrowest_accumulator(self, bound, dtype):
-        assert metapath._sum_dtype(bound) is dtype
-
     # 257 full uint8 matrices sum to 65535 in uint16; 258 would wrap it, and
     # so would two full uint16 matrices, or two full uint32 ones in uint32
     @pytest.mark.parametrize(

@@ -14,9 +14,9 @@ from graft import (
     SynthSpec,
     TransferConfig,
     generate,
+    numerics,
     reconstruction,
     run_transfer,
-    selection,
     transfer,
 )
 from graft.numerics import sym_eig_topk
@@ -607,14 +607,14 @@ class TestFinalize:
         need = 11 * 30 * 30
         scored, real_matmul = [], reconstruction._matmul
         monkeypatch.setattr(reconstruction, "_matmul", lambda *a: scored.append(a) or real_matmul(*a))
-        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(numerics, "_physical_memory_bytes", lambda: need - 1)
         message = f"^edge scoring over 30 entities needs {need} bytes .* {need - 1} bytes of physical"
         with pytest.raises(GraftError, match=message):
             finalize_edges(u, g, 1.0)
         assert scored == []
-        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: need)
+        monkeypatch.setattr(numerics, "_physical_memory_bytes", lambda: need)
         want = finalize_edges(u, g, 1.0)
-        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: None)
+        monkeypatch.setattr(numerics, "_physical_memory_bytes", lambda: None)
         assert finalize_edges(u, g, 1.0) == want
         assert scored
 

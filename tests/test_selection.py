@@ -293,13 +293,13 @@ class TestSelectionMemory:
         need = 16 * 40 * 40
         projected, real_project = [], selection.project
         monkeypatch.setattr(selection, "project", lambda *a: projected.append(a) or real_project(*a))
-        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(numerics, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(GraftError, match=f"40 entities needs {need} bytes .* {need - 1} bytes of physical"):
             fit_selection_model(g)
         assert projected == []
-        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: need)
+        monkeypatch.setattr(numerics, "_physical_memory_bytes", lambda: need)
         fit_selection_model(g)
-        monkeypatch.setattr(selection, "_physical_memory_bytes", lambda: None)
+        monkeypatch.setattr(numerics, "_physical_memory_bytes", lambda: None)
         fit_selection_model(g)
         assert projected
 
@@ -309,23 +309,23 @@ class TestSelectionMemory:
         ``tmp_path``: v2 at ``v2/``, v1 at ``v1/``, with ``files`` (path: text) in them."""
         proc = tmp_path / "proc-self-cgroup"
         proc.write_text("".join(f"{line}\n" for line in lines))
-        monkeypatch.setattr(selection, "_PROC_CGROUP", str(proc))
-        monkeypatch.setattr(selection, "_CGROUP_V2_ROOT", str(tmp_path / "v2"))
-        monkeypatch.setattr(selection, "_CGROUP_V1_MEMORY_ROOT", str(tmp_path / "v1"))
+        monkeypatch.setattr(numerics, "_PROC_CGROUP", str(proc))
+        monkeypatch.setattr(numerics, "_CGROUP_V2_ROOT", str(tmp_path / "v2"))
+        monkeypatch.setattr(numerics, "_CGROUP_V1_MEMORY_ROOT", str(tmp_path / "v1"))
         for rel, text in files.items():
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / rel).write_text(text)
-        monkeypatch.setattr(selection.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}.__getitem__)
+        monkeypatch.setattr(numerics.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}.__getitem__)
 
     def test_physical_memory_from_sysconf(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(selection, "_PROC_CGROUP", str(tmp_path / "missing"))
+        monkeypatch.setattr(numerics, "_PROC_CGROUP", str(tmp_path / "missing"))
         answers = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
-        monkeypatch.setattr(selection.os, "sysconf", answers.__getitem__)
-        assert selection._physical_memory_bytes() == 4096 * 1000
+        monkeypatch.setattr(numerics.os, "sysconf", answers.__getitem__)
+        assert numerics._physical_memory_bytes() == 4096 * 1000
         answers["SC_PHYS_PAGES"] = -1  # sysconf's answer for an indeterminate value
-        assert selection._physical_memory_bytes() is None
-        monkeypatch.delattr(selection.os, "sysconf")  # as on Windows
-        assert selection._physical_memory_bytes() is None
+        assert numerics._physical_memory_bytes() is None
+        monkeypatch.delattr(numerics.os, "sysconf")  # as on Windows
+        assert numerics._physical_memory_bytes() is None
 
     @pytest.mark.parametrize(
         "limit,expect",
@@ -335,17 +335,17 @@ class TestSelectionMemory:
     def test_cgroup_limit_caps_physical_memory(self, monkeypatch, tmp_path, limit, expect):
         # a cgroup namespace puts the process at the root of the v2 hierarchy
         self.cgroups(monkeypatch, tmp_path, ["0::/"], {} if limit is None else {"v2/memory.max": limit})
-        assert selection._physical_memory_bytes() == expect
-        monkeypatch.delattr(selection.os, "sysconf")  # physical memory unknown: the limit alone
-        assert selection._physical_memory_bytes() == (None if limit in (None, "max\n") else int(limit))
+        assert numerics._physical_memory_bytes() == expect
+        monkeypatch.delattr(numerics.os, "sysconf")  # physical memory unknown: the limit alone
+        assert numerics._physical_memory_bytes() == (None if limit in (None, "max\n") else int(limit))
 
     def test_unreadable_cgroup_limit_sets_none(self, monkeypatch, tmp_path):
         # a directory in the file's place: open() raises IsADirectoryError, as it
         # raises PermissionError on an unreadable file, whatever user runs the test
         self.cgroups(monkeypatch, tmp_path, ["0::/app"], {"v2/app/memory.max/x": ""})
-        assert selection._physical_memory_bytes() == 4_096_000
-        monkeypatch.setattr(selection, "_PROC_CGROUP", str(tmp_path))
-        assert selection._physical_memory_bytes() == 4_096_000
+        assert numerics._physical_memory_bytes() == 4_096_000
+        monkeypatch.setattr(numerics, "_PROC_CGROUP", str(tmp_path))
+        assert numerics._physical_memory_bytes() == 4_096_000
 
     def test_smallest_limit_on_the_v2_path(self, monkeypatch, tmp_path):
         # a MemoryMax= on a systemd slice limits every cgroup below it
@@ -356,7 +356,7 @@ class TestSelectionMemory:
             "v2/other.slice/memory.max": "1000000\n",  # not on the process's path
         }
         self.cgroups(monkeypatch, tmp_path, ["0::/user.slice/run.scope"], files)
-        assert selection._physical_memory_bytes() == 2_000_000
+        assert numerics._physical_memory_bytes() == 2_000_000
 
     def test_v1_memory_limit(self, monkeypatch, tmp_path):
         files = {
@@ -367,10 +367,10 @@ class TestSelectionMemory:
         }
         lines = ["9:name=systemd:/", "4:memory:/jobs/a1", "2:cpu,cpuacct:/low", "0::/"]
         self.cgroups(monkeypatch, tmp_path, lines, files)
-        assert selection._physical_memory_bytes() == 3_000_000
+        assert numerics._physical_memory_bytes() == 3_000_000
         # a v1 line that names memory beside other controllers
         self.cgroups(monkeypatch, tmp_path, ["3:cpuset,memory:/low"], {})
-        assert selection._physical_memory_bytes() == 1_000_000
+        assert numerics._physical_memory_bytes() == 1_000_000
 
 
 def dense_objective_reference(embedding, mats, weights, lam):
